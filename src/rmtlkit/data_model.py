@@ -170,8 +170,10 @@ def parse_dataset(text: str, reference: str | None = None) -> TwoGroupSample:
 
     Comma is the default delimiter; tab is accepted. Column order is free
     and extra columns are ignored. ``status`` must be 0 (censored),
-    1 (event of interest), or 2 (competing event).
+    1 (event of interest), or 2 (competing event). A leading UTF-8 byte
+    order mark is ignored.
     """
+    text = text.removeprefix("\ufeff")
     sample = io.StringIO(text)
     first = sample.readline()
     if not first.strip():

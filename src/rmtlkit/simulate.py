@@ -23,7 +23,6 @@ from .errors import (
     CalibrationError,
     DataValidationError,
     DegenerateDataError,
-    NumericError,
     SmallSampleWarning,
 )
 from .inference import TestMethod, diff_test, sdiff_test
@@ -102,31 +101,15 @@ class PiecewiseWeibullCif:
         """Sub-distribution value mass * F(t)."""
         return self.mass * self.cdf(t)
 
-    def inverse_cdf(self, u, tol: float = 1e-10):
-        """Invert F by monotone bisection on the piecewise segments."""
+    def inverse_cdf(self, u):
+        """Invert F exactly: t = H^-1(-log(1 - u)) on the segment holding it."""
         u = np.asarray(u, dtype=float)
-        if np.any((u < 0.0) | (u >= 1.0)):
+        if not np.all((u >= 0.0) & (u < 1.0)):
             raise DataValidationError("uniform draws must lie in [0, 1)")
-        lo = np.zeros_like(u)
-        hi_scalar = 2.0 * max(
-            max(s.start for s in self.segments), max(s.scale for s in self.segments)
-        )
-        hi = np.full_like(u, hi_scalar)
-        for _ in range(300):
-            short = self.cdf(hi) < u
-            if not np.any(short):
-                break
-            hi[short] *= 2.0
-        else:
-            raise NumericError("inverse CDF bracket expansion failed")
-        for _ in range(500):
-            mid = 0.5 * (lo + hi)
-            below = self.cdf(mid) < u
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-            if np.max(hi - lo) <= tol:
-                break
-        return 0.5 * (lo + hi)
+        _, shapes, scales, edge, offsets = self._pieces()
+        h = -np.log1p(-u)
+        seg = np.searchsorted(offsets, h, side="right") - 1
+        return scales[seg] * (h - offsets[seg] + edge[seg]) ** (1.0 / shapes[seg])
 
 
 @dataclass(frozen=True)

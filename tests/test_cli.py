@@ -80,6 +80,18 @@ class TestEstimate:
         assert rc == 3
         assert "error:" in err
 
+    def test_byte_order_mark_in_header(self, capsys, dataset, tmp_path):
+        path, sample = dataset
+        bom_path = tmp_path / "bom.csv"
+        bom_path.write_text(to_csv(sample), encoding="utf-8-sig")
+        assert bom_path.read_bytes().startswith(b"\xef\xbb\xbf")
+        _, plain, _ = run(capsys, ["estimate", "--input", str(path),
+                                   "--format", "json"])
+        rc, out, _ = run(capsys, ["estimate", "--input", str(bom_path),
+                                  "--format", "json"])
+        assert rc == 0
+        assert out == plain
+
     def test_missing_input_file(self, capsys):
         rc, _, err = run(capsys, ["estimate", "--input", "no-such-file.csv"])
         assert rc == 3

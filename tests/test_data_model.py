@@ -146,6 +146,12 @@ class TestParseDataset:
         sample = parse_dataset(text)
         assert sample.groups == ("a", "b")
 
+    def test_byte_order_mark_ignored(self):
+        text = "\ufefftime,status,group\n1,1,a\n2,0,a\n3,1,b\n"
+        sample = parse_dataset(text)
+        assert sample.groups == ("a", "b")
+        assert sample.records[0].time == 1.0
+
     def test_missing_column(self):
         with pytest.raises(DataValidationError, match="status"):
             parse_dataset("time,group\n1,a\n")

@@ -84,6 +84,11 @@ class TestEventLaw:
         with pytest.raises(DataValidationError):
             exponential_cif().inverse_cdf(np.array([1.0]))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_inverse_cdf_rejects_non_finite(self, bad):
+        with pytest.raises(DataValidationError):
+            exponential_cif().inverse_cdf(np.array([0.5, bad]))
+
     def test_segment_validation(self):
         with pytest.raises(DataValidationError):
             WeibullSegment(0.0, -1.0, 2.0)
@@ -96,6 +101,56 @@ class TestEventLaw:
             )
         with pytest.raises(DataValidationError):
             PiecewiseWeibullCif(mass=1.5, segments=(WeibullSegment(0.0, 1.0, 1.0),))
+
+
+def three_segment_law():
+    # shapes below and above 1, so the hazard both falls and rises
+    return PiecewiseWeibullCif(
+        mass=1.0,
+        segments=(
+            WeibullSegment(0.0, 0.8, 1.5),
+            WeibullSegment(1.0, 2.0, 2.0),
+            WeibullSegment(2.5, 0.5, 0.7),
+        ),
+    )
+
+
+class TestExactInverse:
+    def test_cdf_of_inverse_is_identity(self):
+        law = three_segment_law()
+        u = np.linspace(0.0, 0.999999, 20_001)
+        assert np.max(np.abs(law.cdf(law.inverse_cdf(u)) - u)) <= 1e-15
+
+    def test_segment_boundaries_map_back(self):
+        law = three_segment_law()
+        for seg in law.segments:
+            t = law.inverse_cdf(law.cdf(np.array([seg.start])))[0]
+            assert t == pytest.approx(seg.start, rel=1e-12, abs=0.0)
+
+    def test_zero_maps_to_zero(self):
+        assert three_segment_law().inverse_cdf(np.array([0.0]))[0] == 0.0
+
+    def test_far_tail_matches_single_segment_form(self):
+        u = 1.0 - 1e-12
+        for shape, scale in ((0.8, 1.5), (2.0, 2.0), (0.5, 0.7)):
+            law = PiecewiseWeibullCif(
+                mass=1.0, segments=(WeibullSegment(0.0, shape, scale),)
+            )
+            t = law.inverse_cdf(np.array([u]))[0]
+            assert math.isfinite(t)
+            assert t == pytest.approx(scale * (-math.log1p(-u)) ** (1.0 / shape),
+                                      rel=1e-15)
+        t = three_segment_law().inverse_cdf(np.array([u]))[0]
+        assert math.isfinite(t) and t > 2.5
+
+    def test_monotone_across_boundaries(self):
+        law = three_segment_law()
+        edges = law.cdf(np.array([s.start for s in law.segments[1:]]))
+        u = np.sort(np.concatenate([
+            np.linspace(0.0, 0.999, 5001),
+            np.nextafter(edges, 0.0), edges, np.nextafter(edges, 1.0),
+        ]))
+        assert np.all(np.diff(law.inverse_cdf(u)) >= 0.0)
 
 
 class TestSampling:

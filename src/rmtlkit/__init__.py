@@ -11,7 +11,7 @@ from .brownian import (
     sup_abs_bm_quantile,
     sup_abs_bm_sf,
 )
-from .cif import StepFunction, cif_estimate, cif_variance, km_overall
+from .cif import GroupFit, StepFunction, cif_estimate, km_overall
 from .data_model import (
     EventCode,
     RiskTable,
@@ -45,7 +45,6 @@ from .inference import (
     TestResult,
     diff_test,
     partial_process,
-    sdiff_sigma,
     sdiff_test,
 )
 from .rmtl import (

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import EventCode, RiskTable
+from .data_model import EventCode, RiskTable, build_risk_table
 from .errors import DataValidationError
 
 
@@ -37,11 +37,6 @@ class StepFunction:
     def value_at(self, t):
         """Evaluate by right-continuity: value at the largest knot <= t."""
         idx = np.searchsorted(self.times, t, side="right") - 1
-        return self._pick(self.values, idx, self.value_before_first)
-
-    def left_limit(self, t):
-        """Value just before t: value at the largest knot strictly < t."""
-        idx = np.searchsorted(self.times, t, side="left") - 1
         return self._pick(self.values, idx, self.value_before_first)
 
     def variance_at(self, t):
@@ -108,9 +103,22 @@ def cif_estimate(rt: RiskTable, cause: EventCode) -> StepFunction:
     )
 
 
-def cif_variance(rt: RiskTable, cause: EventCode) -> np.ndarray:
-    """Pointwise Aalen variances of the CIF at its own step times."""
-    return cif_estimate(rt, cause).variances
+@dataclass(frozen=True)
+class GroupFit:
+    """One group's risk table and CIF of the event of interest.
+
+    Every statistic of a two-group sample reads these, so each group is
+    fitted once (``TwoGroupSample.fits``).
+    """
+
+    table: RiskTable
+    cif: StepFunction
+
+    @classmethod
+    def from_arrays(cls, times, codes) -> "GroupFit":
+        """Fit one group from its observed times and status codes."""
+        table = build_risk_table(times, codes)
+        return cls(table=table, cif=cif_estimate(table, EventCode.INTEREST))
 
 
 def _aalen_variance(n, d, dj, s_prev, inc):

@@ -6,14 +6,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.special import ndtri
 
 from .cif import cif_estimate, km_overall
-from .data_model import EventCode, build_risk_table, parse_dataset
+from .data_model import EventCode, parse_dataset, read_text
 from .design import DesignInput, pilot_parameters, sample_size_diff, sample_size_sdiff
 from .errors import DataValidationError, NumericError, RmtlError
 from .inference import TestMethod, diff_test, sdiff_test
@@ -21,28 +19,6 @@ from .rmtl import default_tau, rmstc, rmtl, rmtl_ci, rmtl_estimate, rmtl_differe
 from .simulate import load_scenario, observed_power_at_n, run_monte_carlo, scenario_to_dict
 
 SCHEMA_VERSION = 1
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated flag values for one invocation."""
-
-    subcommand: str
-    input: str | None = None
-    tau: float | None = None
-    alpha: float = 0.05
-    rho: float = 0.5
-    eps: float = 1e-10
-    seed: int = 0
-    reps: int = 5000
-    ratio: float = 1.0
-    power: float = 0.8
-    method: str = "both"
-    sweep: tuple[float, float, float] | None = None
-    strict_tau: bool = False
-    fmt: str = "table"
-    reference_group: str | None = None
-    workers: int = 1
 
 
 def _probability(text: str) -> float:
@@ -176,15 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_text(path: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataValidationError(f"cannot read {path}: {exc}") from None
-
-
 def _load_sample(args):
-    sample = parse_dataset(_read_text(args.input), reference=args.reference_group)
+    sample = parse_dataset(read_text(args.input), reference=args.reference_group)
     tau = args.tau if args.tau is not None else default_tau(sample)
     return sample, float(tau)
 
@@ -209,27 +178,25 @@ def cmd_estimate(args) -> str:
     z = float(ndtri(1.0 - args.alpha / 2.0))
 
     groups = []
-    any_competing = any(r.event == EventCode.COMPETING for r in sample.records)
-    for label, records in zip(sample.groups, sample.split()):
-        rt = build_risk_table(records)
-        cif_int = cif_estimate(rt, EventCode.INTEREST)
-        cif_comp = cif_estimate(rt, EventCode.COMPETING)
-        km = km_overall(rt)
-        est = rmtl_estimate(records, tau, strict)
+    any_competing = bool(np.any(sample.codes == EventCode.COMPETING))
+    for label, fit in zip(sample.groups, sample.fits):
+        cif_comp = cif_estimate(fit.table, EventCode.COMPETING)
+        km = km_overall(fit.table)
+        est = rmtl_estimate(fit, tau, strict)
         lo, hi = rmtl_ci(est, args.alpha)
         groups.append(
             {
                 "label": label,
-                "n": rt.n_total,
+                "n": fit.table.n_total,
                 "rmtl": est.value,
                 "variance": est.variance,
                 "ci": [lo, hi],
                 "rmtl_competing": rmtl(cif_comp, tau, strict),
                 "rmstc": rmstc(km, tau, strict),
                 "cif": {
-                    "times": cif_int.times.tolist(),
-                    "values": cif_int.values.tolist(),
-                    "variances": cif_int.variances.tolist(),
+                    "times": fit.cif.times.tolist(),
+                    "values": fit.cif.values.tolist(),
+                    "variances": fit.cif.variances.tolist(),
                 },
             }
         )
@@ -298,7 +265,7 @@ def cmd_test(args) -> str:
             "p_value": res.p_value,
             "reject": res.reject,
         }
-    diff = rmtl_difference(sample, tau, strict=False, require_events=False)
+    diff = res.delta
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "test",
@@ -348,7 +315,7 @@ def cmd_samplesize(args) -> str:
     methods = _methods(args.method)
     pilot_sample = None
     if args.pilot is not None:
-        pilot_sample = parse_dataset(_read_text(args.pilot),
+        pilot_sample = parse_dataset(read_text(args.pilot),
                                      reference=args.reference_group)
 
     payload = {

@@ -11,10 +11,16 @@ import io
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
+from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DataValidationError
+
+if TYPE_CHECKING:
+    from .cif import GroupFit
 
 
 class EventCode(IntEnum):
@@ -42,25 +48,39 @@ class SubjectRecord:
             object.__setattr__(self, "event", EventCode(self.event))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoGroupSample:
-    """Validated records from exactly two nonempty groups.
+    """Two nonempty groups held as parallel arrays, one entry per subject.
 
-    ``groups`` fixes the group order: differences are always computed as
-    group 2 minus group 1, so the order determines the sign of the effect.
+    ``times`` are observed times, ``codes`` the ``EventCode`` values and
+    ``group`` the index (0 or 1) into ``groups``. ``groups`` fixes the group
+    order: differences are always computed as group 2 minus group 1, so the
+    order determines the sign of the effect. The arrays are copied and made
+    read-only, so the cached per-group ``fits`` cannot go stale.
     """
 
-    records: tuple[SubjectRecord, ...]
+    times: np.ndarray
+    codes: np.ndarray
+    group: np.ndarray
     groups: tuple[str, str]
 
     def __post_init__(self):
-        labels = set(r.group for r in self.records)
+        times = np.array(self.times, dtype=float)
+        codes = np.array(self.codes, dtype=np.int64)
+        group = np.array(self.group, dtype=np.int64)
+        if times.ndim != 1 or codes.shape != times.shape or group.shape != times.shape:
+            raise DataValidationError("times, codes and group must be 1-d, one length")
+        if not np.all(np.isfinite(times) & (times >= 0)):
+            raise DataValidationError("times must be finite and nonnegative")
+        if not np.all((codes >= 0) & (codes <= 2)):
+            raise DataValidationError("status codes must be 0, 1 or 2")
         if len(self.groups) != 2 or self.groups[0] == self.groups[1]:
             raise DataValidationError("exactly two distinct group labels required")
-        if labels != set(self.groups):
-            raise DataValidationError(
-                f"record groups {sorted(labels)} do not match labels {list(self.groups)}"
-            )
+        if not np.array_equal(np.unique(group), [0, 1]):
+            raise DataValidationError("group indices must be 0/1, both groups nonempty")
+        for name, arr in (("times", times), ("codes", codes), ("group", group)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def from_records(cls, records, reference: str | None = None) -> "TwoGroupSample":
@@ -69,35 +89,38 @@ class TwoGroupSample:
         ``reference`` forces that label into the group-1 (reference) slot.
         """
         records = tuple(records)
-        seen: list[str] = []
-        for r in records:
-            if r.group not in seen:
-                seen.append(r.group)
-        if len(seen) != 2:
+        return _from_columns(
+            [r.time for r in records],
+            [int(r.event) for r in records],
+            [r.group for r in records],
+            reference,
+        )
+
+    @cached_property
+    def fits(self) -> tuple[GroupFit, GroupFit]:
+        """Risk table and interest CIF of each group, built on first use."""
+        from .cif import GroupFit  # cif imports this module
+
+        rows = (self.group == k for k in (0, 1))
+        return tuple(GroupFit.from_arrays(self.times[r], self.codes[r]) for r in rows)
+
+
+def _from_columns(times, codes, labels, reference) -> TwoGroupSample:
+    """Sample from per-row columns, groups in first-seen label order."""
+    seen = list(dict.fromkeys(labels))
+    if len(seen) != 2:
+        raise DataValidationError(
+            f"exactly two groups required, found {len(seen)}: {seen}"
+        )
+    if reference is not None:
+        if reference not in seen:
             raise DataValidationError(
-                f"exactly two groups required, found {len(seen)}: {seen}"
+                f"reference group {reference!r} not present in data"
             )
-        if reference is not None:
-            if reference not in seen:
-                raise DataValidationError(
-                    f"reference group {reference!r} not present in data"
-                )
-            seen.sort(key=lambda g: g != reference)
-        return cls(records=records, groups=(seen[0], seen[1]))
-
-    def group_records(self, label: str) -> tuple[SubjectRecord, ...]:
-        return tuple(r for r in self.records if r.group == label)
-
-    def split(self) -> tuple[tuple[SubjectRecord, ...], tuple[SubjectRecord, ...]]:
-        return self.group_records(self.groups[0]), self.group_records(self.groups[1])
-
-    @property
-    def n1(self) -> int:
-        return sum(1 for r in self.records if r.group == self.groups[0])
-
-    @property
-    def n2(self) -> int:
-        return sum(1 for r in self.records if r.group == self.groups[1])
+        seen.sort(key=lambda g: g != reference)
+    second = seen[1]
+    group = [label == second for label in labels]
+    return TwoGroupSample(times, codes, group, (seen[0], second))
 
 
 @dataclass(frozen=True)
@@ -127,22 +150,19 @@ class RiskTable:
         raise DataValidationError(f"cause must be Interest or Competing, got {cause}")
 
 
-def build_risk_table(records) -> RiskTable:
+def build_risk_table(times, codes) -> RiskTable:
     """Tabulate at-risk and event counts at each distinct event time.
 
-    Ties between events and censorings at the same time are resolved with
-    events first: a subject censored at t is still at risk for events at t.
+    ``times`` and ``codes`` hold one group's observed times and status
+    codes. Ties between events and censorings at the same time are resolved
+    with events first: a subject censored at t is still at risk for events
+    at t.
     """
-    records = tuple(records)
-    if not records:
-        raise DataValidationError("cannot build a risk table from no records")
-    times = np.array([r.time for r in records], dtype=float)
-    codes = np.array([int(r.event) for r in records], dtype=np.int64)
-    return _risk_table_from_arrays(times, codes)
-
-
-def _risk_table_from_arrays(times: np.ndarray, codes: np.ndarray) -> RiskTable:
+    times = np.asarray(times, dtype=float)
+    codes = np.asarray(codes)
     n = len(times)
+    if n == 0:
+        raise DataValidationError("cannot build a risk table from no observations")
     uniq = np.unique(times)
     idx = np.searchsorted(uniq, times)
     d1 = np.bincount(idx[codes == EventCode.INTEREST], minlength=len(uniq))
@@ -162,47 +182,68 @@ def _risk_table_from_arrays(times: np.ndarray, codes: np.ndarray) -> RiskTable:
     )
 
 
+def read_text(path) -> str:
+    """Read a UTF-8 text file; a file that cannot be read or decoded is a
+    data error naming the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DataValidationError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataValidationError(
+            f"cannot read {path}: not UTF-8 text (byte offset {exc.start})"
+        ) from None
+
+
 _REQUIRED_COLUMNS = ("time", "status", "group")
+_STATUS_CODES = {"0": 0, "1": 1, "2": 2}
 
 
 def parse_dataset(text: str, reference: str | None = None) -> TwoGroupSample:
     """Parse a delimited table with columns time, status, group.
 
     Comma is the default delimiter; tab is accepted. Column order is free
-    and extra columns are ignored. ``status`` must be 0 (censored),
-    1 (event of interest), or 2 (competing event). A leading UTF-8 byte
-    order mark is ignored.
+    and extra columns are ignored; when a name repeats, its last column is
+    used. Blank lines are skipped and not counted in row numbers. ``status``
+    must be 0 (censored), 1 (event of interest), or 2 (competing event). A
+    leading UTF-8 byte order mark is ignored.
     """
     text = text.removeprefix("\ufeff")
-    sample = io.StringIO(text)
-    first = sample.readline()
+    first = io.StringIO(text).readline()
     if not first.strip():
         raise DataValidationError("empty input")
     delimiter = "\t" if ("\t" in first and "," not in first) else ","
-    reader = csv.DictReader(io.StringIO(text), delimiter=delimiter)
-    by_name = {h.strip(): h for h in (reader.fieldnames or [])}
-    missing = [c for c in _REQUIRED_COLUMNS if c not in by_name]
+    reader = csv.reader(io.StringIO(text), delimiter=delimiter)
+    column = {name.strip(): k for k, name in enumerate(next(reader))}
+    missing = [c for c in _REQUIRED_COLUMNS if c not in column]
     if missing:
         raise DataValidationError(f"missing required column(s): {', '.join(missing)}")
+    t_col, s_col, g_col = (column[c] for c in _REQUIRED_COLUMNS)
+    width = max(t_col, s_col, g_col) + 1
 
-    records = []
-    for i, row in enumerate(reader, start=1):
+    times, codes, labels = [], [], []
+    for i, row in enumerate(filter(None, reader), start=1):
+        if len(row) < width:
+            row += [""] * (width - len(row))
         try:
-            time = float(str(row[by_name["time"]]).strip())
-        except (TypeError, ValueError):
+            time = float(row[t_col].strip())
+        except ValueError:
+            raise DataValidationError(f"row {i}: unparseable time {row[t_col]!r}")
+        if not (math.isfinite(time) and time >= 0):
             raise DataValidationError(
-                f"row {i}: unparseable time {row.get(by_name['time'])!r}"
+                f"row {i}: time must be finite and nonnegative, got {time!r}"
             )
-        status_raw = str(row.get(by_name["status"], "")).strip()
-        if status_raw not in {"0", "1", "2"}:
-            raise DataValidationError(f"row {i}: unknown status code {status_raw!r}")
-        group = (row.get(by_name["group"]) or "").strip()
+        code = _STATUS_CODES.get(row[s_col].strip())
+        if code is None:
+            raise DataValidationError(
+                f"row {i}: unknown status code {row[s_col].strip()!r}"
+            )
+        group = row[g_col].strip()
         if not group:
             raise DataValidationError(f"row {i}: empty group label")
-        try:
-            records.append(SubjectRecord(time, EventCode(int(status_raw)), group))
-        except DataValidationError as exc:
-            raise DataValidationError(f"row {i}: {exc}") from None
-    if not records:
+        times.append(time)
+        codes.append(code)
+        labels.append(group)
+    if not times:
         raise DataValidationError("no data rows found")
-    return TwoGroupSample.from_records(records, reference=reference)
+    return _from_columns(times, codes, labels, reference)

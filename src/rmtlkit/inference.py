@@ -15,8 +15,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .brownian import SeriesConfig, sup_abs_bm_sf
-from .cif import cif_estimate
-from .data_model import EventCode, TwoGroupSample, build_risk_table
+from .data_model import TwoGroupSample
 from .errors import DataValidationError, DegenerateDataError
 from .rmtl import RmtlDifference, _check_tau, rmtl_difference
 
@@ -102,16 +101,15 @@ def partial_process(
     """
     if not 0.0 <= rho <= 1.0:
         raise DataValidationError(f"rho must be in [0, 1], got {rho!r}")
-    tables = [build_risk_table(records) for records in sample.split()]
-    cifs = [cif_estimate(rt, EventCode.INTEREST) for rt in tables]
-    for cif in cifs:
-        tau = _check_tau(cif, tau, strict)
-    grid = np.union1d(tables[0].times, tables[1].times)
+    fits = sample.fits
+    for fit in fits:
+        tau = _check_tau(fit.cif, tau, strict)
+    grid = np.union1d(fits[0].table.times, fits[1].table.times)
     grid = grid[grid < tau]
     if len(grid) == 0:
         raise DegenerateDataError(f"no event times before tau={tau:g}")
     widths = np.diff(np.concatenate((grid, [tau])))
-    first, second = cifs
+    first, second = fits[0].cif, fits[1].cif
     values = np.cumsum((second.value_at(grid) - first.value_at(grid)) * widths)
     var_first = first.variance_at(grid)
     var_second = second.variance_at(grid)
@@ -141,19 +139,6 @@ def _sigma_tau(widths: np.ndarray, var_sum: np.ndarray, rho: float) -> float:
     return float(np.sqrt(max((1.0 - rho) * sq + rho * total * total, 0.0)))
 
 
-def sdiff_sigma(process: PartialDifferenceProcess, rho: float | None = None) -> float:
-    """Normalizer sigma(tau) of the partial process; errors when zero."""
-    rho = process.rho if rho is None else rho
-    if not 0.0 <= rho <= 1.0:
-        raise DataValidationError(f"rho must be in [0, 1], got {rho!r}")
-    sigma = _sigma_tau(process.widths, process.var_first + process.var_second, rho)
-    if sigma == 0.0:
-        raise DegenerateDataError(
-            "zero normalizer: all CIF variances vanish on the grid"
-        )
-    return sigma
-
-
 def sdiff_test(
     sample: TwoGroupSample,
     tau: float,
@@ -165,13 +150,16 @@ def sdiff_test(
     """Supremum test of zero RMTL difference over the whole window."""
     alpha = _check_alpha(alpha)
     process = partial_process(sample, tau, rho=rho, strict=strict)
-    sigma = sdiff_sigma(process)
-    statistic = float(np.max(np.abs(process.values))) / sigma
+    if process.sigma_tau == 0.0:
+        raise DegenerateDataError(
+            "zero normalizer: all CIF variances vanish on the grid"
+        )
+    statistic = float(np.max(np.abs(process.values))) / process.sigma_tau
     if statistic == 0.0:
         p = 1.0
     else:
         p = sup_abs_bm_sf(statistic, SeriesConfig(eps=eps))
-    delta = rmtl_difference(sample, tau, strict=False, require_events=False)
+    delta = rmtl_difference(sample, tau, strict=strict, require_events=False)
     return TestResult(
         method=TestMethod.SDIFF,
         statistic=statistic,

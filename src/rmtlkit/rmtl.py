@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .cif import StepFunction, cif_estimate, km_overall
-from .data_model import EventCode, TwoGroupSample, build_risk_table
+from .cif import GroupFit, StepFunction
+from .data_model import TwoGroupSample
 from .errors import DataValidationError, DegenerateDataError, ExtrapolationWarning
 
 
@@ -99,14 +99,12 @@ def rmtl_ci(est: RmtlEstimate, alpha: float = 0.05) -> tuple[float, float]:
     return max(est.value - half, 0.0), min(est.value + half, est.tau)
 
 
-def rmtl_estimate(records, tau: float, strict: bool = False) -> RmtlEstimate:
-    """RMTL of the event of interest for one group of records."""
-    rt = build_risk_table(records)
-    cif = cif_estimate(rt, EventCode.INTEREST)
+def rmtl_estimate(fit: GroupFit, tau: float, strict: bool = False) -> RmtlEstimate:
+    """RMTL of the event of interest for one fitted group."""
     return RmtlEstimate(
-        value=rmtl(cif, tau, strict),
-        variance=rmtl_variance(cif, tau, strict),
-        n=rt.n_total,
+        value=rmtl(fit.cif, tau, strict),
+        variance=rmtl_variance(fit.cif, tau, strict),
+        n=fit.table.n_total,
         tau=float(tau),
     )
 
@@ -119,12 +117,12 @@ def rmtl_difference(
 ) -> RmtlDifference:
     """RMTL difference (group 2 minus group 1) with its delta-method SE."""
     estimates = []
-    for label, records in zip(sample.groups, sample.split()):
-        if require_events and not any(r.event == EventCode.INTEREST for r in records):
+    for label, fit in zip(sample.groups, sample.fits):
+        if require_events and len(fit.cif.times) == 0:
             raise DegenerateDataError(
                 f"group {label!r} has no events of interest before tau"
             )
-        estimates.append(rmtl_estimate(records, tau, strict))
+        estimates.append(rmtl_estimate(fit, tau, strict))
     first, second = estimates
     se = math.sqrt(first.variance / first.n + second.variance / second.n)
     return RmtlDifference(
@@ -139,11 +137,10 @@ def rmtl_difference(
 def default_tau(sample: TwoGroupSample) -> float:
     """Truncation time rule: min over groups of the last event of interest."""
     last = []
-    for label, records in zip(sample.groups, sample.split()):
-        times = [r.time for r in records if r.event == EventCode.INTEREST]
-        if not times:
+    for label, fit in zip(sample.groups, sample.fits):
+        if len(fit.cif.times) == 0:
             raise DegenerateDataError(
                 f"group {label!r} has no events of interest; tau rule undefined"
             )
-        last.append(max(times))
+        last.append(fit.cif.times[-1])
     return float(min(last))

@@ -12,13 +12,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data_model import EventCode, SubjectRecord, TwoGroupSample
+from .data_model import EventCode, TwoGroupSample, read_text
 from .errors import (
     CalibrationError,
     DataValidationError,
@@ -296,22 +297,18 @@ def _replicate(scn, rep, seed, bounds):
     """Generate one replication's TwoGroupSample, or None when a group has
     no observed events of interest."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
-    records = []
-    ok = True
+    times, codes = [], []
     for k, group in enumerate(scn.groups):
-        times, codes = sample_events(group, rng)
+        t, c = sample_events(group, rng)
         if bounds is not None:
-            times, codes = apply_censoring(times, codes, bounds[k], rng)
-        if not np.any(codes == EventCode.INTEREST):
-            ok = False
-        label = str(k + 1)
-        records.extend(
-            SubjectRecord(float(t), EventCode(int(c)), label)
-            for t, c in zip(times, codes)
-        )
-    if not ok:
-        return None
-    return TwoGroupSample.from_records(records)
+            t, c = apply_censoring(t, c, bounds[k], rng)
+        if not np.any(c == EventCode.INTEREST):
+            return None
+        times.append(t)
+        codes.append(c)
+    sizes = [len(t) for t in times]
+    return TwoGroupSample(np.concatenate(times), np.concatenate(codes),
+                          np.repeat([0, 1], sizes), ("1", "2"))
 
 
 def _run_block(scn, methods, start, stop, seed, alpha, rho, eps, bounds):
@@ -439,8 +436,6 @@ def observed_power_at_n(
     if n_total < 4:
         raise DataValidationError(f"n_total must be >= 4, got {n_total}")
     if n_total < 20:
-        import warnings
-
         warnings.warn(
             f"n_total={n_total} is too small for the normal approximation "
             "to be reliable",
@@ -598,7 +593,7 @@ def scenario_to_dict(scn: ScenarioSpec) -> dict:
 
 def load_scenario(path) -> ScenarioSpec:
     """Load and validate a scenario JSON file."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

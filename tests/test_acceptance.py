@@ -44,7 +44,7 @@ from rmtlkit.brownian import (
 from rmtlkit.cli import main as cli_main
 from rmtlkit.simulate import _replicate, resolve_censoring
 
-from helpers import random_records
+from helpers import random_arrays
 
 SEED = 20260817
 
@@ -75,9 +75,8 @@ def test_01_decomposition_identity():
     worst = 0.0
     for i in range(100):
         n = int(rng.integers(5, 60))
-        records = random_records(rng, n, "g", p_interest=0.45, p_competing=0.35,
-                                 tie_grid=4 if i % 3 == 0 else None)
-        rt = build_risk_table(records)
+        rt = build_risk_table(*random_arrays(rng, n, p_interest=0.45, p_competing=0.35,
+                                             tie_grid=4 if i % 3 == 0 else None))
         tau = float(rng.uniform(0.1, 1.0)) * rt.last_observed
         total = (
             rmtl(cif_estimate(rt, EventCode.INTEREST), tau)
@@ -94,9 +93,8 @@ def test_02_single_cause_reduction():
     ok = True
     for i in range(100):
         n = int(rng.integers(3, 50))
-        records = random_records(rng, n, "g", p_interest=0.6, p_competing=0.0,
-                                 tie_grid=3 if i % 2 == 0 else None)
-        rt = build_risk_table(records)
+        rt = build_risk_table(*random_arrays(rng, n, p_interest=0.6, p_competing=0.0,
+                                             tie_grid=3 if i % 2 == 0 else None))
         cif = cif_estimate(rt, EventCode.INTEREST)
         km = km_overall(rt)
         ok = ok and np.array_equal(cif.times, km.times)
@@ -123,7 +121,7 @@ def test_03_variance_formula_example():
     worst = 0.0
     rng = np.random.default_rng(SEED + 2)
     random_fn = cif_estimate(
-        build_risk_table(random_records(rng, 40, "g")), EventCode.INTEREST
+        build_risk_table(*random_arrays(rng, 40)), EventCode.INTEREST
     )
     for f, t_max in ((fn, tau), (random_fn, 0.9 * random_fn.last_observed)):
         pts = [t for t in f.times if t < t_max]
@@ -179,8 +177,7 @@ def test_06_variance_oracle_ratios(null_scenario):
             d = rmtl_difference(sample, tau)
             deltas.append(d.delta)
             plugin.append(d.se ** 2)
-            cif = cif_estimate(build_risk_table(sample.split()[0]),
-                               EventCode.INTEREST)
+            cif = sample.fits[0].cif
             cif_vals.append(float(cif.value_at(t_star)))
             cif_vars.append(float(cif.variance_at(t_star)))
     ratio_delta = float(np.mean(plugin) / np.var(deltas, ddof=1))

@@ -5,19 +5,16 @@ from rmtlkit import (
     DataValidationError,
     EventCode,
     StepFunction,
-    SubjectRecord,
     build_risk_table,
     cif_estimate,
-    cif_variance,
     km_overall,
 )
-from helpers import random_records
+from helpers import random_arrays
 
 
-def table(spec, group="g"):
-    return build_risk_table(
-        [SubjectRecord(t, EventCode(e), group) for t, e in spec]
-    )
+def table(spec):
+    times, codes = zip(*spec)
+    return build_risk_table(times, codes)
 
 
 def aalen_reference(rt, cause):
@@ -63,11 +60,6 @@ class TestStepFunction:
         assert self.fn.value_at(3.0) == 0.5
         assert self.fn.value_at(100.0) == 0.5
 
-    def test_left_limit(self):
-        assert self.fn.left_limit(1.0) == 0.0
-        assert self.fn.left_limit(3.0) == 0.25
-        assert self.fn.left_limit(3.0001) == 0.5
-
     def test_vectorized(self):
         got = self.fn.value_at(np.array([0.5, 1.0, 2.0, 3.5]))
         assert np.array_equal(got, [0.0, 0.25, 0.25, 0.5])
@@ -99,7 +91,7 @@ class TestKaplanMeier:
 
     def test_monotone_decreasing_in_unit_interval(self):
         rng = np.random.default_rng(21)
-        km = km_overall(build_risk_table(random_records(rng, 150, "g", tie_grid=3)))
+        km = km_overall(build_risk_table(*random_arrays(rng, 150, tie_grid=3)))
         assert np.all(np.diff(km.values) <= 0)
         assert np.all((km.values >= 0) & (km.values <= 1))
 
@@ -116,7 +108,7 @@ class TestCifEstimate:
 
     def test_causes_complement_survival(self):
         rng = np.random.default_rng(22)
-        rt = build_risk_table(random_records(rng, 200, "g", tie_grid=2))
+        rt = build_risk_table(*random_arrays(rng, 200, tie_grid=2))
         km = km_overall(rt)
         c1 = cif_estimate(rt, EventCode.INTEREST)
         c2 = cif_estimate(rt, EventCode.COMPETING)
@@ -125,15 +117,14 @@ class TestCifEstimate:
 
     def test_single_cause_is_km_complement_bitwise(self):
         rng = np.random.default_rng(23)
-        recs = random_records(rng, 120, "g", p_interest=0.7, p_competing=0.0)
-        rt = build_risk_table(recs)
+        rt = build_risk_table(*random_arrays(rng, 120, p_interest=0.7, p_competing=0.0))
         c1 = cif_estimate(rt, EventCode.INTEREST)
         km = km_overall(rt)
         assert np.array_equal(c1.values, 1.0 - km.values)
 
     def test_monotone_bounded(self):
         rng = np.random.default_rng(24)
-        rt = build_risk_table(random_records(rng, 180, "g", tie_grid=4))
+        rt = build_risk_table(*random_arrays(rng, 180, tie_grid=4))
         for cause in (EventCode.INTEREST, EventCode.COMPETING):
             fn = cif_estimate(rt, cause)
             assert np.all(np.diff(fn.values) >= 0)
@@ -155,7 +146,7 @@ class TestAalenVariance:
     @pytest.mark.parametrize("seed", [31, 32, 33, 34])
     def test_matches_quadratic_reference(self, seed):
         rng = np.random.default_rng(seed)
-        rt = build_risk_table(random_records(rng, 150, "g", tie_grid=3))
+        rt = build_risk_table(*random_arrays(rng, 150, tie_grid=3))
         for cause in (EventCode.INTEREST, EventCode.COMPETING):
             ref = aalen_reference(rt, cause)
             fn = cif_estimate(rt, cause)
@@ -168,7 +159,7 @@ class TestAalenVariance:
         # Rows where the cause has no events must not move its variance:
         # storing variances only at jump knots is then exact.
         rng = np.random.default_rng(35)
-        rt = build_risk_table(random_records(rng, 150, "g", tie_grid=3))
+        rt = build_risk_table(*random_arrays(rng, 150, tie_grid=3))
         for cause in (EventCode.INTEREST, EventCode.COMPETING):
             ref = aalen_reference(rt, cause)
             jumps = rt.events(cause) > 0
@@ -181,12 +172,12 @@ class TestAalenVariance:
 
     def test_last_subject_event_is_guarded(self):
         rt = table([(1.0, 1), (2.0, 2), (3.0, 1)])
-        var = cif_variance(rt, EventCode.INTEREST)
+        var = cif_estimate(rt, EventCode.INTEREST).variances
         assert np.isfinite(var).all()
         assert (var >= 0).all()
 
     def test_nonnegative(self):
         rng = np.random.default_rng(36)
         for _ in range(5):
-            rt = build_risk_table(random_records(rng, 60, "g", tie_grid=2))
-            assert (cif_variance(rt, EventCode.INTEREST) >= 0).all()
+            rt = build_risk_table(*random_arrays(rng, 60, tie_grid=2))
+            assert (cif_estimate(rt, EventCode.INTEREST).variances >= 0).all()

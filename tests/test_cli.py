@@ -12,8 +12,9 @@ from helpers import sample_with_events
 
 def to_csv(sample) -> str:
     lines = ["time,status,group"]
-    for r in sample.records:
-        lines.append(f"{r.time!r},{int(r.event)},{r.group}")
+    for t, c, g in zip(sample.times.tolist(), sample.codes.tolist(),
+                       sample.group.tolist()):
+        lines.append(f"{t!r},{c},{sample.groups[g]}")
     return "\n".join(lines) + "\n"
 
 
@@ -42,7 +43,7 @@ class TestEstimate:
         assert payload["command"] == "estimate"
         assert [g["label"] for g in payload["groups"]] == list(sample.groups)
         g = payload["groups"][0]
-        est = rmtl_estimate(sample.split()[0], payload["tau"])
+        est = rmtl_estimate(sample.fits[0], payload["tau"])
         assert g["rmtl"] == pytest.approx(est.value, rel=1e-12)
         assert g["ci"][0] <= g["rmtl"] <= g["ci"][1]
         assert len(g["cif"]["times"]) == len(g["cif"]["values"])
@@ -96,6 +97,14 @@ class TestEstimate:
         rc, _, err = run(capsys, ["estimate", "--input", "no-such-file.csv"])
         assert rc == 3
         assert "cannot read" in err
+
+    def test_non_utf8_input_is_a_data_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("time,status,group\n1,1,café\n2,1,b\n".encode("latin-1"))
+        rc, out, err = run(capsys, ["estimate", "--input", str(path)])
+        assert rc == 3
+        assert out == ""
+        assert str(path) in err and "byte offset 25" in err
 
     def test_reference_group_reorders(self, capsys, dataset):
         path, sample = dataset
@@ -186,6 +195,13 @@ class TestSampleSize:
         assert payload["results"]["sdiff"]["n_total"] >= \
             payload["results"]["diff"]["n_total"]
 
+    def test_non_utf8_pilot_is_a_data_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("time,status,group\n1,1,café\n2,1,b\n".encode("latin-1"))
+        rc, _, err = run(capsys, ["samplesize", "--pilot", str(path)])
+        assert rc == 3
+        assert str(path) in err and "byte offset 25" in err
+
     def test_sweep_tracks_tau(self, capsys, tmp_path):
         scn = load_shipped_scenario("e_late")
         scn = dataclasses.replace(
@@ -273,6 +289,20 @@ class TestSimulate:
         rc, _, err = run(capsys, ["simulate", "--input", str(path), "--reps", "2"])
         assert rc == 3
         assert "groups" in err
+
+    def test_missing_scenario_file(self, capsys, tmp_path):
+        path = tmp_path / "absent.json"
+        rc, out, err = run(capsys, ["simulate", "--input", str(path), "--reps", "2"])
+        assert rc == 3
+        assert out == ""
+        assert str(path) in err
+
+    def test_non_utf8_scenario_file(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"label": "café"}'.encode("latin-1"))
+        rc, _, err = run(capsys, ["simulate", "--input", str(path), "--reps", "2"])
+        assert rc == 3
+        assert str(path) in err and "byte offset 14" in err
 
     def test_invalid_json_scenario(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -9,11 +9,16 @@ from rmtlkit import (
     build_risk_table,
     parse_dataset,
 )
-from helpers import random_records
+from helpers import random_arrays, random_records
 
 
 def make_records(spec, group="g"):
     return [SubjectRecord(t, EventCode(e), group) for t, e in spec]
+
+
+def table(spec):
+    times, codes = zip(*spec)
+    return build_risk_table(times, codes)
 
 
 class TestSubjectRecord:
@@ -41,7 +46,7 @@ class TestSubjectRecord:
 
 class TestRiskTable:
     def test_three_subject_example(self):
-        rt = build_risk_table(make_records([(1.0, 1), (2.0, 2), (3.0, 0)]))
+        rt = table([(1.0, 1), (2.0, 2), (3.0, 0)])
         assert rt.times.tolist() == [1.0, 2.0]
         assert rt.at_risk.tolist() == [3, 2]
         assert rt.events_interest.tolist() == [1, 0]
@@ -51,26 +56,23 @@ class TestRiskTable:
         assert rt.last_observed == 3.0
 
     def test_ties_aggregate(self):
-        rt = build_risk_table(
-            make_records([(1.0, 1), (1.0, 1), (1.0, 2), (2.0, 0), (2.0, 1)])
-        )
+        rt = table([(1.0, 1), (1.0, 1), (1.0, 2), (2.0, 0), (2.0, 1)])
         assert rt.times.tolist() == [1.0, 2.0]
         assert rt.at_risk.tolist() == [5, 2]
         assert rt.events_interest.tolist() == [2, 1]
         assert rt.events_competing.tolist() == [1, 0]
 
     def test_censor_only_times_leave_no_row(self):
-        rt = build_risk_table(make_records([(1.0, 0), (2.0, 1), (3.0, 0)]))
+        rt = table([(1.0, 0), (2.0, 1), (3.0, 0)])
         assert rt.times.tolist() == [2.0]
         assert rt.at_risk.tolist() == [2]
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(7)
-        recs = random_records(rng, 200, "g", tie_grid=4)
-        base = build_risk_table(recs)
-        shuffled = list(recs)
-        rng.shuffle(shuffled)
-        other = build_risk_table(shuffled)
+        times, codes = random_arrays(rng, 200, tie_grid=4)
+        base = build_risk_table(times, codes)
+        perm = rng.permutation(len(times))
+        other = build_risk_table(times[perm], codes[perm])
         assert np.array_equal(base.times, other.times)
         assert np.array_equal(base.at_risk, other.at_risk)
         assert np.array_equal(base.events_interest, other.events_interest)
@@ -78,20 +80,20 @@ class TestRiskTable:
 
     def test_at_risk_decreasing_and_consistent(self):
         rng = np.random.default_rng(8)
-        rt = build_risk_table(random_records(rng, 120, "g", tie_grid=2))
+        rt = build_risk_table(*random_arrays(rng, 120, tie_grid=2))
         assert np.all(np.diff(rt.at_risk) < 0)
         assert rt.at_risk[0] <= rt.n_total
         assert np.all(rt.events(EventCode.INTEREST) + rt.events(EventCode.COMPETING)
                       <= rt.at_risk)
 
     def test_events_accessor_rejects_censoring_code(self):
-        rt = build_risk_table(make_records([(1.0, 1)]))
+        rt = table([(1.0, 1)])
         with pytest.raises(DataValidationError):
             rt.events(EventCode.CENSORED)
 
     def test_empty_records_rejected(self):
         with pytest.raises(DataValidationError):
-            build_risk_table([])
+            build_risk_table([], [])
 
 
 class TestTwoGroupSample:
@@ -99,7 +101,8 @@ class TestTwoGroupSample:
         recs = make_records([(1.0, 1)], "b") + make_records([(2.0, 1)], "a")
         sample = TwoGroupSample.from_records(recs)
         assert sample.groups == ("b", "a")
-        assert sample.n1 == 1 and sample.n2 == 1
+        assert sample.group.tolist() == [0, 1]
+        assert [f.table.n_total for f in sample.fits] == [1, 1]
 
     def test_reference_override(self):
         recs = make_records([(1.0, 1)], "b") + make_records([(2.0, 1)], "a")
@@ -117,14 +120,48 @@ class TestTwoGroupSample:
         with pytest.raises(DataValidationError):
             TwoGroupSample.from_records(recs)
 
-    def test_split_partitions_records(self):
+    def test_group_index_partitions_rows(self):
         rng = np.random.default_rng(9)
         recs = random_records(rng, 20, "x") + random_records(rng, 30, "y")
         sample = TwoGroupSample.from_records(recs)
-        g1, g2 = sample.split()
-        assert len(g1) == 20 and len(g2) == 30
-        assert all(r.group == "x" for r in g1)
-        assert all(r.group == "y" for r in g2)
+        assert sample.groups == ("x", "y")
+        assert sample.group.tolist() == [0] * 20 + [1] * 30
+        assert sample.times.tolist() == [r.time for r in recs]
+        assert sample.codes.tolist() == [int(r.event) for r in recs]
+        assert [f.table.n_total for f in sample.fits] == [20, 30]
+
+    @pytest.mark.parametrize(
+        "times, codes, group, groups",
+        [
+            ([1.0, -1.0], [1, 1], [0, 1], ("a", "b")),
+            ([1.0, float("nan")], [1, 1], [0, 1], ("a", "b")),
+            ([1.0, float("inf")], [1, 1], [0, 1], ("a", "b")),
+            ([1.0, 2.0], [1, 3], [0, 1], ("a", "b")),
+            ([1.0, 2.0], [1, 1], [0, 0], ("a", "b")),
+            ([1.0, 2.0], [1, 1], [0, 2], ("a", "b")),
+            ([1.0, 2.0], [1, 1], [0, 1], ("a", "a")),
+            ([1.0, 2.0], [1], [0, 1], ("a", "b")),
+        ],
+    )
+    def test_arrays_validated(self, times, codes, group, groups):
+        with pytest.raises(DataValidationError):
+            TwoGroupSample(times, codes, group, groups)
+
+    def test_arrays_are_read_only_copies(self):
+        times = np.array([1.0, 2.0, 3.0])
+        sample = TwoGroupSample(times, [1, 0, 1], [0, 1, 1], ("a", "b"))
+        with pytest.raises(ValueError):
+            sample.times[0] = 5.0
+        with pytest.raises(ValueError):
+            sample.group[0] = 1
+        times[0] = 5.0
+        assert sample.times[0] == 1.0
+
+    def test_fits_are_built_once(self):
+        sample = TwoGroupSample([1.0, 2.0, 3.0], [1, 0, 1], [0, 1, 1], ("a", "b"))
+        assert sample.fits is sample.fits
+        assert sample.fits[1].table.n_total == 2
+        assert sample.fits[1].cif.times.tolist() == [3.0]
 
 
 class TestParseDataset:
@@ -132,14 +169,14 @@ class TestParseDataset:
         text = "time,status,group\n1,1,a\n2,2,a\n3,0,b\n4,1,b\n"
         sample = parse_dataset(text)
         assert sample.groups == ("a", "b")
-        assert sample.n1 == 2 and sample.n2 == 2
-        assert sample.records[0].time == 1.0
-        assert sample.records[1].event is EventCode.COMPETING
+        assert sample.group.tolist() == [0, 0, 1, 1]
+        assert sample.times.tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert sample.codes.tolist() == [1, 2, 0, 1]
 
     def test_tsv_autodetected(self):
         text = "time\tstatus\tgroup\n1.5\t1\ta\n2\t0\tb\n3\t1\tb\n"
         sample = parse_dataset(text)
-        assert sample.n1 == 1 and sample.n2 == 2
+        assert sample.group.tolist() == [0, 1, 1]
 
     def test_header_whitespace_tolerated(self):
         text = " time , status , group \n1,1,a\n2,1,b\n"
@@ -150,7 +187,7 @@ class TestParseDataset:
         text = "\ufefftime,status,group\n1,1,a\n2,0,a\n3,1,b\n"
         sample = parse_dataset(text)
         assert sample.groups == ("a", "b")
-        assert sample.records[0].time == 1.0
+        assert sample.times[0] == 1.0
 
     def test_missing_column(self):
         with pytest.raises(DataValidationError, match="status"):

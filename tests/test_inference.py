@@ -16,11 +16,10 @@ from rmtlkit import (
     diff_test,
     partial_process,
     rmtl_difference,
-    sdiff_sigma,
     sdiff_test,
 )
 from rmtlkit import TestMethod as Method
-from helpers import sample_with_events
+from helpers import sample_with_events, swap_groups
 
 
 def two_group(spec1, spec2):
@@ -75,9 +74,7 @@ class TestDiff:
         sample = sample_with_events(77)
         tau = default_tau(sample)
         fwd = diff_test(sample, tau)
-        swapped = TwoGroupSample.from_records(sample.records,
-                                              reference=sample.groups[1])
-        bwd = diff_test(swapped, tau)
+        bwd = diff_test(swap_groups(sample), tau)
         assert bwd.statistic == pytest.approx(-fwd.statistic, abs=1e-15)
         assert bwd.p_value == pytest.approx(fwd.p_value, abs=1e-15)
 
@@ -141,22 +138,22 @@ class TestSigma:
         tau = default_tau(sample)
         proc = partial_process(sample, tau, rho=rho)
         ref = sigma_reference(proc.widths, proc.var_first + proc.var_second, rho)
-        assert sdiff_sigma(proc) == pytest.approx(ref, rel=1e-12)
+        assert proc.sigma_tau == pytest.approx(ref, rel=1e-12)
 
     def test_increasing_in_rho(self):
         sample = sample_with_events(93)
         tau = default_tau(sample)
-        lo = sdiff_sigma(partial_process(sample, tau, rho=0.0))
-        hi = sdiff_sigma(partial_process(sample, tau, rho=1.0))
+        lo = partial_process(sample, tau, rho=0.0).sigma_tau
+        hi = partial_process(sample, tau, rho=1.0).sigma_tau
         assert lo <= hi
 
     def test_zero_normalizer_is_degenerate(self):
         sample = two_group([(1.0, 1)], [(1.0, 1)])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ExtrapolationWarning)
-            proc = partial_process(sample, 2.0)
+            assert partial_process(sample, 2.0).sigma_tau == 0.0
             with pytest.raises(DegenerateDataError, match="normalizer"):
-                sdiff_sigma(proc)
+                sdiff_test(sample, 2.0)
 
 
 class TestSdiff:
@@ -177,9 +174,7 @@ class TestSdiff:
         sample = sample_with_events(94)
         tau = default_tau(sample)
         fwd = sdiff_test(sample, tau)
-        swapped = TwoGroupSample.from_records(sample.records,
-                                              reference=sample.groups[1])
-        bwd = sdiff_test(swapped, tau)
+        bwd = sdiff_test(swap_groups(sample), tau)
         assert bwd.statistic == pytest.approx(fwd.statistic, abs=1e-15)
         assert bwd.p_value == pytest.approx(fwd.p_value, abs=1e-15)
 
@@ -188,7 +183,7 @@ class TestSdiff:
         tau = default_tau(sample)
         res = sdiff_test(sample, tau)
         proc = partial_process(sample, tau)
-        expected = float(np.max(np.abs(proc.values))) / sdiff_sigma(proc)
+        expected = float(np.max(np.abs(proc.values))) / proc.sigma_tau
         assert res.statistic == pytest.approx(expected, abs=1e-15)
 
     def test_method_tags(self):

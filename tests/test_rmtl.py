@@ -9,9 +9,9 @@ from rmtlkit import (
     DegenerateDataError,
     EventCode,
     ExtrapolationWarning,
+    GroupFit,
     SubjectRecord,
     TwoGroupSample,
-    build_risk_table,
     cif_estimate,
     default_tau,
     km_overall,
@@ -22,7 +22,7 @@ from rmtlkit import (
     rmtl_estimate,
     rmtl_variance,
 )
-from helpers import random_records, sample_with_events
+from helpers import columns, random_records, sample_with_events, swap_groups
 
 
 def three_subject_records(group="g"):
@@ -30,8 +30,12 @@ def three_subject_records(group="g"):
     return [SubjectRecord(t, EventCode(e), group) for t, e in spec]
 
 
+def fit_of(records):
+    return GroupFit.from_arrays(*columns(records))
+
+
 def cif_of(records):
-    return cif_estimate(build_risk_table(records), EventCode.INTEREST)
+    return fit_of(records).cif
 
 
 class TestPointEstimates:
@@ -47,11 +51,11 @@ class TestPointEstimates:
         assert got == pytest.approx(8 / 9, abs=1e-12)
 
     def test_example_rmstc(self):
-        km = km_overall(build_risk_table(three_subject_records()))
+        km = km_overall(fit_of(three_subject_records()).table)
         assert rmstc(km, 3.0) == pytest.approx(2.0, abs=1e-15)
 
     def test_decomposition_sums_to_tau(self):
-        rt = build_risk_table(three_subject_records())
+        rt = fit_of(three_subject_records()).table
         tau = 3.0
         total = (
             rmtl(cif_estimate(rt, EventCode.INTEREST), tau)
@@ -112,25 +116,25 @@ class TestTauHandling:
 
 class TestConfidenceInterval:
     def test_ci_brackets_and_clips(self):
-        est = rmtl_estimate(three_subject_records(), 3.0)
+        est = rmtl_estimate(fit_of(three_subject_records()), 3.0)
         lo, hi = rmtl_ci(est, alpha=0.05)
         assert 0.0 <= lo <= est.value <= hi <= 3.0
 
     def test_ci_width_shrinks_with_alpha(self):
-        est = rmtl_estimate(three_subject_records(), 3.0)
+        est = rmtl_estimate(fit_of(three_subject_records()), 3.0)
         lo1, hi1 = rmtl_ci(est, alpha=0.05)
         lo2, hi2 = rmtl_ci(est, alpha=0.2)
         assert (hi2 - lo2) < (hi1 - lo1)
 
     def test_half_width_formula(self):
-        est = rmtl_estimate(three_subject_records(), 3.0)
+        est = rmtl_estimate(fit_of(three_subject_records()), 3.0)
         lo, hi = rmtl_ci(est, alpha=0.1)
         half = 1.6448536269514722 * math.sqrt(est.variance / est.n)
         assert hi == pytest.approx(min(est.value + half, 3.0), abs=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 2.0])
     def test_alpha_validated(self, alpha):
-        est = rmtl_estimate(three_subject_records(), 3.0)
+        est = rmtl_estimate(fit_of(three_subject_records()), 3.0)
         with pytest.raises(DataValidationError):
             rmtl_ci(est, alpha=alpha)
 
@@ -140,9 +144,7 @@ class TestDifference:
         sample = sample_with_events(42)
         tau = default_tau(sample)
         fwd = rmtl_difference(sample, tau)
-        swapped = TwoGroupSample.from_records(sample.records,
-                                              reference=sample.groups[1])
-        bwd = rmtl_difference(swapped, tau)
+        bwd = rmtl_difference(swap_groups(sample), tau)
         assert bwd.delta == pytest.approx(-fwd.delta, abs=1e-15)
         assert bwd.se == pytest.approx(fwd.se, abs=1e-15)
 

@@ -247,6 +247,25 @@ class TestMonteCarlo:
                                 workers=3)
         assert json.dumps(one.to_dict()) == json.dumps(three.to_dict())
 
+    def test_frozen_regression(self):
+        rep = run_monte_carlo(load_shipped_scenario("f_crossing"), reps=200, seed=7)
+        assert rep.to_dict() == {
+            "scenario_label": "crossing incidence curves",
+            "reps": 200,
+            "degenerate_reps": 0,
+            "seed": 7,
+            "alpha": 0.05,
+            "rho": 0.5,
+            "tau_rule": "min over groups of the last observed event-of-interest time",
+            "censoring_bounds": None,
+            "methods": {
+                "diff": {"rejections": 73, "valid_reps": 200, "degenerate_reps": 0,
+                         "rate": 0.365, "mc_se": 0.0340422531569225},
+                "sdiff": {"rejections": 78, "valid_reps": 200, "degenerate_reps": 0,
+                          "rate": 0.39, "mc_se": 0.03448912872196107},
+            },
+        }
+
     def test_different_seeds_differ(self):
         a = run_monte_carlo(tiny_scenario(), ["diff"], reps=40, seed=1)
         b = run_monte_carlo(tiny_scenario(), ["diff"], reps=40, seed=2)

@@ -6,6 +6,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 from scipy.special import ndtri
@@ -13,9 +14,9 @@ from scipy.special import ndtri
 from .cif import cif_estimate, km_overall
 from .data_model import EventCode, parse_dataset, read_text
 from .design import DesignInput, pilot_parameters, sample_size_diff, sample_size_sdiff
-from .errors import DataValidationError, NumericError, RmtlError
+from .errors import DataValidationError, ExtrapolationWarning, NumericError, RmtlError
 from .inference import TestMethod, diff_test, sdiff_test
-from .rmtl import default_tau, rmstc, rmtl, rmtl_ci, rmtl_estimate, rmtl_difference
+from .rmtl import default_tau, rmstc, rmtl, rmtl_ci, rmtl_difference
 from .simulate import load_scenario, observed_power_at_n, run_monte_carlo, scenario_to_dict
 
 SCHEMA_VERSION = 1
@@ -71,6 +72,29 @@ def _sweep_range(text: str) -> tuple[float, float, float]:
     return start, stop, step
 
 
+# Options that several subcommands take, each declared once.
+_SHARED_OPTIONS = {
+    "--format": dict(choices=("table", "json"), default="table",
+                     help="output format (default table)"),
+    "--input": dict(required=True, help="dataset file (CSV/TSV)"),
+    "--tau": dict(type=_positive_float, default=None,
+                  help="truncation time (default: min over groups of the last "
+                       "event of interest)"),
+    "--alpha": dict(type=_probability, default=0.05,
+                    help="two-sided level (default 0.05)"),
+    "--strict-tau": dict(action="store_true",
+                         help="error instead of warn when tau exceeds the data"),
+    "--reference-group": dict(default=None, help="group label to treat as group 1"),
+    "--rho": dict(type=_unit_interval, default=0.5,
+                  help="cross-interval correlation (default 0.5)"),
+    "--eps": dict(type=_positive_float, default=1e-10,
+                  help="series permissible error (default 1e-10)"),
+    "--method": dict(choices=("diff", "sdiff", "both"), default="both"),
+}
+_DATA_OPTIONS = ("--format", "--input", "--tau", "--alpha", "--strict-tau",
+                 "--reference-group")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rmtlkit",
@@ -81,36 +105,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, with_data_flags=True):
-        p.add_argument("--format", choices=("table", "json"), default="table",
-                       help="output format (default table)")
-        if with_data_flags:
-            p.add_argument("--input", required=True, help="dataset file (CSV/TSV)")
-            p.add_argument("--tau", type=_positive_float, default=None,
-                           help="truncation time (default: min over groups of the "
-                                "last event of interest)")
-            p.add_argument("--alpha", type=_probability, default=0.05,
-                           help="two-sided level (default 0.05)")
-            p.add_argument("--strict-tau", action="store_true",
-                           help="error instead of warn when tau exceeds the data")
-            p.add_argument("--reference-group", default=None,
-                           help="group label to treat as group 1")
+    def add_command(name, handler, help, *shared):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        for option in shared:
+            p.add_argument(option, **_SHARED_OPTIONS[option])
+        return p
 
-    p_est = sub.add_parser("estimate", help="CIF curves, RMTL, RMSTc, difference")
-    add_common(p_est)
-    p_est.set_defaults(handler=cmd_estimate)
+    add_command("estimate", cmd_estimate, "CIF curves, RMTL, RMSTc, difference",
+                *_DATA_OPTIONS)
+    add_command("test", cmd_test, "Diff and sDiff hypothesis tests",
+                *_DATA_OPTIONS, "--rho", "--eps", "--method")
 
-    p_test = sub.add_parser("test", help="Diff and sDiff hypothesis tests")
-    add_common(p_test)
-    p_test.add_argument("--rho", type=_unit_interval, default=0.5,
-                        help="cross-interval correlation (default 0.5)")
-    p_test.add_argument("--eps", type=_positive_float, default=1e-10,
-                        help="series permissible error (default 1e-10)")
-    p_test.add_argument("--method", choices=("diff", "sdiff", "both"), default="both")
-    p_test.set_defaults(handler=cmd_test)
-
-    p_size = sub.add_parser("samplesize", help="designed n for Diff and sDiff")
-    p_size.add_argument("--format", choices=("table", "json"), default="table")
+    p_size = add_command("samplesize", cmd_samplesize, "designed n for Diff and sDiff",
+                         "--format", "--tau", "--alpha", "--eps", "--method",
+                         "--strict-tau", "--reference-group")
     p_size.add_argument("--delta", type=float, default=None,
                         help="assumed RMTL difference")
     p_size.add_argument("--var1", type=float, default=None,
@@ -119,36 +128,22 @@ def build_parser() -> argparse.ArgumentParser:
                         help="per-subject variance, group 2")
     p_size.add_argument("--pilot", default=None,
                         help="pilot dataset file to estimate delta and variances")
-    p_size.add_argument("--tau", type=_positive_float, default=None,
-                        help="truncation time for the pilot (default: data rule)")
     p_size.add_argument("--ratio", type=_positive_float, default=1.0,
                         help="allocation ratio n2/n1 (default 1)")
-    p_size.add_argument("--alpha", type=_probability, default=0.05)
     p_size.add_argument("--power", type=_probability, default=0.8)
-    p_size.add_argument("--eps", type=_positive_float, default=1e-10)
-    p_size.add_argument("--method", choices=("diff", "sdiff", "both"), default="both")
     p_size.add_argument("--sweep", type=_sweep_range, default=None,
                         metavar="START:STOP:STEP",
                         help="tabulate n against tau over this range (pilot only)")
-    p_size.add_argument("--strict-tau", action="store_true")
-    p_size.add_argument("--reference-group", default=None)
-    p_size.set_defaults(handler=cmd_samplesize)
 
-    p_sim = sub.add_parser("simulate", help="Monte Carlo size/power study")
-    p_sim.add_argument("--format", choices=("table", "json"), default="table")
+    p_sim = add_command("simulate", cmd_simulate, "Monte Carlo size/power study",
+                        "--format", "--alpha", "--rho", "--eps", "--method")
     p_sim.add_argument("--input", required=True, help="scenario JSON file")
     p_sim.add_argument("--reps", type=_positive_int, default=5000)
     p_sim.add_argument("--seed", type=_nonneg_int, default=0)
-    p_sim.add_argument("--alpha", type=_probability, default=0.05)
-    p_sim.add_argument("--rho", type=_unit_interval, default=0.5)
-    p_sim.add_argument("--eps", type=_positive_float, default=1e-10)
-    p_sim.add_argument("--method", choices=("diff", "sdiff", "both"), default="both")
     p_sim.add_argument("--workers", type=_positive_int, default=1,
                        help="parallel worker processes (default 1)")
     p_sim.add_argument("--n-total", type=_positive_int, default=None,
                        help="override total sample size, split by the scenario ratio")
-    p_sim.set_defaults(handler=cmd_simulate)
-
     return parser
 
 
@@ -174,15 +169,12 @@ def _fmt(x, digits=6):
 
 def cmd_estimate(args) -> str:
     sample, tau = _load_sample(args)
-    strict = args.strict_tau
     z = float(ndtri(1.0 - args.alpha / 2.0))
+    diff = rmtl_difference(sample, tau, require_events=False)
 
     groups = []
     any_competing = bool(np.any(sample.codes == EventCode.COMPETING))
-    for label, fit in zip(sample.groups, sample.fits):
-        cif_comp = cif_estimate(fit.table, EventCode.COMPETING)
-        km = km_overall(fit.table)
-        est = rmtl_estimate(fit, tau, strict)
+    for label, fit, est in zip(sample.groups, sample.fits, diff.per_group):
         lo, hi = rmtl_ci(est, args.alpha)
         groups.append(
             {
@@ -191,8 +183,8 @@ def cmd_estimate(args) -> str:
                 "rmtl": est.value,
                 "variance": est.variance,
                 "ci": [lo, hi],
-                "rmtl_competing": rmtl(cif_comp, tau, strict),
-                "rmstc": rmstc(km, tau, strict),
+                "rmtl_competing": rmtl(cif_estimate(fit.table, EventCode.COMPETING), tau),
+                "rmstc": rmstc(km_overall(fit.table), tau),
                 "cif": {
                     "times": fit.cif.times.tolist(),
                     "values": fit.cif.values.tolist(),
@@ -201,7 +193,6 @@ def cmd_estimate(args) -> str:
             }
         )
 
-    diff = rmtl_difference(sample, tau, strict=strict, require_events=False)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "estimate",
@@ -256,10 +247,9 @@ def cmd_test(args) -> str:
     results = {}
     for method in _methods(args.method):
         if method == TestMethod.DIFF:
-            res = diff_test(sample, tau, alpha=args.alpha, strict=args.strict_tau)
+            res = diff_test(sample, tau, alpha=args.alpha)
         else:
-            res = sdiff_test(sample, tau, alpha=args.alpha, rho=args.rho,
-                             eps=args.eps, strict=args.strict_tau)
+            res = sdiff_test(sample, tau, alpha=args.alpha, rho=args.rho, eps=args.eps)
         results[method.value] = {
             "statistic": res.statistic,
             "p_value": res.p_value,
@@ -333,7 +323,7 @@ def cmd_samplesize(args) -> str:
         for tau in taus:
             row = {"tau": float(tau)}
             try:
-                pp = pilot_parameters(pilot_sample, float(tau), strict=args.strict_tau)
+                pp = pilot_parameters(pilot_sample, float(tau))
                 inp = DesignInput(delta=pp.delta, var1=pp.var1, var2=pp.var2,
                                   ratio=args.ratio, alpha=args.alpha,
                                   power=args.power, tau=float(tau))
@@ -359,7 +349,7 @@ def cmd_samplesize(args) -> str:
 
     if pilot_sample is not None:
         tau = args.tau if args.tau is not None else default_tau(pilot_sample)
-        pp = pilot_parameters(pilot_sample, tau, strict=args.strict_tau)
+        pp = pilot_parameters(pilot_sample, tau)
         payload["pilot"] = {"delta": pp.delta, "var1": pp.var1, "var2": pp.var2,
                             "tau": pp.tau}
         inp = DesignInput(delta=pp.delta, var1=pp.var1, var2=pp.var2,
@@ -449,16 +439,20 @@ def main(argv=None) -> int:
             )
         if args.sweep is not None and args.pilot is None:
             parser.error("--sweep requires --pilot (tau-dependent inputs)")
-    try:
-        output = args.handler(args)
-    except DataValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    print(output)
-    return 0
+    with warnings.catch_warnings(record=True) as caught:
+        if getattr(args, "strict_tau", False):
+            warnings.simplefilter("error", ExtrapolationWarning)
+        try:
+            output, code = args.handler(args), 0
+        except DataValidationError as exc:  # a raised ExtrapolationWarning too
+            output, code = f"error: {exc}", 3
+        except NumericError as exc:
+            output, code = f"error: {exc}", 4
+    # every statistic that integrates past the data warns: print each message once
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    print(output, file=sys.stderr if code else sys.stdout)
+    return code
 
 
 if __name__ == "__main__":

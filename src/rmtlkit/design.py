@@ -130,11 +130,9 @@ def sample_size_sdiff(
     )
 
 
-def pilot_parameters(
-    sample: TwoGroupSample, tau: float, strict: bool = False
-) -> PilotParameters:
+def pilot_parameters(sample: TwoGroupSample, tau: float) -> PilotParameters:
     """Extract (delta, var1, var2) from pilot data at truncation tau."""
-    diff = rmtl_difference(sample, tau, strict=strict)
+    diff = rmtl_difference(sample, tau)
     return PilotParameters(
         delta=diff.delta,
         var1=diff.per_group[0].variance,

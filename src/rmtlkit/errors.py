@@ -26,8 +26,9 @@ class CalibrationError(NumericError):
     """Raised when censoring calibration cannot reach the target rate."""
 
 
-class ExtrapolationWarning(UserWarning):
-    """Emitted when a truncation time lies beyond the observed data range."""
+class ExtrapolationWarning(UserWarning, DataValidationError):
+    """Emitted when a truncation time lies beyond the observed data range;
+    raised as a DataValidationError under the "error" warnings filter."""
 
 
 class SmallSampleWarning(UserWarning):

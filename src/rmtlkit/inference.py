@@ -17,7 +17,7 @@ from scipy.special import ndtr
 from .brownian import SeriesConfig, sup_abs_bm_sf
 from .data_model import TwoGroupSample
 from .errors import DataValidationError, DegenerateDataError
-from .rmtl import RmtlDifference, _check_tau, rmtl_difference
+from .rmtl import RmtlDifference, rmtl_difference
 
 
 class TestMethod(str, Enum):
@@ -42,7 +42,8 @@ class PartialDifferenceProcess:
     ``values[r]`` is the partial difference accumulated through the grid
     interval starting at ``times[r]``; ``widths[r]`` is that interval's
     length, with the final interval clipped at tau. Variances are the
-    per-group CIF variances evaluated at the grid times.
+    per-group CIF variances evaluated at the grid times. ``delta`` is the
+    whole-window RMTL difference at the same tau.
     """
 
     times: np.ndarray
@@ -53,6 +54,7 @@ class PartialDifferenceProcess:
     tau: float
     rho: float
     sigma_tau: float
+    delta: RmtlDifference
 
 
 def _check_alpha(alpha: float) -> float:
@@ -65,11 +67,10 @@ def diff_test(
     sample: TwoGroupSample,
     tau: float,
     alpha: float = 0.05,
-    strict: bool = False,
 ) -> TestResult:
     """Normal-approximation test of zero RMTL difference."""
     alpha = _check_alpha(alpha)
-    delta = rmtl_difference(sample, tau, strict=strict, require_events=False)
+    delta = rmtl_difference(sample, tau, require_events=False)
     if delta.se == 0.0:
         raise DegenerateDataError(
             "zero standard error: no usable events of interest in either group"
@@ -87,10 +88,7 @@ def diff_test(
 
 
 def partial_process(
-    sample: TwoGroupSample,
-    tau: float,
-    rho: float = 0.5,
-    strict: bool = False,
+    sample: TwoGroupSample, tau: float, rho: float = 0.5
 ) -> PartialDifferenceProcess:
     """Partial difference process, its grid, and the pooled normalizer.
 
@@ -101,18 +99,17 @@ def partial_process(
     """
     if not 0.0 <= rho <= 1.0:
         raise DataValidationError(f"rho must be in [0, 1], got {rho!r}")
-    fits = sample.fits
-    for fit in fits:
-        tau = _check_tau(fit.cif, tau, strict)
-    grid = np.union1d(fits[0].table.times, fits[1].table.times)
+    delta = rmtl_difference(sample, tau, require_events=False)
+    tau = delta.tau
+    first, second = sample.fits
+    grid = np.union1d(first.table.times, second.table.times)
     grid = grid[grid < tau]
     if len(grid) == 0:
         raise DegenerateDataError(f"no event times before tau={tau:g}")
     widths = np.diff(np.concatenate((grid, [tau])))
-    first, second = fits[0].cif, fits[1].cif
-    values = np.cumsum((second.value_at(grid) - first.value_at(grid)) * widths)
-    var_first = first.variance_at(grid)
-    var_second = second.variance_at(grid)
+    values = np.cumsum((second.cif.value_at(grid) - first.cif.value_at(grid)) * widths)
+    var_first = first.cif.variance_at(grid)
+    var_second = second.cif.variance_at(grid)
     sigma = _sigma_tau(widths, var_first + var_second, rho)
     return PartialDifferenceProcess(
         times=grid,
@@ -120,9 +117,10 @@ def partial_process(
         values=values,
         var_first=var_first,
         var_second=var_second,
-        tau=float(tau),
+        tau=tau,
         rho=float(rho),
         sigma_tau=sigma,
+        delta=delta,
     )
 
 
@@ -145,11 +143,10 @@ def sdiff_test(
     alpha: float = 0.05,
     rho: float = 0.5,
     eps: float = 1e-10,
-    strict: bool = False,
 ) -> TestResult:
     """Supremum test of zero RMTL difference over the whole window."""
     alpha = _check_alpha(alpha)
-    process = partial_process(sample, tau, rho=rho, strict=strict)
+    process = partial_process(sample, tau, rho=rho)
     if process.sigma_tau == 0.0:
         raise DegenerateDataError(
             "zero normalizer: all CIF variances vanish on the grid"
@@ -159,12 +156,11 @@ def sdiff_test(
         p = 1.0
     else:
         p = sup_abs_bm_sf(statistic, SeriesConfig(eps=eps))
-    delta = rmtl_difference(sample, tau, strict=strict, require_events=False)
     return TestResult(
         method=TestMethod.SDIFF,
         statistic=statistic,
         p_value=p,
-        delta=delta,
+        delta=process.delta,
         alpha=alpha,
         reject=p < alpha,
     )

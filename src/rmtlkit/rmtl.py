@@ -40,22 +40,23 @@ class RmtlDifference:
     per_group: tuple[RmtlEstimate, RmtlEstimate]
 
 
-def _check_tau(fn: StepFunction, tau: float, strict: bool) -> float:
+def _check_tau(fn: StepFunction, tau: float) -> float:
     if not (isinstance(tau, (int, float)) and math.isfinite(tau)) or tau <= 0:
         raise DataValidationError(f"tau must be a positive finite number, got {tau!r}")
     if tau > fn.last_observed:
-        msg = (
+        # stacklevel 4: past _areas and the public function, to its caller
+        warnings.warn(
             f"tau={tau:g} exceeds the last observed time {fn.last_observed:g}; "
-            "the step function is constant-extrapolated beyond the data"
+            "the step function is constant-extrapolated beyond the data",
+            ExtrapolationWarning,
+            stacklevel=4,
         )
-        if strict:
-            raise DataValidationError(msg)
-        warnings.warn(msg, ExtrapolationWarning, stacklevel=3)
     return float(tau)
 
 
-def _areas(fn: StepFunction, tau: float) -> tuple[float, float]:
-    """Exact integrals of the step function f on [0, tau]: (int f, int t*f)."""
+def _areas(fn: StepFunction, tau: float) -> tuple[float, float, float]:
+    """(checked tau, int f, int t*f): exact integrals of step function f on [0, tau]."""
+    tau = _check_tau(fn, tau)
     k = int(np.searchsorted(fn.times, tau, side="left"))
     starts = np.concatenate(([0.0], fn.times[:k]))
     ends = np.concatenate((fn.times[:k], [tau]))
@@ -63,30 +64,30 @@ def _areas(fn: StepFunction, tau: float) -> tuple[float, float]:
     area = float(np.sum(vals * (ends - starts)))
     # per interval, int_a^b t*v dt has the closed form v*(b^2 - a^2)/2
     area_t = float(np.sum(vals * (ends**2 - starts**2)) / 2.0)
-    return area, area_t
+    return tau, area, area_t
 
 
-def rmtl(cif: StepFunction, tau: float, strict: bool = False) -> float:
+def _plugin_variance(tau: float, area: float, area_t: float) -> float:
+    return max(2.0 * tau * area - 2.0 * area_t - area * area, 0.0)
+
+
+def rmtl(cif: StepFunction, tau: float) -> float:
     """Area under the CIF on [0, tau]: average time lost to the cause."""
-    tau = _check_tau(cif, tau, strict)
-    return _areas(cif, tau)[0]
+    return _areas(cif, tau)[1]
 
 
-def rmtl_variance(cif: StepFunction, tau: float, strict: bool = False) -> float:
+def rmtl_variance(cif: StepFunction, tau: float) -> float:
     """Per-subject plug-in variance of the RMTL estimate.
 
     Equals 2*tau*int(I) - 2*int(t*I) - int(I)^2 with both integrals taken
     exactly over the step function; rounding residue is clipped at zero.
     """
-    tau = _check_tau(cif, tau, strict)
-    area, area_t = _areas(cif, tau)
-    return max(2.0 * tau * area - 2.0 * area_t - area * area, 0.0)
+    return _plugin_variance(*_areas(cif, tau))
 
 
-def rmstc(km: StepFunction, tau: float, strict: bool = False) -> float:
+def rmstc(km: StepFunction, tau: float) -> float:
     """Area under all-cause survival on [0, tau] (composite-endpoint RMST)."""
-    tau = _check_tau(km, tau, strict)
-    return _areas(km, tau)[0]
+    return _areas(km, tau)[1]
 
 
 def rmtl_ci(est: RmtlEstimate, alpha: float = 0.05) -> tuple[float, float]:
@@ -99,36 +100,40 @@ def rmtl_ci(est: RmtlEstimate, alpha: float = 0.05) -> tuple[float, float]:
     return max(est.value - half, 0.0), min(est.value + half, est.tau)
 
 
-def rmtl_estimate(fit: GroupFit, tau: float, strict: bool = False) -> RmtlEstimate:
+def rmtl_estimate(fit: GroupFit, tau: float) -> RmtlEstimate:
     """RMTL of the event of interest for one fitted group."""
+    tau, area, area_t = _areas(fit.cif, tau)
     return RmtlEstimate(
-        value=rmtl(fit.cif, tau, strict),
-        variance=rmtl_variance(fit.cif, tau, strict),
+        value=area,
+        variance=_plugin_variance(tau, area, area_t),
         n=fit.table.n_total,
-        tau=float(tau),
+        tau=tau,
     )
 
 
 def rmtl_difference(
     sample: TwoGroupSample,
     tau: float,
-    strict: bool = False,
     require_events: bool = True,
 ) -> RmtlDifference:
-    """RMTL difference (group 2 minus group 1) with its delta-method SE."""
+    """RMTL difference (group 2 minus group 1) with its delta-method SE.
+
+    ``require_events``: a group with no event of interest before tau is degenerate.
+    """
     estimates = []
     for label, fit in zip(sample.groups, sample.fits):
-        if require_events and len(fit.cif.times) == 0:
+        est = rmtl_estimate(fit, tau)
+        if require_events and not (fit.cif.times.size and fit.cif.times[0] < est.tau):
             raise DegenerateDataError(
                 f"group {label!r} has no events of interest before tau"
             )
-        estimates.append(rmtl_estimate(fit, tau, strict))
+        estimates.append(est)
     first, second = estimates
     se = math.sqrt(first.variance / first.n + second.variance / second.n)
     return RmtlDifference(
         delta=second.value - first.value,
         se=se,
-        tau=float(tau),
+        tau=first.tau,
         groups=sample.groups,
         per_group=(first, second),
     )
@@ -142,5 +147,10 @@ def default_tau(sample: TwoGroupSample) -> float:
             raise DegenerateDataError(
                 f"group {label!r} has no events of interest; tau rule undefined"
             )
-        last.append(fit.cif.times[-1])
-    return float(min(last))
+        last.append(float(fit.cif.times[-1]))
+    if min(last) == 0.0:
+        raise DegenerateDataError(
+            f"group {sample.groups[last.index(0.0)]!r} has its last event of "
+            "interest at time 0; tau rule undefined"
+        )
+    return min(last)

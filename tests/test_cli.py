@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import pytest
 
@@ -159,6 +160,44 @@ class TestHypothesisTests:
         rc, out, _ = run(capsys, ["test", "--input", str(path)])
         assert rc == 0
         assert "p-value" in out and "reject H0" in out
+
+
+def extrapolation_message(tau_text, fit):
+    return (f"tau={tau_text} exceeds the last observed time {fit.table.last_observed:g}; "
+            "the step function is constant-extrapolated beyond the data")
+
+
+class TestTauBeyondData:
+    @pytest.mark.parametrize("command", ["estimate", "test"])
+    def test_one_warning_line_per_group(self, capsys, dataset, command):
+        path, sample = dataset
+        argv = [command, "--input", str(path), "--tau", "1e6", "--format", "json"]
+        rc, out, err = run(capsys, argv)
+        assert rc == 0
+        assert err.splitlines() == [
+            f"warning: {extrapolation_message('1e+06', fit)}" for fit in sample.fits
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run(capsys, argv) == (0, out, "")
+        assert json.loads(out)["tau"] == 1e6
+
+    @pytest.mark.parametrize("command", ["estimate", "test"])
+    def test_strict_tau_error_names_the_first_group(self, capsys, dataset, command):
+        path, sample = dataset
+        rc, out, err = run(capsys, [command, "--input", str(path), "--tau", "1e6",
+                                    "--strict-tau"])
+        assert (rc, out) == (3, "")
+        assert err == f"error: {extrapolation_message('1e+06', sample.fits[0])}\n"
+
+    def test_strict_tau_sweep_rows_report_their_own_errors(self, capsys, dataset):
+        path, sample = dataset
+        rc, out, err = run(capsys, ["samplesize", "--pilot", str(path), "--sweep",
+                                    "1:1001:1000", "--strict-tau", "--format", "json"])
+        assert (rc, err) == (0, "")
+        first, last = json.loads(out)["sweep"]
+        assert "diff" in first and "error" not in first
+        assert last["error"] == extrapolation_message("1001", sample.fits[0])
 
 
 class TestSampleSize:

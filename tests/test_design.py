@@ -5,8 +5,12 @@ from scipy.special import ndtri
 
 from rmtlkit import (
     DataValidationError,
+    DegenerateDataError,
     DegenerateDesignWarning,
     DesignInput,
+    EventCode,
+    SubjectRecord,
+    TwoGroupSample,
     default_tau,
     drift_crossing_prob,
     pilot_parameters,
@@ -154,3 +158,14 @@ class TestPilotParameters:
         pp = pilot_parameters(sample, tau)
         inp = DesignInput(delta=pp.delta, var1=pp.var1, var2=pp.var2, tau=pp.tau)
         assert sample_size_sdiff(inp).n_total >= sample_size_diff(inp).n_total
+
+    @pytest.mark.parametrize("tau", [1.0, 3.0])
+    def test_group_without_events_before_tau_is_degenerate(self, tau):
+        spec = {"a": [(0.5, 1), (1.5, 1), (4.0, 0)], "b": [(0.5, 2), (3.0, 1), (4.0, 0)]}
+        sample = TwoGroupSample.from_records([
+            SubjectRecord(t, EventCode(e), g) for g, rows in spec.items() for t, e in rows
+        ])
+        with pytest.raises(DegenerateDataError,
+                           match="group 'b' has no events of interest before tau"):
+            pilot_parameters(sample, tau)
+        assert pilot_parameters(sample, 3.5).var2 > 0.0

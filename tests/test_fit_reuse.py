@@ -1,5 +1,6 @@
 """One fit per group: every statistic of a sample reads the same two risk
-tables, however many statistics or truncation times it is asked for."""
+tables, however many statistics or truncation times it is asked for; and
+each test checks tau and integrates once per group."""
 
 import json
 import sys
@@ -36,6 +37,24 @@ def test_one_replication_fits_each_group_once(risk_table_calls):
     diff_test(sample, tau)
     sdiff_test(sample, tau)
     assert len(risk_table_calls) == 2
+
+
+def test_one_replication_integrates_each_group_once_per_test(monkeypatch):
+    rmtl_module = sys.modules["rmtlkit.rmtl"]
+    calls = {"_areas": 0, "_check_tau": 0}
+    for name in calls:
+        original = getattr(rmtl_module, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(rmtl_module, name, counted)
+    sample = _replicate(load_shipped_scenario("a_null"), 0, 5, None)
+    tau = default_tau(sample)
+    diff_test(sample, tau)
+    sdiff_test(sample, tau)
+    assert calls == {"_areas": 4, "_check_tau": 4}
 
 
 def test_sweep_fits_the_pilot_once(risk_table_calls, capsys, tmp_path):

@@ -186,6 +186,13 @@ class TestSdiff:
         expected = float(np.max(np.abs(proc.values))) / proc.sigma_tau
         assert res.statistic == pytest.approx(expected, abs=1e-15)
 
+    def test_delta_is_the_diff_test_delta(self):
+        sample = sample_with_events(97)
+        tau = default_tau(sample)
+        got = sdiff_test(sample, tau).delta
+        assert dataclasses.astuple(got) == dataclasses.astuple(diff_test(sample, tau).delta)
+        assert got.tau == tau and got.per_group[0].tau == tau
+
     def test_method_tags(self):
         sample = sample_with_events(96)
         tau = default_tau(sample)

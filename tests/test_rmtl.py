@@ -103,8 +103,12 @@ class TestTauHandling:
             rmtl(cif_of(three_subject_records()), 5.0)
 
     def test_extrapolation_strict_raises(self):
-        with pytest.raises(DataValidationError, match="last observed"):
-            rmtl(cif_of(three_subject_records()), 5.0, strict=True)
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ExtrapolationWarning)
+            with pytest.raises(DataValidationError, match="last observed"):
+                rmtl(cif_of(three_subject_records()), 5.0)
 
     def test_tau_at_last_observed_is_silent(self):
         import warnings
@@ -203,4 +207,13 @@ class TestDefaultTau:
             SubjectRecord(2.0, EventCode.INTEREST, "b"),
         ]
         with pytest.raises(DegenerateDataError, match="'a'"):
+            default_tau(TwoGroupSample.from_records(recs))
+
+    def test_last_interest_event_at_time_zero_is_degenerate(self):
+        recs = [
+            SubjectRecord(0.0, EventCode.INTEREST, "a"),
+            SubjectRecord(2.0, EventCode.CENSORED, "a"),
+            SubjectRecord(1.0, EventCode.INTEREST, "b"),
+        ]
+        with pytest.raises(DegenerateDataError, match="group 'a'.*time 0"):
             default_tau(TwoGroupSample.from_records(recs))

@@ -3,7 +3,6 @@ and sDiff two-sample tests, sample-size procedures, and a Monte Carlo
 engine for their operating characteristics."""
 
 from .brownian import (
-    SeriesConfig,
     drift_crossing_prob,
     drift_crossing_prob_deriv,
     series_term_count,
@@ -29,7 +28,6 @@ from .design import (
     sample_size_sdiff,
 )
 from .errors import (
-    CalibrationError,
     DataValidationError,
     DegenerateDataError,
     DegenerateDesignWarning,
@@ -56,7 +54,6 @@ from .rmtl import (
     rmtl_ci,
     rmtl_difference,
     rmtl_estimate,
-    rmtl_variance,
 )
 from .simulate import (
     SHIPPED_SCENARIOS,

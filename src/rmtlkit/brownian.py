@@ -10,28 +10,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 from scipy.special import log_ndtr, ndtr
 
 from .errors import DataValidationError, NumericError, SolverError
 
-
-@dataclass(frozen=True)
-class SeriesConfig:
-    """Truncation control for the supremum-distribution series."""
-
-    eps: float = 1e-10
-    max_terms: int = 1_000_000
-
-    def __post_init__(self):
-        if not self.eps > 0:
-            raise DataValidationError(f"eps must be positive, got {self.eps!r}")
-        if self.max_terms < 1:
-            raise DataValidationError("max_terms must be at least 1")
-
-
-_DEFAULT_SERIES = SeriesConfig()
+_MAX_TERMS = 1_000_000
+_DRIFT_TOL = 1e-10
+_NEWTON_ITERATIONS = 100
 
 
 def series_term_count(x: float, eps: float) -> int:
@@ -60,50 +46,52 @@ def _term_magnitude(a: int, x: float) -> float:
     return math.exp(-math.pi**2 * (2 * a + 1) ** 2 / (8.0 * x * x)) / (2 * a + 1)
 
 
-def sup_abs_bm_sf(x: float, cfg: SeriesConfig = _DEFAULT_SERIES) -> float:
+def sup_abs_bm_sf(x: float, eps: float = 1e-10) -> float:
     """P[sup of |M(t)| over t in [0,1] > x] for standard Brownian motion M.
 
     Sums the alternating series to at least the term count from
     ``series_term_count`` and further until the next term's magnitude
-    drops below cfg.eps; the result is clamped into [0, 1].
+    drops below eps; the result is clamped into [0, 1].
     """
     if x <= 0:
         raise DataValidationError(f"x must be positive, got {x!r}")
-    m = series_term_count(x, cfg.eps)
+    if not eps > 0:
+        raise DataValidationError(f"eps must be positive, got {eps!r}")
+    m = series_term_count(x, eps)
     total = 0.0
     a = 0
-    while a < cfg.max_terms:
+    while a < _MAX_TERMS:
         sign = 1.0 if a % 2 == 0 else -1.0
         total += sign * _term_magnitude(a, x)
         a += 1
-        if a >= m and _term_magnitude(a, x) < cfg.eps:
+        if a >= m and _term_magnitude(a, x) < eps:
             break
     else:
-        raise NumericError(f"series did not converge within {cfg.max_terms} terms")
+        raise NumericError(f"series did not converge within {_MAX_TERMS} terms")
     return min(max(1.0 - (4.0 / math.pi) * total, 0.0), 1.0)
 
 
-def sup_abs_bm_quantile(p: float, cfg: SeriesConfig = _DEFAULT_SERIES) -> float:
+def sup_abs_bm_quantile(p: float, eps: float = 1e-10) -> float:
     """Value x with sup_abs_bm_sf(x) = p, to within 1e-9 on the probability."""
     if not 0.0 < p < 1.0:
         raise DataValidationError(f"p must be in (0, 1), got {p!r}")
     lo, hi = 1e-8, 1.0
     expansions = 0
-    while sup_abs_bm_sf(hi, cfg) > p:
+    while sup_abs_bm_sf(hi, eps) > p:
         hi *= 2.0
         expansions += 1
         if expansions > 200:
             raise NumericError("quantile bracket expansion failed")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if sup_abs_bm_sf(mid, cfg) > p:
+        if sup_abs_bm_sf(mid, eps) > p:
             lo = mid
         else:
             hi = mid
         if hi - lo < 1e-13 * max(1.0, hi):
             break
     x = 0.5 * (lo + hi)
-    if abs(sup_abs_bm_sf(x, cfg) - p) >= 1e-9:
+    if abs(sup_abs_bm_sf(x, eps) - p) >= 1e-9:
         raise NumericError(f"quantile solve did not reach 1e-9 at p={p}")
     return x
 
@@ -132,11 +120,7 @@ def drift_crossing_prob_deriv(level: float, drift: float) -> float:
 
 
 def solve_crossing_drift(
-    level: float,
-    target: float,
-    drift0: float | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 100,
+    level: float, target: float, drift0: float | None = None
 ) -> float:
     """Drift at which the crossing probability equals target.
 
@@ -173,9 +157,9 @@ def solve_crossing_drift(
         return x
 
     x = min(max(x, lo), hi)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_ITERATIONS):
         f = drift_crossing_prob(level, x) - target
-        if abs(f) < tol:
+        if abs(f) < _DRIFT_TOL:
             return x
         if f < 0:
             lo = x
@@ -186,4 +170,6 @@ def solve_crossing_drift(
         if x_new is None or not lo < x_new < hi:
             x_new = 0.5 * (lo + hi)
         x = x_new
-    raise SolverError(f"drift solve did not converge within {max_iter} iterations")
+    raise SolverError(
+        f"drift solve did not converge within {_NEWTON_ITERATIONS} iterations"
+    )

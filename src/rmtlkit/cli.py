@@ -285,13 +285,13 @@ def cmd_test(args) -> str:
     return "\n".join(lines)
 
 
-def _designs(inp: DesignInput, methods) -> dict:
+def _designs(inp: DesignInput, methods, eps: float) -> dict:
     out = {}
     for method in methods:
         if method == TestMethod.DIFF:
             res = sample_size_diff(inp)
         else:
-            res = sample_size_sdiff(inp)
+            res = sample_size_sdiff(inp, eps)
         entry = {"n_total": res.n_total, "n1": res.n1, "n2": res.n2,
                  "inflation": res.inflation}
         if res.drift is not None:
@@ -327,7 +327,7 @@ def cmd_samplesize(args) -> str:
                 inp = DesignInput(delta=pp.delta, var1=pp.var1, var2=pp.var2,
                                   ratio=args.ratio, alpha=args.alpha,
                                   power=args.power, tau=float(tau))
-                for name, entry in _designs(inp, methods).items():
+                for name, entry in _designs(inp, methods, args.eps).items():
                     row[name] = entry["n_total"]
             except RmtlError as exc:
                 row["error"] = str(exc)
@@ -361,7 +361,7 @@ def cmd_samplesize(args) -> str:
                           tau=args.tau)
         payload["inputs"] = {"delta": args.delta, "var1": args.var1,
                              "var2": args.var2}
-    payload["results"] = _designs(inp, methods)
+    payload["results"] = _designs(inp, methods, args.eps)
 
     if args.format == "json":
         return json.dumps(payload, indent=2)

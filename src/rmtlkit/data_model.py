@@ -135,7 +135,6 @@ class RiskTable:
     at_risk: np.ndarray
     events_interest: np.ndarray
     events_competing: np.ndarray
-    n_censored: int
     n_total: int
     last_observed: float
 
@@ -176,7 +175,6 @@ def build_risk_table(times, codes) -> RiskTable:
         at_risk=at_risk[mask],
         events_interest=d1[mask],
         events_competing=d2[mask],
-        n_censored=int((codes == EventCode.CENSORED).sum()),
         n_total=n,
         last_observed=float(times.max()),
     )

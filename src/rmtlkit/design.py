@@ -14,12 +14,7 @@ from dataclasses import dataclass
 
 from scipy.special import ndtri
 
-from .brownian import (
-    SeriesConfig,
-    _DEFAULT_SERIES,
-    solve_crossing_drift,
-    sup_abs_bm_quantile,
-)
+from .brownian import solve_crossing_drift, sup_abs_bm_quantile
 from .data_model import TwoGroupSample
 from .errors import DataValidationError, DegenerateDesignWarning
 from .inference import TestMethod
@@ -109,13 +104,11 @@ def sample_size_diff(inp: DesignInput) -> SampleSizeResult:
     )
 
 
-def sample_size_sdiff(
-    inp: DesignInput, cfg: SeriesConfig = _DEFAULT_SERIES
-) -> SampleSizeResult:
+def sample_size_sdiff(inp: DesignInput, eps: float = 1e-10) -> SampleSizeResult:
     """Sizes for the supremum test via the drift-ratio inflation factor."""
     _check_degenerate(inp)
     drift_normal = float(ndtri(1.0 - inp.alpha / 2.0)) + float(ndtri(inp.power))
-    critical = sup_abs_bm_quantile(inp.alpha, cfg)
+    critical = sup_abs_bm_quantile(inp.alpha, eps)
     drift = solve_crossing_drift(critical, inp.power, drift0=drift_normal)
     inflation = (drift / drift_normal) ** 2
     n1, n2 = _split(inflation * _raw_diff_n(inp), inp.ratio)

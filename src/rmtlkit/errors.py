@@ -22,10 +22,6 @@ class SolverError(NumericError):
     """Raised when a root-finding routine fails to converge or bracket."""
 
 
-class CalibrationError(NumericError):
-    """Raised when censoring calibration cannot reach the target rate."""
-
-
 class ExtrapolationWarning(UserWarning, DataValidationError):
     """Emitted when a truncation time lies beyond the observed data range;
     raised as a DataValidationError under the "error" warnings filter."""

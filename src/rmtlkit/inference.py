@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 from scipy.special import ndtr
 
-from .brownian import SeriesConfig, sup_abs_bm_sf
+from .brownian import sup_abs_bm_sf
 from .data_model import TwoGroupSample
 from .errors import DataValidationError, DegenerateDataError
 from .rmtl import RmtlDifference, rmtl_difference
@@ -155,7 +155,7 @@ def sdiff_test(
     if statistic == 0.0:
         p = 1.0
     else:
-        p = sup_abs_bm_sf(statistic, SeriesConfig(eps=eps))
+        p = sup_abs_bm_sf(statistic, eps)
     return TestResult(
         method=TestMethod.SDIFF,
         statistic=statistic,

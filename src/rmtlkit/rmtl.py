@@ -67,22 +67,9 @@ def _areas(fn: StepFunction, tau: float) -> tuple[float, float, float]:
     return tau, area, area_t
 
 
-def _plugin_variance(tau: float, area: float, area_t: float) -> float:
-    return max(2.0 * tau * area - 2.0 * area_t - area * area, 0.0)
-
-
 def rmtl(cif: StepFunction, tau: float) -> float:
     """Area under the CIF on [0, tau]: average time lost to the cause."""
     return _areas(cif, tau)[1]
-
-
-def rmtl_variance(cif: StepFunction, tau: float) -> float:
-    """Per-subject plug-in variance of the RMTL estimate.
-
-    Equals 2*tau*int(I) - 2*int(t*I) - int(I)^2 with both integrals taken
-    exactly over the step function; rounding residue is clipped at zero.
-    """
-    return _plugin_variance(*_areas(cif, tau))
 
 
 def rmstc(km: StepFunction, tau: float) -> float:
@@ -101,11 +88,16 @@ def rmtl_ci(est: RmtlEstimate, alpha: float = 0.05) -> tuple[float, float]:
 
 
 def rmtl_estimate(fit: GroupFit, tau: float) -> RmtlEstimate:
-    """RMTL of the event of interest for one fitted group."""
+    """RMTL of the event of interest for one fitted group.
+
+    The per-subject plug-in variance is 2*tau*int(I) - 2*int(t*I) - int(I)^2,
+    both integrals exact over the step function; rounding residue is
+    clipped at zero.
+    """
     tau, area, area_t = _areas(fit.cif, tau)
     return RmtlEstimate(
         value=area,
-        variance=_plugin_variance(tau, area, area_t),
+        variance=max(2.0 * tau * area - 2.0 * area_t - area * area, 0.0),
         n=fit.table.n_total,
         tau=tau,
     )

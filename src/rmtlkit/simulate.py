@@ -20,12 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .data_model import EventCode, TwoGroupSample, read_text
-from .errors import (
-    CalibrationError,
-    DataValidationError,
-    DegenerateDataError,
-    SmallSampleWarning,
-)
+from .errors import DataValidationError, DegenerateDataError, SmallSampleWarning
 from .inference import TestMethod, diff_test, sdiff_test
 from .rmtl import default_tau
 
@@ -235,51 +230,34 @@ def apply_censoring(times, codes, bound: float, rng: np.random.Generator):
     return observed, new_codes
 
 
-def _censoring_rate(event_times: np.ndarray, bound: float) -> float:
-    # P(C < T | T) = min(T, c)/c for C ~ U(0, c), so the rate is exact in C
-    return float(np.mean(np.minimum(event_times, bound)) / bound)
-
-
-def calibrate_censoring(
-    scn: ScenarioSpec, target: float, draws: int = _CALIBRATION_DRAWS
-) -> tuple[float, float] | None:
+def calibrate_censoring(scn: ScenarioSpec, target: float) -> tuple[float, float] | None:
     """Per-group uniform bounds that hit the target censoring rate.
 
     Both groups are set to the same rate (so a scenario with different
-    event-time laws gets different bounds). Uses a fixed calibration seed,
-    10^5 event-time draws per group, and bisection on the monotone rate
-    function until within +/-5e-4 of the target.
+    event-time laws gets different bounds). The rate of C ~ U(0, c) on
+    event times T is mean(min(T, c))/c, taken over 10^5 event-time draws
+    per group from a fixed calibration seed. With the draws sorted and S_k
+    the sum of the k smallest, that rate equals (S_k + (n-k)c)/(nc) for c
+    between the k-th and (k+1)-th draw and falls as c grows, so the bound
+    is solved exactly on the last piece whose left end still has a rate at
+    or above the target: c = S_k/(n*target - (n-k)).
     """
     if not 0.0 <= target <= 0.9:
-        raise CalibrationError(f"target rate must be in [0, 0.9], got {target!r}")
+        raise DataValidationError(f"target rate must be in [0, 0.9], got {target!r}")
     if target == 0.0:
         return None
     bounds = []
-    for k, group in enumerate(scn.groups):
+    for g, group in enumerate(scn.groups):
         rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=_CALIBRATION_SEED, spawn_key=(k,))
+            np.random.SeedSequence(entropy=_CALIBRATION_SEED, spawn_key=(g,))
         )
-        event_times, _ = sample_events(group, rng, draws)
-        lo, hi = 1e-12, float(np.max(event_times))
-        expansions = 0
-        while _censoring_rate(event_times, hi) > target:
-            hi *= 2.0
-            expansions += 1
-            if expansions > 200:
-                raise CalibrationError(f"cannot reach target rate {target}")
-        c = hi
-        for _ in range(200):
-            c = 0.5 * (lo + hi)
-            rate = _censoring_rate(event_times, c)
-            if abs(rate - target) <= 5e-4:
-                break
-            if rate > target:
-                lo = c
-            else:
-                hi = c
-        else:
-            raise CalibrationError(f"calibration did not converge for target {target}")
-        bounds.append(c)
+        t = np.sort(sample_events(group, rng, _CALIBRATION_DRAWS)[0])
+        n = len(t)
+        sums = np.cumsum(t)
+        k = np.arange(1, n + 1)
+        # rate at the k-th draw >= target, multiplied out so no draw divides
+        k_last = np.flatnonzero(sums + (n - k) * t >= target * n * t)[-1] + 1
+        bounds.append(float(sums[k_last - 1] / (n * target - (n - k_last))))
     return bounds[0], bounds[1]
 
 

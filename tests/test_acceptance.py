@@ -20,7 +20,7 @@ from rmtlkit import (
     CensoringSpec,
     DesignInput,
     EventCode,
-    StepFunction,
+    GroupFit,
     build_risk_table,
     cif_estimate,
     km_overall,
@@ -28,7 +28,7 @@ from rmtlkit import (
     rmstc,
     rmtl,
     rmtl_difference,
-    rmtl_variance,
+    rmtl_estimate,
     run_monte_carlo,
     sample_size_diff,
     sample_size_sdiff,
@@ -104,33 +104,26 @@ def test_02_single_cause_reduction():
 
 
 def test_03_variance_formula_example():
-    # one subject lost to the cause at t=1, follow-up to t=3
-    fn = StepFunction(
-        times=np.array([1.0]),
-        values=np.array([1.0 / 3.0]),
-        variances=np.array([0.0]),
-        value_before_first=0.0,
-        last_observed=3.0,
-    )
+    # one subject lost to the cause at t=1 (of 3), follow-up to t=3
+    hand = GroupFit.from_arrays(np.array([1.0, 2.0, 3.0]), np.array([1, 2, 0]))
     tau = 3.0
-    value = rmtl(fn, tau)
-    var = rmtl_variance(fn, tau)
+    value = rmtl(hand.cif, tau)
+    var = rmtl_estimate(hand, tau).variance
     ok_hand = abs(value - 2.0 / 3.0) < 1e-12 and abs(var - 8.0 / 9.0) < 1e-12
 
     # cross-check both step integrals against adaptive quadrature
     worst = 0.0
     rng = np.random.default_rng(SEED + 2)
-    random_fn = cif_estimate(
-        build_risk_table(*random_arrays(rng, 40)), EventCode.INTEREST
-    )
-    for f, t_max in ((fn, tau), (random_fn, 0.9 * random_fn.last_observed)):
+    random_fit = GroupFit.from_arrays(*random_arrays(rng, 40))
+    for fit, t_max in ((hand, tau), (random_fit, 0.9 * random_fit.cif.last_observed)):
+        f = fit.cif
         pts = [t for t in f.times if t < t_max]
         a_quad = quad(lambda t: float(f.value_at(t)), 0.0, t_max,
                       points=pts, limit=200, epsabs=1e-13, epsrel=1e-13)[0]
         b_quad = quad(lambda t: t * float(f.value_at(t)), 0.0, t_max,
                       points=pts, limit=200, epsabs=1e-13, epsrel=1e-13)[0]
         a = rmtl(f, t_max)
-        b = (2.0 * t_max * a - a * a - rmtl_variance(f, t_max)) / 2.0
+        b = (2.0 * t_max * a - a * a - rmtl_estimate(fit, t_max).variance) / 2.0
         worst = max(worst, abs(a_quad - a), abs(b_quad - b))
     report(3, "variance formula hand example and quadrature cross-check",
            ok_hand and worst < 1e-10,
@@ -190,22 +183,30 @@ def test_06_variance_oracle_ratios(null_scenario):
 
 
 def test_07_brownian_numerics():
-    # path oracle: simulated maxima of |BM| on [0, 1]
+    # path oracle: simulated BM on a coarse grid, with the Brownian-bridge
+    # probability of crossing +-x between grid points, exp(-2(x-a)(x-b)/dt)
+    # for +x and the mirror for -x, in place of discrete monitoring (which
+    # misses crossings between steps and underestimates the supremum)
     rng = np.random.default_rng(SEED)
-    n_paths, n_steps, chunk = 100_000, 2 ** 14, 2000
-    scale = 1.0 / np.sqrt(n_steps)
-    maxima = np.empty(n_paths, dtype=np.float32)
+    levels = (1.5, 2.0, 2.5)
+    n_paths, n_steps, chunk = 100_000, 256, 5000
+    dt = 1.0 / n_steps
+    survive = np.zeros(len(levels))
     done = 0
     while done < n_paths:
         m = min(chunk, n_paths - done)
-        z = rng.standard_normal((m, n_steps), dtype=np.float32)
-        z *= scale
-        np.cumsum(z, axis=1, out=z)
-        np.abs(z, out=z)
-        maxima[done:done + m] = z.max(axis=1)
+        w = np.zeros((m, n_steps + 1))
+        np.cumsum(rng.standard_normal((m, n_steps)) * np.sqrt(dt), axis=1,
+                  out=w[:, 1:])
+        a, b = w[:, :-1], w[:, 1:]
+        for i, x in enumerate(levels):
+            # a step ending beyond a level crosses it with probability 1
+            up = np.exp(-2.0 * np.maximum(x - a, 0.0) * np.maximum(x - b, 0.0) / dt)
+            down = np.exp(-2.0 * np.maximum(x + a, 0.0) * np.maximum(x + b, 0.0) / dt)
+            survive[i] += np.prod(np.maximum(1.0 - up - down, 0.0), axis=1).sum()
         done += m
     path_dev = max(
-        abs(float(np.mean(maxima > x)) - sup_abs_bm_sf(x)) for x in (1.5, 2.0, 2.5)
+        abs(1.0 - s / n_paths - sup_abs_bm_sf(x)) for s, x in zip(survive, levels)
     )
 
     round_trip = max(

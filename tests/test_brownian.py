@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from rmtlkit import (
     DataValidationError,
     NumericError,
-    SeriesConfig,
+    brownian,
     drift_crossing_prob,
     drift_crossing_prob_deriv,
     series_term_count,
@@ -45,14 +46,26 @@ class TestSupSurvival:
         with pytest.raises(DataValidationError):
             sup_abs_bm_sf(0.0)
 
-    def test_exhausted_budget_raises(self):
+    @pytest.mark.parametrize("eps", [0.0, -1e-10, float("nan")])
+    def test_nonpositive_eps_rejected(self, eps):
+        with pytest.raises(DataValidationError, match="eps must be positive"):
+            sup_abs_bm_sf(1.0, eps=eps)
+
+    def test_exhausted_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(brownian, "_MAX_TERMS", 2)
         with pytest.raises(NumericError):
-            sup_abs_bm_sf(2.0, SeriesConfig(eps=1e-300, max_terms=2))
+            sup_abs_bm_sf(2.0, eps=1e-300)
+
+    @pytest.mark.parametrize("x", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+    def test_matches_reflection_series(self, x):
+        # the dual series from repeated reflection, 4 * sum_k (-1)^k Phibar((2k+1)x),
+        # summed independently of the library's series
+        k = np.arange(60)
+        reference = 4.0 * float(np.sum((-1.0) ** k * ndtr(-(2 * k + 1) * x)))
+        assert sup_abs_bm_sf(x) == pytest.approx(reference, abs=1e-12)
 
     def test_reflection_bound(self):
         # one-sided reflection: P[sup |M|> x] <= 4 * Phibar(x), >= 2 * Phibar(x)
-        from scipy.special import ndtr
-
         for x in (1.0, 1.5, 2.0, 3.0):
             tail = 1.0 - float(ndtr(x))
             assert 2 * tail <= sup_abs_bm_sf(x) <= 4 * tail

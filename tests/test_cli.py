@@ -4,7 +4,14 @@ import warnings
 
 import pytest
 
-from rmtlkit import load_shipped_scenario, rmtl_estimate, shipped_scenario_path
+from rmtlkit import (
+    DesignInput,
+    load_shipped_scenario,
+    pilot_parameters,
+    rmtl_estimate,
+    sample_size_sdiff,
+    shipped_scenario_path,
+)
 from rmtlkit.cli import main
 from rmtlkit.simulate import _replicate
 
@@ -212,6 +219,25 @@ class TestSampleSize:
         assert results["sdiff"]["n_total"] == 178
         assert results["sdiff"]["inflation"] > 1.0
         assert results["sdiff"]["drift"] > results["sdiff"]["drift_normal"]
+
+    def test_eps_reaches_the_sdiff_design(self, capsys):
+        rc, out, _ = run(capsys, ["samplesize", "--delta", "1", "--var1", "4",
+                                  "--var2", "4", "--eps", "0.3", "--format", "json"])
+        assert rc == 0
+        coarse = sample_size_sdiff(DesignInput(delta=1.0, var1=4.0, var2=4.0), eps=0.3)
+        default = sample_size_sdiff(DesignInput(delta=1.0, var1=4.0, var2=4.0))
+        assert coarse.n_total != default.n_total
+        assert json.loads(out)["results"]["sdiff"]["n_total"] == coarse.n_total
+
+    def test_eps_reaches_the_pilot_sweep(self, capsys, dataset):
+        path, sample = dataset
+        rc, out, _ = run(capsys, ["samplesize", "--pilot", str(path), "--sweep",
+                                  "2:2:1", "--eps", "0.3", "--format", "json"])
+        assert rc == 0
+        pp = pilot_parameters(sample, 2.0)
+        inp = DesignInput(delta=pp.delta, var1=pp.var1, var2=pp.var2, tau=2.0)
+        assert json.loads(out)["sweep"][0]["sdiff"] == \
+            sample_size_sdiff(inp, eps=0.3).n_total
 
     def test_missing_variances_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -52,7 +52,6 @@ class TestRiskTable:
         assert rt.events_interest.tolist() == [1, 0]
         assert rt.events_competing.tolist() == [0, 1]
         assert rt.n_total == 3
-        assert rt.n_censored == 1
         assert rt.last_observed == 3.0
 
     def test_ties_aggregate(self):

@@ -20,7 +20,6 @@ from rmtlkit import (
     rmtl_ci,
     rmtl_difference,
     rmtl_estimate,
-    rmtl_variance,
 )
 from helpers import columns, random_records, sample_with_events, swap_groups
 
@@ -47,7 +46,7 @@ class TestPointEstimates:
 
     def test_example_variance(self):
         # 2*tau*A - 2*B - A^2 with A = 2/3, B = t-weighted area 4/3
-        got = rmtl_variance(cif_of(three_subject_records()), 3.0)
+        got = rmtl_estimate(fit_of(three_subject_records()), 3.0).variance
         assert got == pytest.approx(8 / 9, abs=1e-12)
 
     def test_example_rmstc(self):
@@ -84,8 +83,8 @@ class TestPointEstimates:
         assert rmtl(cif_of(scaled), 30.0) == pytest.approx(
             10.0 * rmtl(cif_of(recs), 3.0), rel=1e-14
         )
-        assert rmtl_variance(cif_of(scaled), 30.0) == pytest.approx(
-            100.0 * rmtl_variance(cif_of(recs), 3.0), rel=1e-12
+        assert rmtl_estimate(fit_of(scaled), 30.0).variance == pytest.approx(
+            100.0 * rmtl_estimate(fit_of(recs), 3.0).variance, rel=1e-12
         )
 
     def test_tau_before_first_event(self):

@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from rmtlkit import (
     SHIPPED_SCENARIOS,
-    CalibrationError,
     CensoringSpec,
     DataValidationError,
     GroupSpec,
@@ -25,7 +25,7 @@ from rmtlkit import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from rmtlkit.simulate import resolve_censoring
+from rmtlkit.simulate import _CALIBRATION_DRAWS, _CALIBRATION_SEED, resolve_censoring
 
 
 def exponential_cif(mass=0.7, scale=2.0):
@@ -201,6 +201,28 @@ class TestCalibration:
         assert np.mean(new_codes == 0) == pytest.approx(0.3, abs=0.01)
         assert b2 > 0
 
+    @pytest.mark.parametrize("name", SHIPPED_SCENARIOS)
+    def test_exact_on_the_calibration_draws(self, name):
+        scn = load_shipped_scenario(name)
+        for target in (0.01, 0.15, 0.3, 0.45, 0.9):
+            bounds = calibrate_censoring(scn, target)
+            for g, group in enumerate(scn.groups):
+                rng = np.random.default_rng(
+                    np.random.SeedSequence(entropy=_CALIBRATION_SEED, spawn_key=(g,))
+                )
+                t, _ = sample_events(group, rng, _CALIBRATION_DRAWS)
+
+                def rate(c):
+                    return float(np.mean(np.minimum(t, c)) / c)
+
+                c = bounds[g]
+                assert rate(c) == pytest.approx(target, abs=1e-12)
+                # the rate falls from 1 near 0 to mean(t)/c beyond max(t)
+                hi = 2.0 * max(t.max(), t.mean() / target)
+                root = brentq(lambda x: rate(x) - target, 1e-12, hi, xtol=1e-14,
+                              rtol=1e-15)
+                assert c == pytest.approx(root, rel=1e-9)
+
     def test_zero_target_means_no_censoring(self):
         scn = tiny_scenario()
         assert calibrate_censoring(scn, 0.0) is None
@@ -211,7 +233,7 @@ class TestCalibration:
         assert resolve_censoring(scn) == (3.5, 3.5)
 
     def test_bad_target_rejected(self):
-        with pytest.raises(CalibrationError):
+        with pytest.raises(DataValidationError):
             calibrate_censoring(tiny_scenario(), 0.95)
         with pytest.raises(DataValidationError):
             CensoringSpec(target=0.95)

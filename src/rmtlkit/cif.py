@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import EventCode, RiskTable, build_risk_table
+from .data_model import EventCode, RiskTable, _tabulate, build_risk_table
 from .errors import DataValidationError
 
 
@@ -54,11 +54,39 @@ class StepFunction:
         return out
 
 
+def _survival(n, d):
+    """All-cause Kaplan-Meier survival at every row, along the last axis.
+
+    A row without events gets the factor 1, which is exact, so extra rows
+    never move the product. That includes rows where no one is at risk
+    (n = 0, a pooled row after a group has ended): dividing by max(n, 1)
+    gives them hazard 0 and leaves every other row's hazard d / n.
+    """
+    return (1.0 - d / np.maximum(n, 1.0)).cumprod(axis=-1)
+
+
+def _incidence(n, d, dj):
+    """CIF of one cause and its Aalen variance at every row, along the last
+    axis, from at-risk counts n, all-cause events d and cause events dj."""
+    surv = _survival(n, d)
+    s_prev = np.empty_like(surv)  # survival just before each row
+    s_prev[..., :1] = 1.0
+    s_prev[..., 1:] = surv[..., :-1]
+    inc = (dj / np.maximum(n, 1.0) * s_prev).cumsum(axis=-1)
+    # Single-cause data: the estimator collapses algebraically to the
+    # Kaplan-Meier complement. Computing it that way keeps the identity
+    # I_1 = 1 - KM exact in floating point, not just to rounding.
+    single = np.logical_and.reduce(d == dj, axis=-1, keepdims=True)
+    if single.any():
+        inc = np.where(single, 1.0 - surv, inc)
+    return inc, _aalen_variance(n, d, dj, s_prev, inc)
+
+
 def km_overall(rt: RiskTable) -> StepFunction:
     """All-cause Kaplan-Meier survival curve with Greenwood variances."""
     n = rt.at_risk.astype(float)
     d = (rt.events_interest + rt.events_competing).astype(float)
-    surv = np.cumprod(1.0 - d / n)
+    surv = _survival(n, d)
     term = np.zeros_like(n)
     np.divide(d, n * (n - d), out=term, where=(n - d) > 0)
     var = surv**2 * np.cumsum(term)
@@ -80,19 +108,12 @@ def cif_estimate(rt: RiskTable, cause: EventCode) -> StepFunction:
     """
     if cause not in (EventCode.INTEREST, EventCode.COMPETING):
         raise DataValidationError("cause must be Interest or Competing")
-    n = rt.at_risk.astype(float)
     dj = rt.events(cause).astype(float)
-    d = (rt.events_interest + rt.events_competing).astype(float)
-    surv = np.cumprod(1.0 - d / n)
-    s_prev = np.concatenate(([1.0], surv[:-1]))
-    if len(rt) and (d - dj).sum() == 0:
-        # Single-cause data: the estimator collapses algebraically to the
-        # Kaplan-Meier complement. Computing it that way keeps the identity
-        # I_1 = 1 - KM exact in floating point, not just to rounding.
-        inc = 1.0 - surv
-    else:
-        inc = np.cumsum((dj / n) * s_prev)
-    var = _aalen_variance(n, d, dj, s_prev, inc)
+    inc, var = _incidence(
+        rt.at_risk.astype(float),
+        (rt.events_interest + rt.events_competing).astype(float),
+        dj,
+    )
     mask = dj > 0
     return StepFunction(
         times=rt.times[mask],
@@ -108,7 +129,7 @@ class GroupFit:
     """One group's risk table and CIF of the event of interest.
 
     Every statistic of a two-group sample reads these, so each group is
-    fitted once (``TwoGroupSample.fits``).
+    fitted once (``TwoGroupSample.fits``, views of ``TwoGroupSample.pooled``).
     """
 
     table: RiskTable
@@ -121,31 +142,90 @@ class GroupFit:
         return cls(table=table, cif=cif_estimate(table, EventCode.INTEREST))
 
 
+@dataclass(frozen=True)
+class PooledFit:
+    """Risk tables and interest CIFs of several groups on one pooled grid.
+
+    ``times`` holds the distinct event times (either cause) of all groups
+    together; every other array but ``n_total`` and ``last_observed`` has
+    one row per group and one column per pooled time. Where a group has no
+    event its KM factor is 1 and its CIF increment 0, both exact in
+    floating point, so each group's values at its own event times equal
+    its one-group fit bitwise. ``values`` and ``variances`` are each
+    group's interest CIF and its Aalen variance evaluated by
+    right-continuity at every pooled time (0 before the group's first
+    event of interest).
+    """
+
+    times: np.ndarray
+    at_risk: np.ndarray
+    events_interest: np.ndarray
+    events_competing: np.ndarray
+    values: np.ndarray
+    variances: np.ndarray
+    n_total: np.ndarray
+    last_observed: np.ndarray
+
+    @classmethod
+    def from_arrays(cls, times, codes, group, n_groups: int) -> "PooledFit":
+        """Fit every group from all subjects' times, codes and group indices."""
+        times, counts, n_total, last = _tabulate(times, codes, group, n_groups)
+        n, dj, d2 = counts.astype(float)
+        inc, var = _incidence(n, dj + d2, dj)
+        # The CIF's variance is that of its last knot, an event of interest
+        # (the Aalen variance moves at competing events too, by rounding
+        # only): read it through a 1-based index of that knot, 0 for none.
+        knot = np.arange(1, len(times) + 1) * (counts[1] > 0)
+        np.maximum.accumulate(knot, axis=-1, out=knot)
+        padded = np.concatenate((np.zeros((n_groups, 1)), var), axis=-1)
+        var = padded[np.arange(n_groups)[:, None], knot]
+        at_risk, d1, d2 = counts
+        return cls(times, at_risk, d1, d2, inc, var, n_total, last)
+
+    def group_fits(self) -> tuple[GroupFit, ...]:
+        """Each group's risk table (on its own event times) and interest CIF
+        (with knots at its own events of interest)."""
+        own = (self.events_interest + self.events_competing) > 0
+        knots = self.events_interest > 0
+        fits = []
+        for g, last in enumerate(self.last_observed.tolist()):
+            rows, k = own[g], knots[g]
+            table = RiskTable(self.times[rows], self.at_risk[g][rows],
+                              self.events_interest[g][rows],
+                              self.events_competing[g][rows], int(self.n_total[g]), last)
+            cif = StepFunction(self.times[k], self.values[g][k], self.variances[g][k],
+                               0.0, last)
+            fits.append(GroupFit(table, cif))
+        return tuple(fits)
+
+
 def _aalen_variance(n, d, dj, s_prev, inc):
-    """Aalen's variance of the CIF at every risk-table row.
+    """Aalen's variance of the CIF at every risk-table row (last axis).
 
     Written with cumulative sums so the triangular double sums cost O(K):
     sum_k (I_i - I_k)^2 a_k expands to I_i^2 A_i - 2 I_i (aI)_i + (aI^2)_i.
-    All divisions are guarded; rows where a denominator hits zero (n_k = 1
-    or n_k = d_k) contribute nothing, matching the plug-in limit.
+    The three per-row terms a, b, c are divided in one guarded call and
+    the six running sums taken in one cumsum. Rows where a denominator hits
+    zero (n_k <= 1 or n_k = d_k) contribute nothing, matching the plug-in
+    limit.
     """
-    a = np.zeros_like(n)
-    den_a = (n - 1.0) * (n - d)
-    np.divide(d, den_a, out=a, where=den_a > 0)
-
-    b = np.zeros_like(n)
-    den_b = (n - 1.0) * n**2
-    np.divide((n - dj) * dj * s_prev**2, den_b, out=b, where=den_b > 0)
-
-    c = np.zeros_like(n)
-    den_c = n * (n - d) * (n - 1.0)
-    np.divide(dj * (n - dj) * s_prev, den_c, out=c, where=den_c > 0)
-
-    var = (
-        inc**2 * np.cumsum(a)
-        - 2.0 * inc * np.cumsum(a * inc)
-        + np.cumsum(a * inc**2)
-        + np.cumsum(b)
-        - 2.0 * (inc * np.cumsum(c) - np.cumsum(c * inc))
-    )
-    return np.clip(var, 0.0, None)
+    n1 = n - 1.0
+    nd = n - d
+    p = (n - dj) * dj
+    num = np.empty((3,) + n.shape)
+    den = np.empty((3,) + n.shape)
+    num[0] = d
+    np.multiply(p, s_prev**2, out=num[1])
+    np.multiply(p, s_prev, out=num[2])
+    np.multiply(n1, nd, out=den[0])
+    np.multiply(n1, n**2, out=den[1])
+    np.multiply(n * nd, n1, out=den[2])
+    terms = np.zeros((6,) + n.shape)  # a, b, c, a*I, a*I^2, c*I
+    a, b, c = np.divide(num, den, out=terms[:3], where=den > 0)
+    inc2 = inc**2
+    np.multiply(a, inc, out=terms[3])
+    np.multiply(a, inc2, out=terms[4])
+    np.multiply(c, inc, out=terms[5])
+    sum_a, sum_b, sum_c, sum_ai, sum_ai2, sum_ci = terms.cumsum(axis=-1)
+    var = inc2 * sum_a - 2.0 * inc * sum_ai + sum_ai2 + sum_b - 2.0 * (inc * sum_c - sum_ci)
+    return np.maximum(var, 0.0)

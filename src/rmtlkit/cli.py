@@ -65,6 +65,9 @@ def _sweep_range(text: str) -> tuple[float, float, float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"unparseable sweep range {text!r}")
+    for name, part, value in zip(("start", "stop", "step"), parts, (start, stop, step)):
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"sweep {name} must be finite, got {part!r}")
     if not (start > 0 and step > 0 and stop >= start):
         raise argparse.ArgumentTypeError(
             "sweep needs start > 0, step > 0 and stop >= start"

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DataValidationError
 
 if TYPE_CHECKING:
-    from .cif import GroupFit
+    from .cif import GroupFit, PooledFit
 
 
 class EventCode(IntEnum):
@@ -70,13 +70,16 @@ class TwoGroupSample:
         group = np.array(self.group, dtype=np.int64)
         if times.ndim != 1 or codes.shape != times.shape or group.shape != times.shape:
             raise DataValidationError("times, codes and group must be 1-d, one length")
-        if not np.all(np.isfinite(times) & (times >= 0)):
+        if not times.size:
+            raise DataValidationError("both groups must be nonempty")
+        # min/max checks: a NaN fails the first comparison
+        if not (times.min() >= 0 and times.max() < math.inf):
             raise DataValidationError("times must be finite and nonnegative")
-        if not np.all((codes >= 0) & (codes <= 2)):
+        if not (codes.min() >= 0 and codes.max() <= 2):
             raise DataValidationError("status codes must be 0, 1 or 2")
         if len(self.groups) != 2 or self.groups[0] == self.groups[1]:
             raise DataValidationError("exactly two distinct group labels required")
-        if not np.array_equal(np.unique(group), [0, 1]):
+        if not (group.min() == 0 and group.max() == 1):
             raise DataValidationError("group indices must be 0/1, both groups nonempty")
         for name, arr in (("times", times), ("codes", codes), ("group", group)):
             arr.flags.writeable = False
@@ -97,12 +100,22 @@ class TwoGroupSample:
         )
 
     @cached_property
-    def fits(self) -> tuple[GroupFit, GroupFit]:
-        """Risk table and interest CIF of each group, built on first use."""
-        from .cif import GroupFit  # cif imports this module
+    def pooled(self) -> PooledFit:
+        """Both groups' risk tables and interest CIFs on the pooled event
+        times, built in one pass on first use."""
+        from .cif import PooledFit  # cif imports this module
 
-        rows = (self.group == k for k in (0, 1))
-        return tuple(GroupFit.from_arrays(self.times[r], self.codes[r]) for r in rows)
+        return PooledFit.from_arrays(self.times, self.codes, self.group, 2)
+
+    @cached_property
+    def fits(self) -> tuple[GroupFit, GroupFit]:
+        """Each group's risk table and interest CIF, as views of ``pooled``."""
+        return self.pooled.group_fits()
+
+    @cached_property
+    def _differences(self) -> dict:
+        """RMTL differences by tau, filled by ``rmtl.rmtl_difference``."""
+        return {}
 
 
 def _from_columns(times, codes, labels, reference) -> TwoGroupSample:
@@ -149,34 +162,65 @@ class RiskTable:
         raise DataValidationError(f"cause must be Interest or Competing, got {cause}")
 
 
+def _tabulate(times, codes, group, n_groups: int):
+    """Risk-table counts of ``n_groups`` groups on their pooled event times.
+
+    ``times``, ``codes`` (0, 1 or 2) and ``group`` (each row's group index)
+    hold at least one row. Returns the distinct times with at least one
+    event of either cause in any group (K,); a (3, G, K) array of the
+    at-risk, interest and competing counts there (a group's event counts
+    are 0 at another group's event times, and its at-risk count is 0 once
+    all its subjects have left); and each group's size and last observed
+    time. Ties between events and censorings at the same time are resolved
+    with events first: a subject censored at t is still at risk for events
+    at t.
+    """
+    order = times.argsort(kind="stable")
+    t = times[order]
+    first = np.empty(len(t), dtype=bool)  # each distinct time's first row
+    first[0] = False  # set after counting, so that the first time has index 0
+    np.not_equal(t[1:], t[:-1], out=first[1:])
+    k = first.cumsum()  # each row's distinct-time index
+    first[0] = True
+    n_times = int(k[-1]) + 1
+    width = n_groups * n_times
+    # one count per (status code, group, time): censored, interest, competing
+    counts = np.bincount(codes[order] * width + group[order] * n_times + k,
+                         minlength=3 * width).reshape(3, n_groups, n_times)
+    total = counts.sum(axis=0)
+    left = total.cumsum(axis=1)
+    n_total = left[:, -1]
+    # at risk at t = everyone with observed time >= t (censored-at-t
+    # included); it takes the place of the censoring counts
+    np.add(n_total[:, None] - left, total, out=counts[0])
+    rows = counts[1:].any(axis=(0, 1))
+    last_observed = np.zeros(n_groups)
+    np.maximum.at(last_observed, group, times)
+    return t[first][rows], counts[..., rows], n_total, last_observed
+
+
 def build_risk_table(times, codes) -> RiskTable:
     """Tabulate at-risk and event counts at each distinct event time.
 
     ``times`` and ``codes`` hold one group's observed times and status
-    codes. Ties between events and censorings at the same time are resolved
-    with events first: a subject censored at t is still at risk for events
-    at t.
+    codes; this is the one-group case of the pooled tabulation that
+    ``TwoGroupSample.pooled`` runs on both groups at once.
     """
     times = np.asarray(times, dtype=float)
-    codes = np.asarray(codes)
-    n = len(times)
-    if n == 0:
+    codes = np.asarray(codes, dtype=np.int64)
+    if len(times) == 0:
         raise DataValidationError("cannot build a risk table from no observations")
-    uniq = np.unique(times)
-    idx = np.searchsorted(uniq, times)
-    d1 = np.bincount(idx[codes == EventCode.INTEREST], minlength=len(uniq))
-    d2 = np.bincount(idx[codes == EventCode.COMPETING], minlength=len(uniq))
-    total = np.bincount(idx, minlength=len(uniq))
-    # at risk at t = everyone with observed time >= t (censored-at-t included)
-    at_risk = n - np.concatenate(([0], np.cumsum(total)[:-1]))
-    mask = (d1 + d2) > 0
+    if not ((codes >= 0) & (codes <= 2)).all():
+        raise DataValidationError("status codes must be 0, 1 or 2")
+    uniq, counts, n_total, last = _tabulate(times, codes, np.zeros(len(times), np.int64), 1)
+    at_risk, d1, d2 = counts[:, 0]
     return RiskTable(
-        times=uniq[mask],
-        at_risk=at_risk[mask],
-        events_interest=d1[mask],
-        events_competing=d2[mask],
-        n_total=n,
-        last_observed=float(times.max()),
+        times=uniq,
+        at_risk=at_risk,
+        events_interest=d1,
+        events_competing=d2,
+        n_total=int(n_total[0]),
+        last_observed=float(last[0]),
     )
 
 

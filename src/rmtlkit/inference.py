@@ -8,6 +8,7 @@ distribution of sup|M(t)| for standard Brownian motion M.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -92,24 +93,23 @@ def partial_process(
 ) -> PartialDifferenceProcess:
     """Partial difference process, its grid, and the pooled normalizer.
 
-    The grid pools the distinct event times of both causes from both
-    groups, restricted to strictly below tau (a knot at tau would start a
-    zero-width interval). Each CIF and its variance are evaluated on the
-    grid by right-continuity.
+    The grid is the sample's pooled event times (both causes, both groups),
+    restricted to strictly below tau (a knot at tau would start a
+    zero-width interval). Each CIF and its variance are read from the
+    pooled fit, which holds them by right-continuity at every grid time.
     """
     if not 0.0 <= rho <= 1.0:
         raise DataValidationError(f"rho must be in [0, 1], got {rho!r}")
     delta = rmtl_difference(sample, tau, require_events=False)
     tau = delta.tau
-    first, second = sample.fits
-    grid = np.union1d(first.table.times, second.table.times)
-    grid = grid[grid < tau]
-    if len(grid) == 0:
+    pooled = sample.pooled
+    k = int(np.count_nonzero(pooled.times < tau))
+    if k == 0:
         raise DegenerateDataError(f"no event times before tau={tau:g}")
-    widths = np.diff(np.concatenate((grid, [tau])))
-    values = np.cumsum((second.cif.value_at(grid) - first.cif.value_at(grid)) * widths)
-    var_first = first.cif.variance_at(grid)
-    var_second = second.cif.variance_at(grid)
+    grid = pooled.times[:k]
+    widths = np.concatenate((grid[1:], [tau])) - grid
+    values = np.cumsum((pooled.values[1, :k] - pooled.values[0, :k]) * widths)
+    var_first, var_second = pooled.variances[:, :k]
     sigma = _sigma_tau(widths, var_first + var_second, rho)
     return PartialDifferenceProcess(
         times=grid,
@@ -133,8 +133,8 @@ def _sigma_tau(widths: np.ndarray, var_sum: np.ndarray, rho: float) -> float:
     """
     s = widths * np.sqrt(var_sum)
     sq = float(np.dot(s, s))
-    total = float(np.sum(s))
-    return float(np.sqrt(max((1.0 - rho) * sq + rho * total * total, 0.0)))
+    total = float(s.sum())
+    return math.sqrt(max((1.0 - rho) * sq + rho * total * total, 0.0))
 
 
 def sdiff_test(

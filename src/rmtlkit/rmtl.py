@@ -57,13 +57,13 @@ def _check_tau(fn: StepFunction, tau: float) -> float:
 def _areas(fn: StepFunction, tau: float) -> tuple[float, float, float]:
     """(checked tau, int f, int t*f): exact integrals of step function f on [0, tau]."""
     tau = _check_tau(fn, tau)
-    k = int(np.searchsorted(fn.times, tau, side="left"))
+    k = int(fn.times.searchsorted(tau))
     starts = np.concatenate(([0.0], fn.times[:k]))
     ends = np.concatenate((fn.times[:k], [tau]))
     vals = np.concatenate(([fn.value_before_first], fn.values[:k]))
-    area = float(np.sum(vals * (ends - starts)))
+    area = float((vals * (ends - starts)).sum())
     # per interval, int_a^b t*v dt has the closed form v*(b^2 - a^2)/2
-    area_t = float(np.sum(vals * (ends**2 - starts**2)) / 2.0)
+    area_t = float((vals * (ends**2 - starts**2)).sum() / 2.0)
     return tau, area, area_t
 
 
@@ -110,25 +110,31 @@ def rmtl_difference(
 ) -> RmtlDifference:
     """RMTL difference (group 2 minus group 1) with its delta-method SE.
 
-    ``require_events``: a group with no event of interest before tau is degenerate.
+    Computed once per sample and tau: a repeated call (the Diff and sDiff
+    tests of one sample) returns the same object without integrating or
+    checking tau again. ``require_events``: a group with no event of
+    interest before tau is degenerate.
     """
-    estimates = []
-    for label, fit in zip(sample.groups, sample.fits):
-        est = rmtl_estimate(fit, tau)
-        if require_events and not (fit.cif.times.size and fit.cif.times[0] < est.tau):
-            raise DegenerateDataError(
-                f"group {label!r} has no events of interest before tau"
-            )
-        estimates.append(est)
-    first, second = estimates
-    se = math.sqrt(first.variance / first.n + second.variance / second.n)
-    return RmtlDifference(
-        delta=second.value - first.value,
-        se=se,
-        tau=first.tau,
-        groups=sample.groups,
-        per_group=(first, second),
-    )
+    known = isinstance(tau, (int, float))  # a hashable key; _check_tau rejects the rest
+    diff = sample._differences.get(tau) if known else None
+    if diff is None:
+        first, second = (rmtl_estimate(fit, tau) for fit in sample.fits)
+        diff = RmtlDifference(
+            delta=second.value - first.value,
+            se=math.sqrt(first.variance / first.n + second.variance / second.n),
+            tau=first.tau,
+            groups=sample.groups,
+            per_group=(first, second),
+        )
+        if known:
+            sample._differences[tau] = diff
+    if require_events:
+        for label, fit in zip(sample.groups, sample.fits):
+            if not (fit.cif.times.size and fit.cif.times[0] < diff.tau):
+                raise DegenerateDataError(
+                    f"group {label!r} has no events of interest before tau"
+                )
+    return diff
 
 
 def default_tau(sample: TwoGroupSample) -> float:

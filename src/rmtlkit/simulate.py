@@ -10,6 +10,7 @@ random streams, so reports are bit-identical for any worker count.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import warnings
@@ -69,7 +70,8 @@ class PiecewiseWeibullCif:
             raise DataValidationError("segment starts must be strictly ascending")
 
     def _pieces(self):
-        # cached: (starts, shapes, scales, hazard at own start, offset at start)
+        # cached: (starts, shapes, scales, hazard at own start, offset at start,
+        # 1 / shapes)
         cached = self.__dict__.get("_piece_arrays")
         if cached is None:
             starts = np.array([s.start for s in self.segments])
@@ -78,13 +80,13 @@ class PiecewiseWeibullCif:
             edge = (starts / scales) ** shapes
             nxt = (np.append(starts[1:], 0.0) / scales) ** shapes
             offsets = np.concatenate(([0.0], np.cumsum((nxt - edge)[:-1])))
-            cached = (starts, shapes, scales, edge, offsets)
+            cached = (starts, shapes, scales, edge, offsets, 1.0 / shapes)
             object.__setattr__(self, "_piece_arrays", cached)
         return cached
 
     def cumulative_hazard(self, t):
         t = np.asarray(t, dtype=float)
-        starts, shapes, scales, edge, offsets = self._pieces()
+        starts, shapes, scales, edge, offsets, _ = self._pieces()
         seg = np.clip(np.searchsorted(starts, t, side="right") - 1, 0, None)
         tt = np.clip(t, 0.0, None)
         return offsets[seg] + (tt / scales[seg]) ** shapes[seg] - edge[seg]
@@ -100,12 +102,14 @@ class PiecewiseWeibullCif:
     def inverse_cdf(self, u):
         """Invert F exactly: t = H^-1(-log(1 - u)) on the segment holding it."""
         u = np.asarray(u, dtype=float)
-        if not np.all((u >= 0.0) & (u < 1.0)):
+        # min/max checks: a NaN fails the first comparison
+        if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
             raise DataValidationError("uniform draws must lie in [0, 1)")
-        _, shapes, scales, edge, offsets = self._pieces()
+        _, _, scales, edge, offsets, inverse_shapes = self._pieces()
         h = -np.log1p(-u)
-        seg = np.searchsorted(offsets, h, side="right") - 1
-        return scales[seg] * (h - offsets[seg] + edge[seg]) ** (1.0 / shapes[seg])
+        # offsets[0] = 0 <= h, so the segment is the count of later offsets <= h
+        seg = offsets[1:].searchsorted(h, side="right")
+        return scales[seg] * (h - offsets[seg] + edge[seg]) ** inverse_shapes[seg]
 
 
 @dataclass(frozen=True)
@@ -204,26 +208,27 @@ class SimulationReport:
         }
 
 
-def sample_events(group: GroupSpec, rng: np.random.Generator, n: int | None = None):
-    """Draw (times, codes) for one group: cause by the interest mass, time
-    by inverse transform from that cause's conditional CDF."""
-    n = group.n if n is None else n
-    is_interest = rng.random(n) < group.interest.mass
-    u = rng.random(n)
-    times = np.empty(n, dtype=float)
+def sample_events(group: GroupSpec, u):
+    """Draw (times, codes) for one group from uniforms ``u`` of shape (2, n):
+    ``u[0]`` picks the cause by the interest mass, ``u[1]`` the time by
+    inverse transform from that cause's conditional CDF."""
+    is_interest = u[0] < group.interest.mass
+    is_competing = ~is_interest
+    times = np.empty(len(is_interest), dtype=float)
     if is_interest.any():
-        times[is_interest] = group.interest.inverse_cdf(u[is_interest])
-    if (~is_interest).any():
-        times[~is_interest] = group.competing.inverse_cdf(u[~is_interest])
+        times[is_interest] = group.interest.inverse_cdf(u[1][is_interest])
+    if is_competing.any():
+        times[is_competing] = group.competing.inverse_cdf(u[1][is_competing])
     codes = np.where(is_interest, int(EventCode.INTEREST), int(EventCode.COMPETING))
     return times, codes
 
 
-def apply_censoring(times, codes, bound: float, rng: np.random.Generator):
-    """Censor with C ~ Uniform(0, bound); a tie T == C stays an event."""
+def apply_censoring(times, codes, bound: float, u):
+    """Censor with C = bound * u, u uniform on [0, 1), so C ~ Uniform(0, bound);
+    a tie T == C stays an event."""
     if not bound > 0:
         raise DataValidationError(f"censoring bound must be > 0, got {bound!r}")
-    c = rng.uniform(0.0, bound, len(times))
+    c = bound * u
     censored = c < times
     observed = np.where(censored, c, times)
     new_codes = np.where(censored, int(EventCode.CENSORED), codes)
@@ -240,18 +245,27 @@ def calibrate_censoring(scn: ScenarioSpec, target: float) -> tuple[float, float]
     the sum of the k smallest, that rate equals (S_k + (n-k)c)/(nc) for c
     between the k-th and (k+1)-th draw and falls as c grows, so the bound
     is solved exactly on the last piece whose left end still has a rate at
-    or above the target: c = S_k/(n*target - (n-k)).
+    or above the target: c = S_k/(n*target - (n-k)). The bounds depend only
+    on the groups' event-time laws and the target, not on the group sizes,
+    and are kept for the life of the process.
     """
     if not 0.0 <= target <= 0.9:
         raise DataValidationError(f"target rate must be in [0, 0.9], got {target!r}")
     if target == 0.0:
         return None
+    return _calibrated_bounds(tuple((g.interest, g.competing) for g in scn.groups),
+                              target)
+
+
+@functools.lru_cache(maxsize=64)
+def _calibrated_bounds(laws, target: float) -> tuple[float, float]:
     bounds = []
-    for g, group in enumerate(scn.groups):
+    for g, (interest, competing) in enumerate(laws):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=_CALIBRATION_SEED, spawn_key=(g,))
         )
-        t = np.sort(sample_events(group, rng, _CALIBRATION_DRAWS)[0])
+        group = GroupSpec(interest, competing, n=_CALIBRATION_DRAWS)
+        t = np.sort(sample_events(group, rng.random((2, _CALIBRATION_DRAWS)))[0])
         n = len(t)
         sums = np.cumsum(t)
         k = np.arange(1, n + 1)
@@ -273,18 +287,28 @@ def resolve_censoring(scn: ScenarioSpec) -> tuple[float, float] | None:
 
 def _replicate(scn, rep, seed, bounds):
     """Generate one replication's TwoGroupSample, or None when a group has
-    no observed events of interest."""
+    no observed events of interest.
+
+    One draw of uniforms feeds the whole replication: per group in turn, n
+    for the causes, n for the times and, when censored, n for the
+    censoring times.
+    """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
+    width = 2 if bounds is None else 3
+    sizes = [group.n for group in scn.groups]
+    u = rng.random(width * sum(sizes))
     times, codes = [], []
-    for k, group in enumerate(scn.groups):
-        t, c = sample_events(group, rng)
+    start = 0
+    for k, (group, n) in enumerate(zip(scn.groups, sizes)):
+        rows = u[start:start + width * n].reshape(width, n)
+        start += width * n
+        t, c = sample_events(group, rows[:2])
         if bounds is not None:
-            t, c = apply_censoring(t, c, bounds[k], rng)
-        if not np.any(c == EventCode.INTEREST):
+            t, c = apply_censoring(t, c, bounds[k], rows[2])
+        if not (c == int(EventCode.INTEREST)).any():  # an int compares faster
             return None
         times.append(t)
         codes.append(c)
-    sizes = [len(t) for t in times]
     return TwoGroupSample(np.concatenate(times), np.concatenate(codes),
                           np.repeat([0, 1], sizes), ("1", "2"))
 

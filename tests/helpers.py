@@ -55,3 +55,50 @@ def sample_with_events(seed, n1=30, n2=30, **kw) -> TwoGroupSample:
         if np.isin([0, 1], with_events).all():
             return sample
     raise AssertionError("could not build a sample with events in both groups")
+
+
+def reference_fit(times, codes):
+    """One group's risk table, interest CIF and Aalen variance by plain
+    loops, as an oracle for the pooled fit.
+
+    Returns a dict of lists over the group's distinct event times (either
+    cause): ``times``, ``at_risk``, ``d1``, ``d2``, ``cif`` and
+    ``variance``, each CIF entry taken just after its time.
+    """
+    obs = [(float(t), int(c)) for t, c in zip(times, codes)]
+    event_times = sorted({t for t, c in obs if c != EventCode.CENSORED})
+    n = [sum(1 for x, _ in obs if x >= t) for t in event_times]
+    d1 = [sum(1 for x, c in obs if x == t and c == EventCode.INTEREST) for t in event_times]
+    d2 = [sum(1 for x, c in obs if x == t and c == EventCode.COMPETING) for t in event_times]
+    s_prev, inc = [], []
+    surv, cif = 1.0, 0.0
+    for nk, ak, bk in zip(n, d1, d2):
+        s_prev.append(surv)
+        cif += ak / nk * surv
+        inc.append(cif)
+        surv *= 1.0 - (ak + bk) / nk
+    # Aalen's estimator as the literal double sum (Pintilie eq. 4.5)
+    variance = []
+    for i in range(len(n)):
+        acc = 0.0
+        for k in range(i + 1):
+            nk, dk, jk = n[k], d1[k] + d2[k], d1[k]
+            if (nk - 1) * (nk - dk) > 0:
+                acc += (inc[i] - inc[k]) ** 2 * dk / ((nk - 1) * (nk - dk))
+            if nk > 1:
+                acc += (nk - jk) * jk * s_prev[k] ** 2 / ((nk - 1) * nk**2)
+            if nk * (nk - dk) * (nk - 1) > 0:
+                acc -= (2.0 * (inc[i] - inc[k]) * jk * (nk - jk) * s_prev[k]
+                        / (nk * (nk - dk) * (nk - 1)))
+        variance.append(max(acc, 0.0))
+    return {"times": event_times, "at_risk": n, "d1": d1, "d2": d2, "cif": inc,
+            "variance": variance}
+
+
+def step_at(knots, values, t, before=0.0):
+    """Right-continuous evaluation of a step function given by lists."""
+    out = before
+    for k, v in zip(knots, values):
+        if k <= t:
+            out = v
+    return out

@@ -298,6 +298,19 @@ class TestSampleSize:
             main(["samplesize", "--pilot", str(path), "--sweep", "5:1:1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("sweep, name, value", [
+        ("inf:3.0:0.25", "start", "inf"),
+        ("0.25:inf:0.25", "stop", "inf"),
+        ("0.25:3.0:inf", "step", "inf"),
+        ("0.25:-inf:0.25", "stop", "-inf"),
+    ])
+    def test_non_finite_sweep_is_usage_error(self, capsys, dataset, sweep, name, value):
+        path, _ = dataset
+        with pytest.raises(SystemExit) as exc:
+            main(["samplesize", "--pilot", str(path), "--sweep", sweep])
+        assert exc.value.code == 2
+        assert f"sweep {name} must be finite, got '{value}'" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_repeat_runs_are_byte_identical(self, capsys):

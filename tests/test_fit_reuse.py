@@ -1,6 +1,7 @@
-"""One fit per group: every statistic of a sample reads the same two risk
-tables, however many statistics or truncation times it is asked for; and
-each test checks tau and integrates once per group."""
+"""One fit per sample: every statistic of a sample reads the same pooled
+fit of both groups, however many statistics or truncation times it is
+asked for; and the two tests share one difference, so a replication checks
+tau and integrates once per group."""
 
 import json
 import sys
@@ -8,7 +9,7 @@ import sys
 import pytest
 
 import rmtlkit
-from rmtlkit import default_tau, diff_test, load_shipped_scenario, sdiff_test
+from rmtlkit import PooledFit, default_tau, diff_test, load_shipped_scenario, sdiff_test
 from rmtlkit.cli import main
 from rmtlkit.simulate import _replicate
 
@@ -36,7 +37,44 @@ def test_one_replication_fits_each_group_once(risk_table_calls):
     tau = default_tau(sample)
     diff_test(sample, tau)
     sdiff_test(sample, tau)
-    assert len(risk_table_calls) == 2
+    assert len(risk_table_calls) == 0
+
+
+@pytest.fixture
+def pooled_fits(monkeypatch):
+    """Count pooled fits (both groups in one pass)."""
+    original = PooledFit.from_arrays.__func__
+    calls = []
+
+    def counted(cls, *args):
+        calls.append(args)
+        return original(cls, *args)
+
+    monkeypatch.setattr(PooledFit, "from_arrays", classmethod(counted))
+    return calls
+
+
+def test_one_replication_runs_one_pooled_fit(pooled_fits, risk_table_calls):
+    sample = _replicate(load_shipped_scenario("a_null"), 0, 5, None)
+    tau = default_tau(sample)
+    diff_test(sample, tau)
+    sdiff_test(sample, tau)
+    assert len(pooled_fits) == 1
+    assert len(risk_table_calls) == 0
+
+
+def test_sweep_runs_one_pooled_fit(pooled_fits, capsys, tmp_path):
+    sample = sample_with_events(809, n1=40, n2=40)
+    path = tmp_path / "pilot.csv"
+    path.write_text("time,status,group\n" + "".join(
+        f"{t!r},{c},{sample.groups[g]}\n" for t, c, g in zip(
+            sample.times.tolist(), sample.codes.tolist(), sample.group.tolist())),
+        encoding="utf-8")
+    pooled_fits.clear()
+    assert main(["samplesize", "--pilot", str(path), "--sweep", "0.25:3.0:0.25",
+                 "--format", "json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["sweep"]) == 12
+    assert len(pooled_fits) == 1
 
 
 def test_one_replication_integrates_each_group_once_per_test(monkeypatch):
@@ -54,7 +92,7 @@ def test_one_replication_integrates_each_group_once_per_test(monkeypatch):
     tau = default_tau(sample)
     diff_test(sample, tau)
     sdiff_test(sample, tau)
-    assert calls == {"_areas": 4, "_check_tau": 4}
+    assert calls == {"_areas": 2, "_check_tau": 2}
 
 
 def test_sweep_fits_the_pilot_once(risk_table_calls, capsys, tmp_path):
@@ -70,4 +108,4 @@ def test_sweep_fits_the_pilot_once(risk_table_calls, capsys, tmp_path):
     rows = json.loads(capsys.readouterr().out)["sweep"]
     assert len(rows) == 12
     assert all("diff" in row for row in rows)
-    assert len(risk_table_calls) == 2
+    assert len(risk_table_calls) == 0

@@ -1,0 +1,105 @@
+"""The pooled fit of a two-group sample against per-group plain-loop
+references: risk tables, interest CIFs, Aalen variances and the sDiff
+partial process, on tied, censored, single-cause and non-overlapping
+samples (where one group's rows have no one at risk)."""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rmtlkit import (
+    DegenerateDataError,
+    EventCode,
+    TwoGroupSample,
+    km_overall,
+    partial_process,
+)
+
+from helpers import reference_fit, step_at
+
+TOL = 1e-12
+
+
+@st.composite
+def samples(draw):
+    """(times, codes, group) of two nonempty groups."""
+    scale = draw(st.sampled_from([1.0, 2.0, 4.0, 16.0]))  # small scales tie
+    causes = draw(st.sampled_from([(0, 1, 2), (0, 1), (1,), (1, 2)]))
+    groups = []
+    for _ in range(2):
+        n = draw(st.integers(1, 20))
+        ticks = draw(st.lists(st.integers(0, 24), min_size=n, max_size=n))
+        codes = draw(st.lists(st.sampled_from(causes), min_size=n, max_size=n))
+        groups.append((np.array(ticks) / scale, np.array(codes)))
+    if draw(st.booleans()):
+        # the second group starts after every subject of the first has left
+        first_end = groups[0][0].max()
+        groups[1] = (groups[1][0] + first_end + 1.0, groups[1][1])
+    times = np.concatenate([t for t, _ in groups])
+    codes = np.concatenate([c for _, c in groups])
+    group = np.repeat([0, 1], [len(t) for t, _ in groups])
+    return times, codes, group
+
+
+@settings(max_examples=150, deadline=None)
+@given(samples())
+def test_pooled_fit_matches_per_group_reference(data):
+    times, codes, group = data
+    sample = TwoGroupSample(times, codes, group, ("a", "b"))
+    for g, fit in enumerate(sample.fits):
+        ref = reference_fit(times[group == g], codes[group == g])
+        table = fit.table
+        assert table.times.tolist() == ref["times"]
+        assert table.at_risk.tolist() == ref["at_risk"]
+        assert table.events_interest.tolist() == ref["d1"]
+        assert table.events_competing.tolist() == ref["d2"]
+        assert table.n_total == int((group == g).sum())
+        assert table.last_observed == times[group == g].max()
+        knots = [i for i, d in enumerate(ref["d1"]) if d > 0]
+        assert fit.cif.times.tolist() == [ref["times"][i] for i in knots]
+        np.testing.assert_allclose(fit.cif.values, [ref["cif"][i] for i in knots],
+                                   rtol=0, atol=TOL)
+        np.testing.assert_allclose(fit.cif.variances,
+                                   [ref["variance"][i] for i in knots], rtol=0, atol=TOL)
+        if not (codes[group == g] == EventCode.COMPETING).any() and len(table):
+            # single cause: CIF = 1 - KM bitwise, also in the pooled fit
+            km = km_overall(table)
+            assert np.array_equal(fit.cif.values, 1.0 - km.values[table.events_interest > 0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(samples(), st.floats(0.1, 1.5))
+def test_partial_process_matches_reference(data, reach):
+    times, codes, group = data
+    sample = TwoGroupSample(times, codes, group, ("a", "b"))
+    refs = [reference_fit(times[group == g], codes[group == g]) for g in (0, 1)]
+    tau = reach * (float(times.max()) + 1.0)
+    grid = sorted({t for ref in refs for t in ref["times"] if t < tau})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # tau may lie beyond one group's data
+        if not grid:
+            with pytest.raises(DegenerateDataError, match="before tau"):
+                partial_process(sample, tau)
+            return
+        proc = partial_process(sample, tau)
+    assert proc.times.tolist() == grid
+    widths = np.diff(grid + [tau])
+    assert proc.widths.tolist() == widths.tolist()
+
+    def at(ref, key):
+        knots = [i for i, d in enumerate(ref["d1"]) if d > 0]
+        return np.array([step_at([ref["times"][i] for i in knots],
+                                 [ref[key][i] for i in knots], t) for t in grid])
+
+    values = np.cumsum((at(refs[1], "cif") - at(refs[0], "cif")) * widths)
+    np.testing.assert_allclose(proc.values, values, rtol=0, atol=TOL)
+    np.testing.assert_allclose(proc.var_first, at(refs[0], "variance"), rtol=0, atol=TOL)
+    np.testing.assert_allclose(proc.var_second, at(refs[1], "variance"), rtol=0, atol=TOL)
+    # the pooled rows hold each group's own step function by right-continuity
+    for fit, var, row in zip(sample.fits, (proc.var_first, proc.var_second),
+                             sample.pooled.values):
+        assert np.array_equal(var, fit.cif.variance_at(proc.times))
+        assert np.array_equal(row[:len(grid)], fit.cif.value_at(proc.times))

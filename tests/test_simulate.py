@@ -25,7 +25,13 @@ from rmtlkit import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from rmtlkit.simulate import _CALIBRATION_DRAWS, _CALIBRATION_SEED, resolve_censoring
+from rmtlkit import simulate
+from rmtlkit.simulate import (
+    _CALIBRATION_DRAWS,
+    _CALIBRATION_SEED,
+    _replicate,
+    resolve_censoring,
+)
 
 
 def exponential_cif(mass=0.7, scale=2.0):
@@ -156,8 +162,8 @@ class TestExactInverse:
 class TestSampling:
     def test_deterministic_given_rng_state(self):
         g = tiny_scenario().groups[0]
-        t1, c1 = sample_events(g, np.random.default_rng(5))
-        t2, c2 = sample_events(g, np.random.default_rng(5))
+        t1, c1 = sample_events(g, np.random.default_rng(5).random((2, g.n)))
+        t2, c2 = sample_events(g, np.random.default_rng(5).random((2, g.n)))
         assert np.array_equal(t1, t2) and np.array_equal(c1, c2)
 
     def test_cause_mix_matches_mass(self):
@@ -166,13 +172,13 @@ class TestSampling:
             competing=exponential_cif(mass=0.3, scale=2.5),
             n=2,
         )
-        times, codes = sample_events(g, np.random.default_rng(6), n=200_000)
+        times, codes = sample_events(g, np.random.default_rng(6).random((2, 200_000)))
         assert np.mean(codes == 1) == pytest.approx(0.7, abs=0.005)
         assert np.all(times > 0) and np.all(np.isfinite(times))
 
     def test_empirical_cdf_matches_law(self):
         g = tiny_scenario().groups[0]
-        times, codes = sample_events(g, np.random.default_rng(7), n=200_000)
+        times, codes = sample_events(g, np.random.default_rng(7).random((2, 200_000)))
         interest = times[codes == 1]
         for q in (0.25, 0.5, 0.75):
             expected = g.interest.inverse_cdf(np.array([q]))[0]
@@ -183,7 +189,7 @@ class TestSampling:
         rng = np.random.default_rng(8)
         times = np.full(1000, 1.0)
         codes = np.ones(1000, dtype=int)
-        observed, new_codes = apply_censoring(times, codes, 2.0, rng)
+        observed, new_codes = apply_censoring(times, codes, 2.0, rng.random(1000))
         censored = new_codes == 0
         assert np.all(observed[censored] < 1.0)
         assert np.all(observed[~censored] == 1.0)
@@ -196,8 +202,8 @@ class TestCalibration:
         scn = tiny_scenario(censoring=CensoringSpec(target=0.3))
         b1, b2 = calibrate_censoring(scn, 0.3)
         rng = np.random.default_rng(9)
-        times, codes = sample_events(scn.groups[0], rng, n=200_000)
-        _, new_codes = apply_censoring(times, codes, b1, rng)
+        times, codes = sample_events(scn.groups[0], rng.random((2, 200_000)))
+        _, new_codes = apply_censoring(times, codes, b1, rng.random(200_000))
         assert np.mean(new_codes == 0) == pytest.approx(0.3, abs=0.01)
         assert b2 > 0
 
@@ -210,7 +216,7 @@ class TestCalibration:
                 rng = np.random.default_rng(
                     np.random.SeedSequence(entropy=_CALIBRATION_SEED, spawn_key=(g,))
                 )
-                t, _ = sample_events(group, rng, _CALIBRATION_DRAWS)
+                t, _ = sample_events(group, rng.random((2, _CALIBRATION_DRAWS)))
 
                 def rate(c):
                     return float(np.mean(np.minimum(t, c)) / c)
@@ -245,6 +251,27 @@ class TestCalibration:
     def test_deterministic(self):
         scn = tiny_scenario(censoring=CensoringSpec(target=0.25))
         assert calibrate_censoring(scn, 0.25) == calibrate_censoring(scn, 0.25)
+
+    def test_bounds_are_kept_per_laws_and_target(self, monkeypatch):
+        calibration_draws = []
+        original = simulate.sample_events
+
+        def counted(group, u):
+            if u.shape[-1] == _CALIBRATION_DRAWS:
+                calibration_draws.append(group)
+            return original(group, u)
+
+        monkeypatch.setattr(simulate, "sample_events", counted)
+        law = exponential_cif(mass=0.6, scale=1.7)  # used by no other test
+        g = GroupSpec(interest=law, competing=exponential_cif(mass=0.4), n=30)
+        scn = ScenarioSpec(groups=(g, g), censoring=CensoringSpec(target=0.35))
+        first = observed_power_at_n(scn, 40, ["diff"], reps=2, seed=19)
+        assert len(calibration_draws) == 2
+        second = observed_power_at_n(scn, 60, ["diff"], reps=2, seed=19)
+        assert len(calibration_draws) == 2
+        assert second.censoring_bounds == first.censoring_bounds
+        calibrate_censoring(scn, 0.2)  # another target calibrates again
+        assert len(calibration_draws) == 4
 
 
 class TestMonteCarlo:
@@ -287,6 +314,44 @@ class TestMonteCarlo:
                           "rate": 0.39, "mc_se": 0.03448912872196107},
             },
         }
+
+    def test_frozen_regression_censored(self):
+        # pins the censoring stream: one uniform per subject after its cause
+        # and time draws, scaled by the calibrated bound
+        scn = dataclasses.replace(load_shipped_scenario("a_null"),
+                                  censoring=CensoringSpec(target=0.3))
+        rep = run_monte_carlo(scn, reps=200, seed=7, workers=2)
+        assert rep.to_dict() == {
+            "scenario_label": "null: identical groups",
+            "reps": 200,
+            "degenerate_reps": 0,
+            "seed": 7,
+            "alpha": 0.05,
+            "rho": 0.5,
+            "tau_rule": "min over groups of the last observed event-of-interest time",
+            "censoring_bounds": [6.897491320863044, 6.887922490768906],
+            "methods": {
+                "diff": {"rejections": 17, "valid_reps": 200, "degenerate_reps": 0,
+                         "rate": 0.085, "mc_se": 0.01971991379291502},
+                "sdiff": {"rejections": 9, "valid_reps": 200, "degenerate_reps": 0,
+                          "rate": 0.045, "mc_se": 0.014658615214269049},
+            },
+        }
+
+    def test_replication_draws_once(self, monkeypatch):
+        calls = []
+        original = np.random.Generator.random
+
+        class Counted(np.random.Generator):
+            def random(self, *args, **kwargs):
+                calls.append(args)
+                return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(simulate.np.random, "default_rng",
+                            lambda seed: Counted(np.random.PCG64(seed)))
+        scn = tiny_scenario(n=20, censoring=CensoringSpec(bound=3.0))
+        assert _replicate(scn, 0, 5, resolve_censoring(scn)) is not None
+        assert calls == [(3 * 40,)]
 
     def test_different_seeds_differ(self):
         a = run_monte_carlo(tiny_scenario(), ["diff"], reps=40, seed=1)

@@ -10,7 +10,7 @@ from .brownian import (
     sup_abs_bm_quantile,
     sup_abs_bm_sf,
 )
-from .cif import GroupFit, PooledFit, StepFunction, cif_estimate, km_overall
+from .cif import PooledFit, StepFunction, cif_estimate, km_overall
 from .data_model import (
     EventCode,
     RiskTable,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import EventCode, RiskTable, _tabulate, build_risk_table
+from .data_model import EventCode, RiskTable, _tabulate
 from .errors import DataValidationError
 
 
@@ -33,25 +33,6 @@ class StepFunction:
     variances: np.ndarray
     value_before_first: float
     last_observed: float
-
-    def value_at(self, t):
-        """Evaluate by right-continuity: value at the largest knot <= t."""
-        idx = np.searchsorted(self.times, t, side="right") - 1
-        return self._pick(self.values, idx, self.value_before_first)
-
-    def variance_at(self, t):
-        idx = np.searchsorted(self.times, t, side="right") - 1
-        return self._pick(self.variances, idx, 0.0)
-
-    def _pick(self, arr, idx, before):
-        idx = np.asarray(idx)
-        if len(arr) == 0:
-            out = np.full(idx.shape, before, dtype=float)
-        else:
-            out = np.where(idx >= 0, arr[np.clip(idx, 0, None)], before)
-        if out.ndim == 0:
-            return float(out)
-        return out
 
 
 def _survival(n, d):
@@ -125,46 +106,24 @@ def cif_estimate(rt: RiskTable, cause: EventCode) -> StepFunction:
 
 
 @dataclass(frozen=True)
-class GroupFit:
-    """One group's risk table and CIF of the event of interest.
-
-    Every statistic of a two-group sample reads these, so each group is
-    fitted once (``TwoGroupSample.fits``, views of ``TwoGroupSample.pooled``).
-    """
-
-    table: RiskTable
-    cif: StepFunction
-
-    @classmethod
-    def from_arrays(cls, times, codes) -> "GroupFit":
-        """Fit one group from its observed times and status codes."""
-        table = build_risk_table(times, codes)
-        return cls(table=table, cif=cif_estimate(table, EventCode.INTEREST))
-
-
-@dataclass(frozen=True)
 class PooledFit:
-    """Risk tables and interest CIFs of several groups on one pooled grid.
+    """Interest CIFs of several groups, also held on one pooled grid.
 
     ``times`` holds the distinct event times (either cause) of all groups
-    together; every other array but ``n_total`` and ``last_observed`` has
-    one row per group and one column per pooled time. Where a group has no
-    event its KM factor is 1 and its CIF increment 0, both exact in
-    floating point, so each group's values at its own event times equal
-    its one-group fit bitwise. ``values`` and ``variances`` are each
-    group's interest CIF and its Aalen variance evaluated by
-    right-continuity at every pooled time (0 before the group's first
-    event of interest).
+    together. ``values`` and ``variances`` have one row per group and one
+    column per pooled time: each group's interest CIF and its Aalen
+    variance evaluated by right-continuity there (0 before the group's
+    first event of interest). Where a group has no event its KM factor is 1
+    and its CIF increment 0, both exact in floating point, so ``cifs``, each
+    group's CIF with knots at its own events of interest, equal its
+    one-group fit bitwise. ``n_total`` holds the group sizes.
     """
 
     times: np.ndarray
-    at_risk: np.ndarray
-    events_interest: np.ndarray
-    events_competing: np.ndarray
     values: np.ndarray
     variances: np.ndarray
+    cifs: tuple[StepFunction, ...]
     n_total: np.ndarray
-    last_observed: np.ndarray
 
     @classmethod
     def from_arrays(cls, times, codes, group, n_groups: int) -> "PooledFit":
@@ -175,28 +134,14 @@ class PooledFit:
         # The CIF's variance is that of its last knot, an event of interest
         # (the Aalen variance moves at competing events too, by rounding
         # only): read it through a 1-based index of that knot, 0 for none.
-        knot = np.arange(1, len(times) + 1) * (counts[1] > 0)
+        is_knot = counts[1] > 0
+        knot = np.arange(1, len(times) + 1) * is_knot
         np.maximum.accumulate(knot, axis=-1, out=knot)
         padded = np.concatenate((np.zeros((n_groups, 1)), var), axis=-1)
         var = padded[np.arange(n_groups)[:, None], knot]
-        at_risk, d1, d2 = counts
-        return cls(times, at_risk, d1, d2, inc, var, n_total, last)
-
-    def group_fits(self) -> tuple[GroupFit, ...]:
-        """Each group's risk table (on its own event times) and interest CIF
-        (with knots at its own events of interest)."""
-        own = (self.events_interest + self.events_competing) > 0
-        knots = self.events_interest > 0
-        fits = []
-        for g, last in enumerate(self.last_observed.tolist()):
-            rows, k = own[g], knots[g]
-            table = RiskTable(self.times[rows], self.at_risk[g][rows],
-                              self.events_interest[g][rows],
-                              self.events_competing[g][rows], int(self.n_total[g]), last)
-            cif = StepFunction(self.times[k], self.values[g][k], self.variances[g][k],
-                               0.0, last)
-            fits.append(GroupFit(table, cif))
-        return tuple(fits)
+        cifs = tuple(StepFunction(times[k], inc[g][k], var[g][k], 0.0, float(last[g]))
+                     for g, k in enumerate(is_knot))
+        return cls(times, inc, var, cifs, n_total)
 
 
 def _aalen_variance(n, d, dj, s_prev, inc):

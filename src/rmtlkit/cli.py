@@ -12,7 +12,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .cif import cif_estimate, km_overall
-from .data_model import EventCode, parse_dataset, read_text
+from .data_model import EventCode, build_risk_table, parse_dataset, read_text
 from .design import DesignInput, pilot_parameters, sample_size_diff, sample_size_sdiff
 from .errors import DataValidationError, ExtrapolationWarning, NumericError, RmtlError
 from .inference import TestMethod, diff_test, sdiff_test
@@ -177,21 +177,24 @@ def cmd_estimate(args) -> str:
 
     groups = []
     any_competing = bool(np.any(sample.codes == EventCode.COMPETING))
-    for label, fit, est in zip(sample.groups, sample.fits, diff.per_group):
+    for g, (label, cif, est) in enumerate(zip(sample.groups, sample.pooled.cifs,
+                                               diff.per_group)):
         lo, hi = rmtl_ci(est, args.alpha)
+        rows = sample.group == g
+        table = build_risk_table(sample.times[rows], sample.codes[rows])
         groups.append(
             {
                 "label": label,
-                "n": fit.table.n_total,
+                "n": est.n,
                 "rmtl": est.value,
                 "variance": est.variance,
                 "ci": [lo, hi],
-                "rmtl_competing": rmtl(cif_estimate(fit.table, EventCode.COMPETING), tau),
-                "rmstc": rmstc(km_overall(fit.table), tau),
+                "rmtl_competing": rmtl(cif_estimate(table, EventCode.COMPETING), tau),
+                "rmstc": rmstc(km_overall(table), tau),
                 "cif": {
-                    "times": fit.cif.times.tolist(),
-                    "values": fit.cif.values.tolist(),
-                    "variances": fit.cif.variances.tolist(),
+                    "times": cif.times.tolist(),
+                    "values": cif.values.tolist(),
+                    "variances": cif.variances.tolist(),
                 },
             }
         )
@@ -329,7 +332,7 @@ def cmd_samplesize(args) -> str:
                 pp = pilot_parameters(pilot_sample, float(tau))
                 inp = DesignInput(delta=pp.delta, var1=pp.var1, var2=pp.var2,
                                   ratio=args.ratio, alpha=args.alpha,
-                                  power=args.power, tau=float(tau))
+                                  power=args.power)
                 for name, entry in _designs(inp, methods, args.eps).items():
                     row[name] = entry["n_total"]
             except RmtlError as exc:
@@ -356,12 +359,10 @@ def cmd_samplesize(args) -> str:
         payload["pilot"] = {"delta": pp.delta, "var1": pp.var1, "var2": pp.var2,
                             "tau": pp.tau}
         inp = DesignInput(delta=pp.delta, var1=pp.var1, var2=pp.var2,
-                          ratio=args.ratio, alpha=args.alpha, power=args.power,
-                          tau=tau)
+                          ratio=args.ratio, alpha=args.alpha, power=args.power)
     else:
         inp = DesignInput(delta=args.delta, var1=args.var1, var2=args.var2,
-                          ratio=args.ratio, alpha=args.alpha, power=args.power,
-                          tau=args.tau)
+                          ratio=args.ratio, alpha=args.alpha, power=args.power)
         payload["inputs"] = {"delta": args.delta, "var1": args.var1,
                              "var2": args.var2}
     payload["results"] = _designs(inp, methods, args.eps)
@@ -442,6 +443,8 @@ def main(argv=None) -> int:
             )
         if args.sweep is not None and args.pilot is None:
             parser.error("--sweep requires --pilot (tau-dependent inputs)")
+        if args.tau is not None and (args.pilot is None or args.sweep is not None):
+            parser.error("--tau needs --pilot and no --sweep (the sweep sets tau)")
     with warnings.catch_warnings(record=True) as caught:
         if getattr(args, "strict_tau", False):
             warnings.simplefilter("error", ExtrapolationWarning)

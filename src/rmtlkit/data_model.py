@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DataValidationError
 
 if TYPE_CHECKING:
-    from .cif import GroupFit, PooledFit
+    from .cif import PooledFit
 
 
 class EventCode(IntEnum):
@@ -56,7 +56,7 @@ class TwoGroupSample:
     ``group`` the index (0 or 1) into ``groups``. ``groups`` fixes the group
     order: differences are always computed as group 2 minus group 1, so the
     order determines the sign of the effect. The arrays are copied and made
-    read-only, so the cached per-group ``fits`` cannot go stale.
+    read-only, so the cached ``pooled`` fit cannot go stale.
     """
 
     times: np.ndarray
@@ -101,16 +101,11 @@ class TwoGroupSample:
 
     @cached_property
     def pooled(self) -> PooledFit:
-        """Both groups' risk tables and interest CIFs on the pooled event
-        times, built in one pass on first use."""
+        """Both groups' interest CIFs, fitted in one pass on the pooled
+        event times on first use; every statistic of the sample reads it."""
         from .cif import PooledFit  # cif imports this module
 
         return PooledFit.from_arrays(self.times, self.codes, self.group, 2)
-
-    @cached_property
-    def fits(self) -> tuple[GroupFit, GroupFit]:
-        """Each group's risk table and interest CIF, as views of ``pooled``."""
-        return self.pooled.group_fits()
 
     @cached_property
     def _differences(self) -> dict:

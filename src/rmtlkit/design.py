@@ -31,7 +31,6 @@ class DesignInput:
     ratio: float = 1.0
     alpha: float = 0.05
     power: float = 0.8
-    tau: float | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.delta) and self.delta != 0.0):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .cif import GroupFit, StepFunction
+from .cif import StepFunction
 from .data_model import TwoGroupSample
 from .errors import DataValidationError, DegenerateDataError, ExtrapolationWarning
 
@@ -87,18 +87,19 @@ def rmtl_ci(est: RmtlEstimate, alpha: float = 0.05) -> tuple[float, float]:
     return max(est.value - half, 0.0), min(est.value + half, est.tau)
 
 
-def rmtl_estimate(fit: GroupFit, tau: float) -> RmtlEstimate:
-    """RMTL of the event of interest for one fitted group.
+def rmtl_estimate(cif: StepFunction, n: int, tau: float) -> RmtlEstimate:
+    """RMTL of the event of interest for one group of ``n`` subjects, from
+    that group's CIF.
 
     The per-subject plug-in variance is 2*tau*int(I) - 2*int(t*I) - int(I)^2,
     both integrals exact over the step function; rounding residue is
     clipped at zero.
     """
-    tau, area, area_t = _areas(fit.cif, tau)
+    tau, area, area_t = _areas(cif, tau)
     return RmtlEstimate(
         value=area,
         variance=max(2.0 * tau * area - 2.0 * area_t - area * area, 0.0),
-        n=fit.table.n_total,
+        n=int(n),
         tau=tau,
     )
 
@@ -110,15 +111,17 @@ def rmtl_difference(
 ) -> RmtlDifference:
     """RMTL difference (group 2 minus group 1) with its delta-method SE.
 
-    Computed once per sample and tau: a repeated call (the Diff and sDiff
-    tests of one sample) returns the same object without integrating or
-    checking tau again. ``require_events``: a group with no event of
-    interest before tau is degenerate.
+    Integrated once per sample and tau: a repeated call (the Diff and sDiff
+    tests of one sample) checks tau against each group again and returns
+    the same object. ``require_events``: a group with no event of interest
+    before tau is degenerate.
     """
+    cifs = sample.pooled.cifs
     known = isinstance(tau, (int, float))  # a hashable key; _check_tau rejects the rest
     diff = sample._differences.get(tau) if known else None
     if diff is None:
-        first, second = (rmtl_estimate(fit, tau) for fit in sample.fits)
+        first, second = (rmtl_estimate(cif, n, tau)
+                         for cif, n in zip(cifs, sample.pooled.n_total))
         diff = RmtlDifference(
             delta=second.value - first.value,
             se=math.sqrt(first.variance / first.n + second.variance / second.n),
@@ -128,9 +131,12 @@ def rmtl_difference(
         )
         if known:
             sample._differences[tau] = diff
+    else:
+        for cif in cifs:
+            _check_tau(cif, tau)
     if require_events:
-        for label, fit in zip(sample.groups, sample.fits):
-            if not (fit.cif.times.size and fit.cif.times[0] < diff.tau):
+        for label, cif in zip(sample.groups, cifs):
+            if not (cif.times.size and cif.times[0] < diff.tau):
                 raise DegenerateDataError(
                     f"group {label!r} has no events of interest before tau"
                 )
@@ -140,12 +146,12 @@ def rmtl_difference(
 def default_tau(sample: TwoGroupSample) -> float:
     """Truncation time rule: min over groups of the last event of interest."""
     last = []
-    for label, fit in zip(sample.groups, sample.fits):
-        if len(fit.cif.times) == 0:
+    for label, cif in zip(sample.groups, sample.pooled.cifs):
+        if len(cif.times) == 0:
             raise DegenerateDataError(
                 f"group {label!r} has no events of interest; tau rule undefined"
             )
-        last.append(float(fit.cif.times[-1]))
+        last.append(float(cif.times[-1]))
     if min(last) == 0.0:
         raise DegenerateDataError(
             f"group {sample.groups[last.index(0.0)]!r} has its last event of "

@@ -142,8 +142,10 @@ class CensoringSpec:
             raise DataValidationError(
                 f"censoring target must be in [0, 0.9], got {self.target!r}"
             )
-        if self.bound is not None and not self.bound > 0:
-            raise DataValidationError(f"censoring bound must be > 0, got {self.bound!r}")
+        if self.bound is not None and not (math.isfinite(self.bound) and self.bound > 0):
+            raise DataValidationError(
+                f"censoring bound must be finite and > 0, got {self.bound!r}"
+            )
 
     @property
     def none_requested(self) -> bool:

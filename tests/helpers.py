@@ -95,6 +95,22 @@ def reference_fit(times, codes):
             "variance": variance}
 
 
+def value_at(fn, t):
+    """Right-continuous evaluation of StepFunction ``fn`` at ``t`` (a scalar
+    or an array): the value at the largest knot <= t."""
+    return _at(fn.times, fn.values, fn.value_before_first, t)
+
+
+def variance_at(fn, t):
+    """Pointwise variance of StepFunction ``fn`` at ``t``, 0 before its first knot."""
+    return _at(fn.times, fn.variances, 0.0, t)
+
+
+def _at(knots, values, before, t):
+    padded = np.concatenate(([before], values))
+    return padded[np.searchsorted(knots, t, side="right")]
+
+
 def step_at(knots, values, t, before=0.0):
     """Right-continuous evaluation of a step function given by lists."""
     out = before

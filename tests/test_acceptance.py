@@ -20,7 +20,6 @@ from rmtlkit import (
     CensoringSpec,
     DesignInput,
     EventCode,
-    GroupFit,
     build_risk_table,
     cif_estimate,
     km_overall,
@@ -44,7 +43,7 @@ from rmtlkit.brownian import (
 from rmtlkit.cli import main as cli_main
 from rmtlkit.simulate import _replicate, resolve_censoring
 
-from helpers import random_arrays
+from helpers import random_arrays, value_at, variance_at
 
 SEED = 20260817
 
@@ -105,25 +104,24 @@ def test_02_single_cause_reduction():
 
 def test_03_variance_formula_example():
     # one subject lost to the cause at t=1 (of 3), follow-up to t=3
-    hand = GroupFit.from_arrays(np.array([1.0, 2.0, 3.0]), np.array([1, 2, 0]))
+    hand = cif_estimate(build_risk_table([1.0, 2.0, 3.0], [1, 2, 0]), EventCode.INTEREST)
     tau = 3.0
-    value = rmtl(hand.cif, tau)
-    var = rmtl_estimate(hand, tau).variance
+    value = rmtl(hand, tau)
+    var = rmtl_estimate(hand, 3, tau).variance
     ok_hand = abs(value - 2.0 / 3.0) < 1e-12 and abs(var - 8.0 / 9.0) < 1e-12
 
     # cross-check both step integrals against adaptive quadrature
     worst = 0.0
     rng = np.random.default_rng(SEED + 2)
-    random_fit = GroupFit.from_arrays(*random_arrays(rng, 40))
-    for fit, t_max in ((hand, tau), (random_fit, 0.9 * random_fit.cif.last_observed)):
-        f = fit.cif
+    random_cif = cif_estimate(build_risk_table(*random_arrays(rng, 40)), EventCode.INTEREST)
+    for f, n, t_max in ((hand, 3, tau), (random_cif, 40, 0.9 * random_cif.last_observed)):
         pts = [t for t in f.times if t < t_max]
-        a_quad = quad(lambda t: float(f.value_at(t)), 0.0, t_max,
+        a_quad = quad(lambda t: float(value_at(f, t)), 0.0, t_max,
                       points=pts, limit=200, epsabs=1e-13, epsrel=1e-13)[0]
-        b_quad = quad(lambda t: t * float(f.value_at(t)), 0.0, t_max,
+        b_quad = quad(lambda t: t * float(value_at(f, t)), 0.0, t_max,
                       points=pts, limit=200, epsabs=1e-13, epsrel=1e-13)[0]
         a = rmtl(f, t_max)
-        b = (2.0 * t_max * a - a * a - rmtl_estimate(fit, t_max).variance) / 2.0
+        b = (2.0 * t_max * a - a * a - rmtl_estimate(f, n, t_max).variance) / 2.0
         worst = max(worst, abs(a_quad - a), abs(b_quad - b))
     report(3, "variance formula hand example and quadrature cross-check",
            ok_hand and worst < 1e-10,
@@ -170,9 +168,9 @@ def test_06_variance_oracle_ratios(null_scenario):
             d = rmtl_difference(sample, tau)
             deltas.append(d.delta)
             plugin.append(d.se ** 2)
-            cif = sample.fits[0].cif
-            cif_vals.append(float(cif.value_at(t_star)))
-            cif_vars.append(float(cif.variance_at(t_star)))
+            cif = sample.pooled.cifs[0]
+            cif_vals.append(float(value_at(cif, t_star)))
+            cif_vars.append(float(variance_at(cif, t_star)))
     ratio_delta = float(np.mean(plugin) / np.var(deltas, ddof=1))
     ratio_cif = float(np.mean(cif_vars) / np.var(cif_vals, ddof=1))
     ok = 0.85 <= ratio_delta <= 1.15 and 0.85 <= ratio_cif <= 1.15
@@ -293,7 +291,7 @@ def test_09_design_self_consistency():
         tau_star = typical_tau(n_guess)
         delta, v1, v2 = true_params(tau_star)
         inp = DesignInput(delta=delta, var1=v1, var2=v2, ratio=1.0,
-                          alpha=0.05, power=0.8, tau=tau_star)
+                          alpha=0.05, power=0.8)
         res_d = sample_size_diff(inp)
         res_s = sample_size_sdiff(inp)
         new_guess = res_s.n_total // 2

@@ -51,7 +51,7 @@ class TestEstimate:
         assert payload["command"] == "estimate"
         assert [g["label"] for g in payload["groups"]] == list(sample.groups)
         g = payload["groups"][0]
-        est = rmtl_estimate(sample.fits[0], payload["tau"])
+        est = rmtl_estimate(sample.pooled.cifs[0], g["n"], payload["tau"])
         assert g["rmtl"] == pytest.approx(est.value, rel=1e-12)
         assert g["ci"][0] <= g["rmtl"] <= g["ci"][1]
         assert len(g["cif"]["times"]) == len(g["cif"]["values"])
@@ -169,8 +169,8 @@ class TestHypothesisTests:
         assert "p-value" in out and "reject H0" in out
 
 
-def extrapolation_message(tau_text, fit):
-    return (f"tau={tau_text} exceeds the last observed time {fit.table.last_observed:g}; "
+def extrapolation_message(tau_text, cif):
+    return (f"tau={tau_text} exceeds the last observed time {cif.last_observed:g}; "
             "the step function is constant-extrapolated beyond the data")
 
 
@@ -182,7 +182,7 @@ class TestTauBeyondData:
         rc, out, err = run(capsys, argv)
         assert rc == 0
         assert err.splitlines() == [
-            f"warning: {extrapolation_message('1e+06', fit)}" for fit in sample.fits
+            f"warning: {extrapolation_message('1e+06', cif)}" for cif in sample.pooled.cifs
         ]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -195,7 +195,7 @@ class TestTauBeyondData:
         rc, out, err = run(capsys, [command, "--input", str(path), "--tau", "1e6",
                                     "--strict-tau"])
         assert (rc, out) == (3, "")
-        assert err == f"error: {extrapolation_message('1e+06', sample.fits[0])}\n"
+        assert err == f"error: {extrapolation_message('1e+06', sample.pooled.cifs[0])}\n"
 
     def test_strict_tau_sweep_rows_report_their_own_errors(self, capsys, dataset):
         path, sample = dataset
@@ -204,7 +204,7 @@ class TestTauBeyondData:
         assert (rc, err) == (0, "")
         first, last = json.loads(out)["sweep"]
         assert "diff" in first and "error" not in first
-        assert last["error"] == extrapolation_message("1001", sample.fits[0])
+        assert last["error"] == extrapolation_message("1001", sample.pooled.cifs[0])
 
 
 class TestSampleSize:
@@ -235,7 +235,7 @@ class TestSampleSize:
                                   "2:2:1", "--eps", "0.3", "--format", "json"])
         assert rc == 0
         pp = pilot_parameters(sample, 2.0)
-        inp = DesignInput(delta=pp.delta, var1=pp.var1, var2=pp.var2, tau=2.0)
+        inp = DesignInput(delta=pp.delta, var1=pp.var1, var2=pp.var2)
         assert json.loads(out)["sweep"][0]["sdiff"] == \
             sample_size_sdiff(inp, eps=0.3).n_total
 
@@ -249,6 +249,18 @@ class TestSampleSize:
             main(["samplesize", "--delta", "1", "--var1", "4", "--var2", "4",
                   "--sweep", "1:5:1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("extra", [
+        ["--delta", "1", "--var1", "4", "--var2", "4"],
+        ["--pilot", "pilot.csv", "--sweep", "1:5:1"],
+    ])
+    def test_tau_without_a_pilot_tau_is_usage_error(self, capsys, extra):
+        # only a single pilot design reads --tau: the explicit inputs hold
+        # no tau, and the sweep sets its own
+        with pytest.raises(SystemExit) as exc:
+            main(["samplesize", "--tau", "2"] + extra)
+        assert exc.value.code == 2
+        assert "--tau needs --pilot and no --sweep" in capsys.readouterr().err
 
     def test_pilot_inputs(self, capsys, dataset):
         path, _ = dataset
@@ -381,6 +393,17 @@ class TestSimulate:
         rc, _, err = run(capsys, ["simulate", "--input", str(path), "--reps", "2"])
         assert rc == 3
         assert str(path) in err and "byte offset 14" in err
+
+    @pytest.mark.parametrize("bound", ["Infinity", "1e999", "NaN"])
+    def test_non_finite_censoring_bound_is_a_data_error(self, capsys, tmp_path, bound):
+        scenario = json.loads(shipped_scenario_path("a_null").read_text(encoding="utf-8"))
+        text = json.dumps(scenario)[:-1] + f', "censoring": {{"c": {bound}}}}}'
+        path = tmp_path / "scenario.json"
+        path.write_text(text, encoding="utf-8")
+        rc, out, err = run(capsys, ["simulate", "--input", str(path), "--reps", "2",
+                                    "--format", "json"])
+        assert (rc, out) == (3, "")
+        assert "'censoring'" in err and "finite" in err
 
     def test_invalid_json_scenario(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -101,7 +101,7 @@ class TestTwoGroupSample:
         sample = TwoGroupSample.from_records(recs)
         assert sample.groups == ("b", "a")
         assert sample.group.tolist() == [0, 1]
-        assert [f.table.n_total for f in sample.fits] == [1, 1]
+        assert sample.pooled.n_total.tolist() == [1, 1]
 
     def test_reference_override(self):
         recs = make_records([(1.0, 1)], "b") + make_records([(2.0, 1)], "a")
@@ -127,7 +127,7 @@ class TestTwoGroupSample:
         assert sample.group.tolist() == [0] * 20 + [1] * 30
         assert sample.times.tolist() == [r.time for r in recs]
         assert sample.codes.tolist() == [int(r.event) for r in recs]
-        assert [f.table.n_total for f in sample.fits] == [20, 30]
+        assert sample.pooled.n_total.tolist() == [20, 30]
 
     @pytest.mark.parametrize(
         "times, codes, group, groups",
@@ -158,9 +158,9 @@ class TestTwoGroupSample:
 
     def test_fits_are_built_once(self):
         sample = TwoGroupSample([1.0, 2.0, 3.0], [1, 0, 1], [0, 1, 1], ("a", "b"))
-        assert sample.fits is sample.fits
-        assert sample.fits[1].table.n_total == 2
-        assert sample.fits[1].cif.times.tolist() == [3.0]
+        assert sample.pooled is sample.pooled
+        assert sample.pooled.n_total[1] == 2
+        assert sample.pooled.cifs[1].times.tolist() == [3.0]
 
 
 class TestParseDataset:

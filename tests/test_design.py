@@ -156,7 +156,7 @@ class TestPilotParameters:
         sample = sample_with_events(62, n1=80, n2=80)
         tau = default_tau(sample)
         pp = pilot_parameters(sample, tau)
-        inp = DesignInput(delta=pp.delta, var1=pp.var1, var2=pp.var2, tau=pp.tau)
+        inp = DesignInput(delta=pp.delta, var1=pp.var1, var2=pp.var2)
         assert sample_size_sdiff(inp).n_total >= sample_size_diff(inp).n_total
 
     @pytest.mark.parametrize("tau", [1.0, 3.0])

@@ -1,7 +1,8 @@
 """One fit per sample: every statistic of a sample reads the same pooled
 fit of both groups, however many statistics or truncation times it is
-asked for; and the two tests share one difference, so a replication checks
-tau and integrates once per group."""
+asked for, and no risk table is built for a replication; and the two tests
+share one difference, so a replication integrates once per group (and
+checks tau once per group per test)."""
 
 import json
 import sys
@@ -9,7 +10,14 @@ import sys
 import pytest
 
 import rmtlkit
-from rmtlkit import PooledFit, default_tau, diff_test, load_shipped_scenario, sdiff_test
+from rmtlkit import (
+    PooledFit,
+    RiskTable,
+    default_tau,
+    diff_test,
+    load_shipped_scenario,
+    sdiff_test,
+)
 from rmtlkit.cli import main
 from rmtlkit.simulate import _replicate
 
@@ -92,7 +100,23 @@ def test_one_replication_integrates_each_group_once_per_test(monkeypatch):
     tau = default_tau(sample)
     diff_test(sample, tau)
     sdiff_test(sample, tau)
-    assert calls == {"_areas": 2, "_check_tau": 2}
+    assert calls == {"_areas": 2, "_check_tau": 4}
+
+
+def test_one_replication_builds_no_risk_table(monkeypatch):
+    original = RiskTable.__init__
+    tables = []
+
+    def counted(self, *args, **kwargs):
+        tables.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(RiskTable, "__init__", counted)
+    sample = _replicate(load_shipped_scenario("a_null"), 0, 5, None)
+    tau = default_tau(sample)
+    diff_test(sample, tau)
+    sdiff_test(sample, tau)
+    assert len(tables) == 0
 
 
 def test_sweep_fits_the_pilot_once(risk_table_calls, capsys, tmp_path):

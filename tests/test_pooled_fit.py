@@ -1,7 +1,8 @@
 """The pooled fit of a two-group sample against per-group plain-loop
-references: risk tables, interest CIFs, Aalen variances and the sDiff
-partial process, on tied, censored, single-cause and non-overlapping
-samples (where one group's rows have no one at risk)."""
+references: interest CIFs, Aalen variances and the sDiff partial process,
+with each group's one-group risk table and CIF, on tied, censored,
+single-cause and non-overlapping samples (where one group's rows have no
+one at risk)."""
 
 import warnings
 
@@ -14,11 +15,13 @@ from rmtlkit import (
     DegenerateDataError,
     EventCode,
     TwoGroupSample,
+    build_risk_table,
+    cif_estimate,
     km_overall,
     partial_process,
 )
 
-from helpers import reference_fit, step_at
+from helpers import reference_fit, step_at, value_at, variance_at
 
 TOL = 1e-12
 
@@ -49,25 +52,29 @@ def samples(draw):
 def test_pooled_fit_matches_per_group_reference(data):
     times, codes, group = data
     sample = TwoGroupSample(times, codes, group, ("a", "b"))
-    for g, fit in enumerate(sample.fits):
+    for g, cif in enumerate(sample.pooled.cifs):
         ref = reference_fit(times[group == g], codes[group == g])
-        table = fit.table
+        table = build_risk_table(times[group == g], codes[group == g])
         assert table.times.tolist() == ref["times"]
         assert table.at_risk.tolist() == ref["at_risk"]
         assert table.events_interest.tolist() == ref["d1"]
         assert table.events_competing.tolist() == ref["d2"]
-        assert table.n_total == int((group == g).sum())
-        assert table.last_observed == times[group == g].max()
+        assert table.n_total == sample.pooled.n_total[g] == int((group == g).sum())
+        assert table.last_observed == cif.last_observed == times[group == g].max()
         knots = [i for i, d in enumerate(ref["d1"]) if d > 0]
-        assert fit.cif.times.tolist() == [ref["times"][i] for i in knots]
-        np.testing.assert_allclose(fit.cif.values, [ref["cif"][i] for i in knots],
+        assert cif.times.tolist() == [ref["times"][i] for i in knots]
+        np.testing.assert_allclose(cif.values, [ref["cif"][i] for i in knots],
                                    rtol=0, atol=TOL)
-        np.testing.assert_allclose(fit.cif.variances,
+        np.testing.assert_allclose(cif.variances,
                                    [ref["variance"][i] for i in knots], rtol=0, atol=TOL)
+        # the pooled fit equals the one-group fit bitwise
+        one = cif_estimate(table, EventCode.INTEREST)
+        for field in ("times", "values", "variances"):
+            assert np.array_equal(getattr(cif, field), getattr(one, field))
         if not (codes[group == g] == EventCode.COMPETING).any() and len(table):
             # single cause: CIF = 1 - KM bitwise, also in the pooled fit
             km = km_overall(table)
-            assert np.array_equal(fit.cif.values, 1.0 - km.values[table.events_interest > 0])
+            assert np.array_equal(cif.values, 1.0 - km.values[table.events_interest > 0])
 
 
 @settings(max_examples=150, deadline=None)
@@ -99,7 +106,7 @@ def test_partial_process_matches_reference(data, reach):
     np.testing.assert_allclose(proc.var_first, at(refs[0], "variance"), rtol=0, atol=TOL)
     np.testing.assert_allclose(proc.var_second, at(refs[1], "variance"), rtol=0, atol=TOL)
     # the pooled rows hold each group's own step function by right-continuity
-    for fit, var, row in zip(sample.fits, (proc.var_first, proc.var_second),
+    for cif, var, row in zip(sample.pooled.cifs, (proc.var_first, proc.var_second),
                              sample.pooled.values):
-        assert np.array_equal(var, fit.cif.variance_at(proc.times))
-        assert np.array_equal(row[:len(grid)], fit.cif.value_at(proc.times))
+        assert np.array_equal(var, variance_at(cif, proc.times))
+        assert np.array_equal(row[:len(grid)], value_at(cif, proc.times))

@@ -1,4 +1,5 @@
-"""Every exported callable is used by the package itself.
+"""Every exported callable, and every public method and property of an
+exported class, is used by the package itself.
 
 A public name that no code in ``src/`` calls is surface to document, test
 and keep compatible without a use, so it is deleted rather than exported.
@@ -6,7 +7,9 @@ The few deliberate exceptions are listed with their reason.
 """
 
 import ast
+from functools import cached_property
 from pathlib import Path
+from types import FunctionType
 
 import rmtlkit
 
@@ -15,6 +18,10 @@ PACKAGE = Path(rmtlkit.__file__).parent
 UNUSED_BY_DESIGN = {
     "SubjectRecord": "the benchmark's trace wraps TwoGroupSample.from_records",
     "load_shipped_scenario": "documented entry point for the packaged scenarios",
+}
+METHODS_UNUSED_BY_DESIGN = {
+    "TwoGroupSample.from_records": "a span target of the benchmark's trace",
+    "PiecewiseWeibullCif.cif": "a scenario's true CIF, the oracle of acceptance tests",
 }
 
 
@@ -39,6 +46,42 @@ def references_outside_own_definition() -> set[str]:
     return found
 
 
+def attributes_read_outside_own_method() -> set[str]:
+    """Attribute names read anywhere in the package, except inside a
+    function or method of the same name."""
+    found = set()
+
+    def visit(node, own):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            own = node.name
+        elif isinstance(node, ast.Attribute) and node.attr != own:
+            found.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, own)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def exported_methods() -> set[str]:
+    """``Class.name`` of each public method and property that an exported
+    class of the package defines itself."""
+    kinds = (FunctionType, property, cached_property, classmethod, staticmethod)
+    found = set()
+    for name in rmtlkit.__all__:
+        cls = getattr(rmtlkit, name)
+        if isinstance(cls, type) and cls.__module__.startswith("rmtlkit."):
+            found.update(f"{name}.{attr}" for attr, value in vars(cls).items()
+                         if not attr.startswith("_") and isinstance(value, kinds))
+    return found
+
+
+def unused_methods() -> set[str]:
+    read = attributes_read_outside_own_method()
+    return {m for m in exported_methods() if m.split(".")[1] not in read}
+
+
 def exported_callables() -> set[str]:
     return {name for name in rmtlkit.__all__ if callable(getattr(rmtlkit, name))}
 
@@ -53,3 +96,12 @@ def test_exceptions_are_exported_and_still_unused():
     used = references_outside_own_definition()
     assert set(UNUSED_BY_DESIGN) <= exported_callables()
     assert not set(UNUSED_BY_DESIGN) & used
+
+
+def test_every_public_method_is_used_in_the_package():
+    unused = unused_methods() - set(METHODS_UNUSED_BY_DESIGN)
+    assert not unused, f"public but unused in src/: {sorted(unused)}"
+
+
+def test_method_exceptions_exist_and_are_still_unused():
+    assert set(METHODS_UNUSED_BY_DESIGN) <= unused_methods()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,19 +10,21 @@ from rmtlkit import (
     DegenerateDataError,
     EventCode,
     ExtrapolationWarning,
-    GroupFit,
     SubjectRecord,
     TwoGroupSample,
+    build_risk_table,
     cif_estimate,
     default_tau,
+    diff_test,
     km_overall,
     rmstc,
     rmtl,
     rmtl_ci,
     rmtl_difference,
     rmtl_estimate,
+    sdiff_test,
 )
-from helpers import columns, random_records, sample_with_events, swap_groups
+from helpers import columns, random_records, sample_with_events, swap_groups, value_at
 
 
 def three_subject_records(group="g"):
@@ -29,12 +32,16 @@ def three_subject_records(group="g"):
     return [SubjectRecord(t, EventCode(e), group) for t, e in spec]
 
 
-def fit_of(records):
-    return GroupFit.from_arrays(*columns(records))
+def table_of(records):
+    return build_risk_table(*columns(records))
 
 
 def cif_of(records):
-    return fit_of(records).cif
+    return cif_estimate(table_of(records), EventCode.INTEREST)
+
+
+def estimate_of(records, tau):
+    return rmtl_estimate(cif_of(records), len(records), tau)
 
 
 class TestPointEstimates:
@@ -46,15 +53,15 @@ class TestPointEstimates:
 
     def test_example_variance(self):
         # 2*tau*A - 2*B - A^2 with A = 2/3, B = t-weighted area 4/3
-        got = rmtl_estimate(fit_of(three_subject_records()), 3.0).variance
+        got = estimate_of(three_subject_records(), 3.0).variance
         assert got == pytest.approx(8 / 9, abs=1e-12)
 
     def test_example_rmstc(self):
-        km = km_overall(fit_of(three_subject_records()).table)
+        km = km_overall(table_of(three_subject_records()))
         assert rmstc(km, 3.0) == pytest.approx(2.0, abs=1e-15)
 
     def test_decomposition_sums_to_tau(self):
-        rt = fit_of(three_subject_records()).table
+        rt = table_of(three_subject_records())
         tau = 3.0
         total = (
             rmtl(cif_estimate(rt, EventCode.INTEREST), tau)
@@ -69,7 +76,7 @@ class TestPointEstimates:
         fn = cif_of(recs)
         tau = float(fn.last_observed)
         knots = [t for t in fn.times if t < tau]
-        area = quad(fn.value_at, 0.0, tau, points=knots, limit=200)[0]
+        area = quad(lambda t: value_at(fn, t), 0.0, tau, points=knots, limit=200)[0]
         assert rmtl(fn, tau) == pytest.approx(area, abs=1e-10)
 
     def test_monotone_in_tau(self):
@@ -83,8 +90,8 @@ class TestPointEstimates:
         assert rmtl(cif_of(scaled), 30.0) == pytest.approx(
             10.0 * rmtl(cif_of(recs), 3.0), rel=1e-14
         )
-        assert rmtl_estimate(fit_of(scaled), 30.0).variance == pytest.approx(
-            100.0 * rmtl_estimate(fit_of(recs), 3.0).variance, rel=1e-12
+        assert estimate_of(scaled, 30.0).variance == pytest.approx(
+            100.0 * estimate_of(recs, 3.0).variance, rel=1e-12
         )
 
     def test_tau_before_first_event(self):
@@ -102,42 +109,50 @@ class TestTauHandling:
             rmtl(cif_of(three_subject_records()), 5.0)
 
     def test_extrapolation_strict_raises(self):
-        import warnings
-
         with warnings.catch_warnings():
             warnings.simplefilter("error", ExtrapolationWarning)
             with pytest.raises(DataValidationError, match="last observed"):
                 rmtl(cif_of(three_subject_records()), 5.0)
 
     def test_tau_at_last_observed_is_silent(self):
-        import warnings
-
         with warnings.catch_warnings():
             warnings.simplefilter("error", ExtrapolationWarning)
             rmtl(cif_of(three_subject_records()), 3.0)
 
+    def test_repeated_statistic_checks_tau_again(self):
+        # the second and third statistics reuse the first one's integrals,
+        # but a filter turned to "error" in between must still raise
+        sample = sample_with_events(45)
+        with pytest.warns(ExtrapolationWarning):
+            diff_test(sample, 1e6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ExtrapolationWarning)
+            for statistic in (rmtl_difference, diff_test, sdiff_test):
+                with pytest.raises(DataValidationError, match="last observed"):
+                    statistic(sample, 1e6)
+
 
 class TestConfidenceInterval:
     def test_ci_brackets_and_clips(self):
-        est = rmtl_estimate(fit_of(three_subject_records()), 3.0)
+        est = estimate_of(three_subject_records(), 3.0)
         lo, hi = rmtl_ci(est, alpha=0.05)
         assert 0.0 <= lo <= est.value <= hi <= 3.0
 
     def test_ci_width_shrinks_with_alpha(self):
-        est = rmtl_estimate(fit_of(three_subject_records()), 3.0)
+        est = estimate_of(three_subject_records(), 3.0)
         lo1, hi1 = rmtl_ci(est, alpha=0.05)
         lo2, hi2 = rmtl_ci(est, alpha=0.2)
         assert (hi2 - lo2) < (hi1 - lo1)
 
     def test_half_width_formula(self):
-        est = rmtl_estimate(fit_of(three_subject_records()), 3.0)
+        est = estimate_of(three_subject_records(), 3.0)
         lo, hi = rmtl_ci(est, alpha=0.1)
         half = 1.6448536269514722 * math.sqrt(est.variance / est.n)
         assert hi == pytest.approx(min(est.value + half, 3.0), abs=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 2.0])
     def test_alpha_validated(self, alpha):
-        est = rmtl_estimate(fit_of(three_subject_records()), 3.0)
+        est = estimate_of(three_subject_records(), 3.0)
         with pytest.raises(DataValidationError):
             rmtl_ci(est, alpha=alpha)
 

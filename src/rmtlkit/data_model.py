@@ -170,7 +170,8 @@ def _tabulate(times, codes, group, n_groups: int):
     with events first: a subject censored at t is still at risk for events
     at t.
     """
-    order = times.argsort(kind="stable")
+    # counts are summed by bincount, so the order within tied times is free
+    order = times.argsort()
     t = times[order]
     first = np.empty(len(t), dtype=bool)  # each distinct time's first row
     first[0] = False  # set after counting, so that the first time has index 0
@@ -251,7 +252,13 @@ def parse_dataset(text: str, reference: str | None = None) -> TwoGroupSample:
         raise DataValidationError("empty input")
     delimiter = "\t" if ("\t" in first and "," not in first) else ","
     reader = csv.reader(io.StringIO(text), delimiter=delimiter)
-    column = {name.strip(): k for k, name in enumerate(next(reader))}
+    # the reader raises csv.Error on a row it cannot split, such as one
+    # with a field over its size limit
+    try:
+        header = next(reader)
+    except csv.Error as exc:
+        raise DataValidationError(f"header: {exc}") from None
+    column = {name.strip(): k for k, name in enumerate(header)}
     missing = [c for c in _REQUIRED_COLUMNS if c not in column]
     if missing:
         raise DataValidationError(f"missing required column(s): {', '.join(missing)}")
@@ -259,28 +266,32 @@ def parse_dataset(text: str, reference: str | None = None) -> TwoGroupSample:
     width = max(t_col, s_col, g_col) + 1
 
     times, codes, labels = [], [], []
-    for i, row in enumerate(filter(None, reader), start=1):
-        if len(row) < width:
-            row += [""] * (width - len(row))
-        try:
-            time = float(row[t_col].strip())
-        except ValueError:
-            raise DataValidationError(f"row {i}: unparseable time {row[t_col]!r}")
-        if not (math.isfinite(time) and time >= 0):
-            raise DataValidationError(
-                f"row {i}: time must be finite and nonnegative, got {time!r}"
-            )
-        code = _STATUS_CODES.get(row[s_col].strip())
-        if code is None:
-            raise DataValidationError(
-                f"row {i}: unknown status code {row[s_col].strip()!r}"
-            )
-        group = row[g_col].strip()
-        if not group:
-            raise DataValidationError(f"row {i}: empty group label")
-        times.append(time)
-        codes.append(code)
-        labels.append(group)
+    i = 0
+    try:
+        for i, row in enumerate(filter(None, reader), start=1):
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            try:
+                time = float(row[t_col].strip())
+            except ValueError:
+                raise DataValidationError(f"row {i}: unparseable time {row[t_col]!r}")
+            if not (math.isfinite(time) and time >= 0):
+                raise DataValidationError(
+                    f"row {i}: time must be finite and nonnegative, got {time!r}"
+                )
+            code = _STATUS_CODES.get(row[s_col].strip())
+            if code is None:
+                raise DataValidationError(
+                    f"row {i}: unknown status code {row[s_col].strip()!r}"
+                )
+            group = row[g_col].strip()
+            if not group:
+                raise DataValidationError(f"row {i}: empty group label")
+            times.append(time)
+            codes.append(code)
+            labels.append(group)
+    except csv.Error as exc:  # reading the row after row i
+        raise DataValidationError(f"row {i + 1}: {exc}") from None
     if not times:
         raise DataValidationError("no data rows found")
     return _from_columns(times, codes, labels, reference)

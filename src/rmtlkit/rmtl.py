@@ -8,6 +8,8 @@ step-function integrals, never quadrature, so results are bit-stable.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -17,6 +19,8 @@ from scipy.special import ndtri
 from .cif import StepFunction
 from .data_model import TwoGroupSample
 from .errors import DataValidationError, DegenerateDataError, ExtrapolationWarning
+
+_PACKAGE = os.path.dirname(__file__) + os.sep
 
 
 @dataclass(frozen=True)
@@ -44,14 +48,23 @@ def _check_tau(fn: StepFunction, tau: float) -> float:
     if not (isinstance(tau, (int, float)) and math.isfinite(tau)) or tau <= 0:
         raise DataValidationError(f"tau must be a positive finite number, got {tau!r}")
     if tau > fn.last_observed:
-        # stacklevel 4: past _areas and the public function, to its caller
         warnings.warn(
             f"tau={tau:g} exceeds the last observed time {fn.last_observed:g}; "
             "the step function is constant-extrapolated beyond the data",
             ExtrapolationWarning,
-            stacklevel=4,
+            stacklevel=_outside_package(),
         )
     return float(tau)
+
+
+def _outside_package() -> int:
+    """``stacklevel`` of the first calling frame outside this package, for a
+    warning raised by this module's caller: public functions reach the
+    check through different depths of the package's own calls."""
+    frame, level = sys._getframe(1), 1
+    while frame.f_back is not None and frame.f_code.co_filename.startswith(_PACKAGE):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def _areas(fn: StepFunction, tau: float) -> tuple[float, float, float]:

@@ -13,9 +13,12 @@ import dataclasses
 import functools
 import json
 import math
+import os
+import threading
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from multiprocessing import util as mp_util
 from pathlib import Path
 
 import numpy as np
@@ -339,6 +342,39 @@ def _run_block(scn, methods, start, stop, seed, alpha, rho, eps, bounds):
     return skipped, tallies
 
 
+# The pool kept between studies: (id of the process that made it, worker
+# count, executor, its exit finalizer), or None. The lock is held while a
+# study gets the pool and submits its blocks, so one thread never replaces
+# a pool that another is submitting to; a replaced pool still finishes the
+# blocks submitted to it.
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _worker_pool(workers: int) -> ProcessPoolExecutor:
+    """This process's pool of ``workers`` worker processes, kept for the
+    next study. It is made again when the worker count changes, when it is
+    broken (a worker died), and in a forked child, whose inherited pool
+    belongs to the parent and is left alone. Call with ``_pool_lock`` held.
+    """
+    global _pool
+    if _pool is not None:
+        pid, size, pool, stop = _pool
+        if pid == os.getpid():
+            if size == workers and not pool._broken:
+                return pool
+            stop()  # joins the pool's thread, so none is alive at the next fork
+        _pool = None
+    pool = ProcessPoolExecutor(max_workers=workers)
+    # A multiprocessing child joins its own children (these workers) at exit
+    # before the concurrent.futures exit hook would end them, so the pool is
+    # shut down by a finalizer that runs first: priority above the 10 of the
+    # call queue's feeder thread, which the shutdown still needs.
+    stop = mp_util.Finalize(None, pool.shutdown, exitpriority=100)
+    _pool = (os.getpid(), workers, pool, stop)
+    return pool
+
+
 def _normalize_methods(methods) -> tuple[TestMethod, ...]:
     if isinstance(methods, (str, TestMethod)):
         methods = [methods]
@@ -364,7 +400,9 @@ def run_monte_carlo(
     making the report deterministic for any worker count. tau is chosen
     per replication as the minimum over groups of the last observed event
     of interest; replications where a group has none are excluded from the
-    rate denominator and reported separately.
+    rate denominator and reported separately. With ``workers > 1`` the
+    replications run on a pool of worker processes that is kept for the
+    next study in this process with the same worker count.
     """
     if reps < 1:
         raise DataValidationError(f"reps must be >= 1, got {reps}")
@@ -378,16 +416,22 @@ def run_monte_carlo(
     else:
         n_blocks = min(workers * 4, reps)
         edges = np.linspace(0, reps, n_blocks + 1, dtype=int)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    _run_block, scn, methods, int(a), int(b), seed, alpha, rho, eps,
-                    bounds,
-                )
-                for a, b in zip(edges[:-1], edges[1:])
-                if b > a
-            ]
+        futures = []
+        try:
+            with _pool_lock:
+                pool = _worker_pool(workers)
+                for a, b in zip(edges[:-1], edges[1:]):
+                    if b > a:
+                        futures.append(pool.submit(
+                            _run_block, scn, methods, int(a), int(b), seed, alpha, rho,
+                            eps, bounds,
+                        ))
             blocks = [f.result() for f in futures]
+        finally:
+            # after an error or an interrupt, the blocks not yet started are
+            # dropped, so the next study does not wait behind them
+            for f in futures:
+                f.cancel()
 
     skipped = sum(b[0] for b in blocks)
     summaries = []

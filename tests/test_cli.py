@@ -114,6 +114,15 @@ class TestEstimate:
         assert out == ""
         assert str(path) in err and "byte offset 25" in err
 
+    def test_field_over_the_csv_limit_is_a_data_error(self, capsys, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text("time,status,group\n1,1,a\n2,1," + "b" * 131073 + "\n",
+                        encoding="utf-8")
+        rc, out, err = run(capsys, ["estimate", "--input", str(path)])
+        assert rc == 3
+        assert out == ""
+        assert err == "error: row 2: field larger than field limit (131072)\n"
+
     def test_reference_group_reorders(self, capsys, dataset):
         path, sample = dataset
         other = sample.groups[1]

@@ -76,6 +76,15 @@ class TestRiskTable:
         assert np.array_equal(base.at_risk, other.at_risk)
         assert np.array_equal(base.events_interest, other.events_interest)
         assert np.array_equal(base.events_competing, other.events_competing)
+        # the pooled fit of a tied, censored two-group sample: bitwise equal
+        group = rng.integers(0, 2, len(times))
+        first = TwoGroupSample(times, codes, group, ("a", "b")).pooled
+        second = TwoGroupSample(times[perm], codes[perm], group[perm], ("a", "b")).pooled
+        for name in ("times", "values", "variances"):
+            assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
+        for cif, other_cif in zip(first.cifs, second.cifs):
+            for name in ("times", "values", "variances"):
+                assert getattr(cif, name).tobytes() == getattr(other_cif, name).tobytes()
 
     def test_at_risk_decreasing_and_consistent(self):
         rng = np.random.default_rng(8)
@@ -201,6 +210,15 @@ class TestParseDataset:
         text = "time,status,group\n1,1,a\noops,1,b\n"
         with pytest.raises(DataValidationError, match="row 2"):
             parse_dataset(text)
+
+    def test_field_over_the_csv_limit_names_row(self):
+        # the csv module refuses a field longer than 131072 characters; the
+        # blank line is not counted
+        text = "time,status,group\n1,1,a\n\n2,1," + "b" * 131073 + "\n"
+        with pytest.raises(DataValidationError, match="^row 2: field larger"):
+            parse_dataset(text)
+        with pytest.raises(DataValidationError, match="^header: field larger"):
+            parse_dataset("time,status,group" + "x" * 131073 + "\n1,1,a\n")
 
     def test_reference_flag(self):
         text = "time,status,group\n1,1,a\n2,1,b\n"

@@ -17,6 +17,7 @@ from rmtlkit import (
     default_tau,
     diff_test,
     km_overall,
+    pilot_parameters,
     rmstc,
     rmtl,
     rmtl_ci,
@@ -130,6 +131,29 @@ class TestTauHandling:
             for statistic in (rmtl_difference, diff_test, sdiff_test):
                 with pytest.raises(DataValidationError, match="last observed"):
                     statistic(sample, 1e6)
+
+    @pytest.mark.parametrize("entry", ["rmtl", "rmstc", "rmtl_estimate", "rmtl_difference",
+                                       "diff_test", "sdiff_test", "pilot_parameters"])
+    def test_extrapolation_warning_names_the_callers_file(self, entry):
+        # each entry point reaches the tau check through its own depth of
+        # package frames, and a repeated statistic through a kept difference
+        sample = sample_with_events(46)
+        cif = sample.pooled.cifs[0]
+        calls = {
+            "rmtl": lambda: rmtl(cif, 1e6),
+            "rmstc": lambda: rmstc(km_overall(table_of(three_subject_records())), 1e6),
+            "rmtl_estimate": lambda: rmtl_estimate(cif, 30, 1e6),
+            "rmtl_difference": lambda: rmtl_difference(sample, 1e6),
+            "diff_test": lambda: diff_test(sample, 1e6),
+            "sdiff_test": lambda: sdiff_test(sample, 1e6),
+            "pilot_parameters": lambda: pilot_parameters(sample, 1e6),
+        }
+        for _ in range(2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                calls[entry]()
+            assert caught
+            assert {w.filename for w in caught} == {__file__}
 
 
 class TestConfidenceInterval:

@@ -36,30 +36,23 @@ class StepFunction:
 
 
 def _survival(n, d):
-    """All-cause Kaplan-Meier survival at every row, along the last axis.
-
-    A row without events gets the factor 1, which is exact, so extra rows
-    never move the product. That includes rows where no one is at risk
-    (n = 0, a pooled row after a group has ended): dividing by max(n, 1)
-    gives them hazard 0 and leaves every other row's hazard d / n.
-    """
-    return (1.0 - d / np.maximum(n, 1.0)).cumprod(axis=-1)
+    """All-cause Kaplan-Meier survival at every risk-table row (n >= 1 there)."""
+    return (1.0 - d / n).cumprod()
 
 
-def _incidence(n, d, dj):
-    """CIF of one cause and its Aalen variance at every row, along the last
-    axis, from at-risk counts n, all-cause events d and cause events dj."""
+def _incidence(n, dj, dk):
+    """CIF of one cause and its Aalen variance at every risk-table row, from
+    at-risk counts n and the events dj of that cause and dk of the other."""
+    d = dj + dk
     surv = _survival(n, d)
-    s_prev = np.empty_like(surv)  # survival just before each row
-    s_prev[..., :1] = 1.0
-    s_prev[..., 1:] = surv[..., :-1]
-    inc = (dj / np.maximum(n, 1.0) * s_prev).cumsum(axis=-1)
+    s_prev = np.concatenate(([1.0], surv))[:-1]  # survival just before each row
     # Single-cause data: the estimator collapses algebraically to the
     # Kaplan-Meier complement. Computing it that way keeps the identity
     # I_1 = 1 - KM exact in floating point, not just to rounding.
-    single = np.logical_and.reduce(d == dj, axis=-1, keepdims=True)
-    if single.any():
-        inc = np.where(single, 1.0 - surv, inc)
+    if dk.any():
+        inc = (dj / n * s_prev).cumsum()
+    else:
+        inc = 1.0 - surv
     return inc, _aalen_variance(n, d, dj, s_prev, inc)
 
 
@@ -89,12 +82,9 @@ def cif_estimate(rt: RiskTable, cause: EventCode) -> StepFunction:
     """
     if cause not in (EventCode.INTEREST, EventCode.COMPETING):
         raise DataValidationError("cause must be Interest or Competing")
+    other = EventCode.COMPETING if cause == EventCode.INTEREST else EventCode.INTEREST
     dj = rt.events(cause).astype(float)
-    inc, var = _incidence(
-        rt.at_risk.astype(float),
-        (rt.events_interest + rt.events_competing).astype(float),
-        dj,
-    )
+    inc, var = _incidence(rt.at_risk.astype(float), dj, rt.events(other).astype(float))
     mask = dj > 0
     return StepFunction(
         times=rt.times[mask],
@@ -109,14 +99,14 @@ def cif_estimate(rt: RiskTable, cause: EventCode) -> StepFunction:
 class PooledFit:
     """Interest CIFs of several groups, also held on one pooled grid.
 
-    ``times`` holds the distinct event times (either cause) of all groups
-    together. ``values`` and ``variances`` have one row per group and one
-    column per pooled time: each group's interest CIF and its Aalen
-    variance evaluated by right-continuity there (0 before the group's
-    first event of interest). Where a group has no event its KM factor is 1
-    and its CIF increment 0, both exact in floating point, so ``cifs``, each
-    group's CIF with knots at its own events of interest, equal its
-    one-group fit bitwise. ``n_total`` holds the group sizes.
+    ``cifs`` holds each group's interest CIF with knots at its own events of
+    interest. Each group is fitted on its own event rows (either cause)
+    only, so its CIF equals its one-group fit bitwise. ``times`` holds the
+    distinct event times (either cause) of all groups together. ``values``
+    and ``variances`` have one row per group and one column per pooled
+    time: each group's CIF and its Aalen variance read from ``cifs`` by
+    right-continuity there (0 before the group's first event of interest).
+    ``n_total`` holds the group sizes.
     """
 
     times: np.ndarray
@@ -129,23 +119,29 @@ class PooledFit:
     def from_arrays(cls, times, codes, group, n_groups: int) -> "PooledFit":
         """Fit every group from all subjects' times, codes and group indices."""
         times, counts, n_total, last = _tabulate(times, codes, group, n_groups)
-        n, dj, d2 = counts.astype(float)
-        inc, var = _incidence(n, dj + d2, dj)
-        # The CIF's variance is that of its last knot, an event of interest
-        # (the Aalen variance moves at competing events too, by rounding
-        # only): read it through a 1-based index of that knot, 0 for none.
         is_knot = counts[1] > 0
-        knot = np.arange(1, len(times) + 1) * is_knot
-        np.maximum.accumulate(knot, axis=-1, out=knot)
-        padded = np.concatenate((np.zeros((n_groups, 1)), var), axis=-1)
-        var = padded[np.arange(n_groups)[:, None], knot]
-        cifs = tuple(StepFunction(times[k], inc[g][k], var[g][k], 0.0, float(last[g]))
-                     for g, k in enumerate(is_knot))
-        return cls(times, inc, var, cifs, n_total)
+        rows = is_knot | (counts[2] > 0)  # each group's own event rows
+        # each pooled time reads the group's CIF and variance at its last
+        # knot at or before it (1-based; 0 reads the 0 before the first), not
+        # at its last row: the Aalen variance moves at competing events too,
+        # by rounding only
+        at = is_knot.cumsum(axis=1)
+        values = np.empty((n_groups, len(times)))
+        variances = np.empty_like(values)
+        cifs = []
+        for g in range(n_groups):
+            n, dj, d2 = counts[:, g].compress(rows[g], axis=1).astype(float)
+            inc, var = _incidence(n, dj, d2)
+            knot = dj > 0
+            cif = StepFunction(times[is_knot[g]], inc[knot], var[knot], 0.0, float(last[g]))
+            values[g] = np.concatenate(([0.0], cif.values))[at[g]]
+            variances[g] = np.concatenate(([0.0], cif.variances))[at[g]]
+            cifs.append(cif)
+        return cls(times, values, variances, tuple(cifs), n_total)
 
 
 def _aalen_variance(n, d, dj, s_prev, inc):
-    """Aalen's variance of the CIF at every risk-table row (last axis).
+    """Aalen's variance of the CIF at every risk-table row.
 
     Written with cumulative sums so the triangular double sums cost O(K):
     sum_k (I_i - I_k)^2 a_k expands to I_i^2 A_i - 2 I_i (aI)_i + (aI^2)_i.

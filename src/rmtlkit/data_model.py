@@ -244,14 +244,15 @@ def parse_dataset(text: str, reference: str | None = None) -> TwoGroupSample:
     and extra columns are ignored; when a name repeats, its last column is
     used. Blank lines are skipped and not counted in row numbers. ``status``
     must be 0 (censored), 1 (event of interest), or 2 (competing event). A
-    leading UTF-8 byte order mark is ignored.
+    leading UTF-8 byte order mark is ignored. Lines may end in ``\n``,
+    ``\r\n`` or a bare ``\r``.
     """
     text = text.removeprefix("\ufeff")
-    first = io.StringIO(text).readline()
+    first = io.StringIO(text, newline=None).readline()
     if not first.strip():
         raise DataValidationError("empty input")
     delimiter = "\t" if ("\t" in first and "," not in first) else ","
-    reader = csv.reader(io.StringIO(text), delimiter=delimiter)
+    reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
     # the reader raises csv.Error on a row it cannot split, such as one
     # with a field over its size limit
     try:

@@ -98,10 +98,6 @@ class PiecewiseWeibullCif:
         """Conditional event-time CDF F(t) (mass not applied)."""
         return -np.expm1(-self.cumulative_hazard(t))
 
-    def cif(self, t):
-        """Sub-distribution value mass * F(t)."""
-        return self.mass * self.cdf(t)
-
     def inverse_cdf(self, u):
         """Invert F exactly: t = H^-1(-log(1 - u)) on the segment holding it."""
         u = np.asarray(u, dtype=float)

@@ -95,6 +95,11 @@ def reference_fit(times, codes):
             "variance": variance}
 
 
+def true_cif(law, t):
+    """True sub-distribution mass * F(t) of a ``PiecewiseWeibullCif`` law."""
+    return law.mass * law.cdf(t)
+
+
 def value_at(fn, t):
     """Right-continuous evaluation of StepFunction ``fn`` at ``t`` (a scalar
     or an array): the value at the largest knot <= t."""

@@ -43,7 +43,7 @@ from rmtlkit.brownian import (
 from rmtlkit.cli import main as cli_main
 from rmtlkit.simulate import _replicate, resolve_censoring
 
-from helpers import random_arrays, value_at, variance_at
+from helpers import random_arrays, true_cif, value_at, variance_at
 
 SEED = 20260817
 
@@ -149,7 +149,7 @@ def test_05_censoring_inflates_diff_size(null_scenario, null_sizes):
 def test_06_variance_oracle_ratios(null_scenario):
     g = null_scenario.groups[0]
     # population median all-cause event time; fixed evaluation point
-    t_star = brentq(lambda t: g.interest.cif(t) + g.competing.cif(t) - 0.5,
+    t_star = brentq(lambda t: true_cif(g.interest, t) + true_cif(g.competing, t) - 0.5,
                     0.05, 20.0)
     tau = 4.0
     scn = dataclasses.replace(
@@ -268,8 +268,8 @@ def test_09_design_self_consistency():
     def true_params(tau):
         out = []
         for g in (g1, g2):
-            a = quad(lambda t: g.interest.cif(t), 0, tau, limit=200)[0]
-            b = quad(lambda t: t * g.interest.cif(t), 0, tau, limit=200)[0]
+            a = quad(lambda t: true_cif(g.interest, t), 0, tau, limit=200)[0]
+            b = quad(lambda t: t * true_cif(g.interest, t), 0, tau, limit=200)[0]
             out.append((a, 2 * tau * a - 2 * b - a * a))
         (a1, v1), (a2, v2) = out
         return a2 - a1, v1, v2

@@ -220,6 +220,25 @@ class TestParseDataset:
         with pytest.raises(DataValidationError, match="^header: field larger"):
             parse_dataset("time,status,group" + "x" * 131073 + "\n1,1,a\n")
 
+    def test_line_endings(self):
+        # a bare carriage return (classic Mac) ends a line too
+        sample = parse_dataset("time,status,group\r1,1,a\r2,1,b\r")
+        assert sample.times.tolist() == [1.0, 2.0]
+        assert sample.group.tolist() == [0, 1]
+        # the delimiter is sniffed from the first line only
+        text = "time\tstatus\tgroup\r1\t1\ta,x\r2\t1\tb\r"
+        assert parse_dataset(text).groups == ("a,x", "b")
+        lines = ["time,status,group", "1,1,a", "", "2,0,b", "3,1,b"]
+        unix = parse_dataset("\n".join(lines) + "\n")
+        for end in ("\r\n", "\r"):
+            other = parse_dataset(end.join(lines) + end)
+            for field in ("times", "codes", "group"):
+                assert np.array_equal(getattr(other, field), getattr(unix, field))
+            # the blank line is not counted: the bad row is row 4 either way
+            bad = end.join(lines + ["4,9,b"]) + end
+            with pytest.raises(DataValidationError, match="^row 4: unknown status"):
+                parse_dataset(bad)
+
     def test_reference_flag(self):
         text = "time,status,group\n1,1,a\n2,1,b\n"
         assert parse_dataset(text, reference="b").groups == ("b", "a")

@@ -2,8 +2,9 @@
 references: interest CIFs, Aalen variances and the sDiff partial process,
 with each group's one-group risk table and CIF, on tied, censored,
 single-cause and non-overlapping samples (where one group's rows have no
-one at risk)."""
+one at risk), and on one large censored Monte Carlo replication."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -13,13 +14,16 @@ from hypothesis import strategies as st
 
 from rmtlkit import (
     DegenerateDataError,
+    CensoringSpec,
     EventCode,
     TwoGroupSample,
     build_risk_table,
     cif_estimate,
     km_overall,
+    load_shipped_scenario,
     partial_process,
 )
+from rmtlkit.simulate import _replicate, resolve_censoring
 
 from helpers import reference_fit, step_at, value_at, variance_at
 
@@ -28,11 +32,13 @@ TOL = 1e-12
 
 @st.composite
 def samples(draw):
-    """(times, codes, group) of two nonempty groups."""
+    """(times, codes, group) of two nonempty groups, each with its own cause
+    set, so that one group can be single-cause while the other has
+    competing events."""
     scale = draw(st.sampled_from([1.0, 2.0, 4.0, 16.0]))  # small scales tie
-    causes = draw(st.sampled_from([(0, 1, 2), (0, 1), (1,), (1, 2)]))
     groups = []
     for _ in range(2):
+        causes = draw(st.sampled_from([(0, 1, 2), (0, 1), (1,), (1, 2)]))
         n = draw(st.integers(1, 20))
         ticks = draw(st.lists(st.integers(0, 24), min_size=n, max_size=n))
         codes = draw(st.lists(st.sampled_from(causes), min_size=n, max_size=n))
@@ -110,3 +116,25 @@ def test_partial_process_matches_reference(data, reach):
                              sample.pooled.values):
         assert np.array_equal(var, variance_at(cif, proc.times))
         assert np.array_equal(row[:len(grid)], value_at(cif, proc.times))
+
+
+def test_large_censored_replication_matches_one_group_fits():
+    # the Monte Carlo setting of the power studies: n = 1000 per group,
+    # 30% calibrated censoring
+    scn = load_shipped_scenario("f_crossing")
+    scn = dataclasses.replace(
+        scn,
+        groups=tuple(dataclasses.replace(g, n=1000) for g in scn.groups),
+        censoring=CensoringSpec(target=0.3),
+    )
+    sample = _replicate(scn, 0, 11, resolve_censoring(scn))
+    pooled = sample.pooled
+    for g, cif in enumerate(pooled.cifs):
+        times, codes = sample.times[sample.group == g], sample.codes[sample.group == g]
+        one = cif_estimate(build_risk_table(times, codes), EventCode.INTEREST)
+        for field in ("times", "values", "variances", "last_observed"):
+            assert np.array_equal(getattr(cif, field), getattr(one, field))
+        assert pooled.n_total[g] == 1000
+        # the pooled rows read the group's own fit by right-continuity
+        assert np.array_equal(pooled.values[g], value_at(one, pooled.times))
+        assert np.array_equal(pooled.variances[g], variance_at(one, pooled.times))

@@ -21,7 +21,7 @@ UNUSED_BY_DESIGN = {
 }
 METHODS_UNUSED_BY_DESIGN = {
     "TwoGroupSample.from_records": "a span target of the benchmark's trace",
-    "PiecewiseWeibullCif.cif": "a scenario's true CIF, the oracle of acceptance tests",
+    "PiecewiseWeibullCif.cdf": "a scenario's true event-time law, the oracle of tests",
 }
 
 

@@ -33,6 +33,8 @@ from rmtlkit.simulate import (
     resolve_censoring,
 )
 
+from helpers import true_cif
+
 
 def exponential_cif(mass=0.7, scale=2.0):
     return PiecewiseWeibullCif(
@@ -74,7 +76,7 @@ class TestEventLaw:
 
     def test_cif_scales_by_mass(self):
         law = exponential_cif(mass=0.4)
-        assert law.cif(1e9) == pytest.approx(0.4, abs=1e-12)
+        assert true_cif(law, 1e9) == pytest.approx(0.4, abs=1e-12)
 
     def test_inverse_cdf_round_trip(self):
         law = PiecewiseWeibullCif(
@@ -457,7 +459,7 @@ class TestScenarioFiles:
     def test_crossing_scenario_curves_cross(self):
         scn = load_shipped_scenario("f_crossing")
         t = np.linspace(0.05, 9.0, 300)
-        d = scn.groups[1].interest.cif(t) - scn.groups[0].interest.cif(t)
+        d = true_cif(scn.groups[1].interest, t) - true_cif(scn.groups[0].interest, t)
         signs = np.sign(d[np.abs(d) > 1e-9])
         assert len(np.unique(signs)) == 2
 

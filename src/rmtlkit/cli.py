@@ -20,6 +20,7 @@ from .rmtl import default_tau, rmstc, rmtl, rmtl_ci, rmtl_difference
 from .simulate import load_scenario, observed_power_at_n, run_monte_carlo, scenario_to_dict
 
 SCHEMA_VERSION = 1
+_MAX_SWEEP_TAUS = 10_000
 
 
 def _probability(text: str) -> float:
@@ -57,7 +58,8 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
-def _sweep_range(text: str) -> tuple[float, float, float]:
+def _sweep_range(text: str) -> np.ndarray:
+    """The taus start, start + step, ... up to stop, at most _MAX_SWEEP_TAUS."""
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("sweep must be start:stop:step")
@@ -72,7 +74,12 @@ def _sweep_range(text: str) -> tuple[float, float, float]:
         raise argparse.ArgumentTypeError(
             "sweep needs start > 0, step > 0 and stop >= start"
         )
-    return start, stop, step
+    stop += 1e-12 * max(1.0, stop)  # so a stop on the step grid is included
+    count = np.ceil((stop - start) / step)  # the length np.arange gives, inf past floats
+    if count > _MAX_SWEEP_TAUS:
+        raise argparse.ArgumentTypeError(
+            f"sweep {text!r} gives {count:.6g} taus; at most {_MAX_SWEEP_TAUS} are allowed")
+    return np.arange(start, stop, step)
 
 
 # Options that several subcommands take, each declared once.
@@ -323,10 +330,8 @@ def cmd_samplesize(args) -> str:
     }
 
     if args.sweep is not None:
-        start, stop, step = args.sweep
-        taus = np.arange(start, stop + 1e-12 * max(1.0, stop), step)
         rows = []
-        for tau in taus:
+        for tau in args.sweep:
             row = {"tau": float(tau)}
             try:
                 pp = pilot_parameters(pilot_sample, float(tau))

@@ -30,6 +30,7 @@ from .rmtl import default_tau
 
 _CALIBRATION_SEED = 1_000_003
 _CALIBRATION_DRAWS = 100_000
+_CHUNK_UNIFORMS = 1 << 16  # uniforms drawn at once: bounds a block's memory
 
 TAU_RULE = "min over groups of the last observed event-of-interest time"
 
@@ -210,12 +211,13 @@ class SimulationReport:
 
 
 def sample_events(group: GroupSpec, u):
-    """Draw (times, codes) for one group from uniforms ``u`` of shape (2, n):
-    ``u[0]`` picks the cause by the interest mass, ``u[1]`` the time by
-    inverse transform from that cause's conditional CDF."""
+    """Draw (times, codes) for one group from uniforms ``u`` of shape
+    (2, ..., n): ``u[0]`` picks the cause by the interest mass, ``u[1]`` the
+    time by inverse transform from that cause's conditional CDF. Each has
+    the shape ``u[0]`` has, so ``u`` of shape (2, R, n) draws R samples."""
     is_interest = u[0] < group.interest.mass
     is_competing = ~is_interest
-    times = np.empty(len(is_interest), dtype=float)
+    times = np.empty(is_interest.shape, dtype=float)
     if is_interest.any():
         times[is_interest] = group.interest.inverse_cdf(u[1][is_interest])
     if is_competing.any():
@@ -286,39 +288,45 @@ def resolve_censoring(scn: ScenarioSpec) -> tuple[float, float] | None:
     return calibrate_censoring(scn, cen.target)
 
 
-def _replicate(scn, rep, seed, bounds):
-    """Generate one replication's TwoGroupSample, or None when a group has
-    no observed events of interest.
+def _samples(scn, start, stop, seed, bounds):
+    """Yield the TwoGroupSample of each replication in [start, stop), or None
+    when a group has no observed events of interest.
 
-    One draw of uniforms feeds the whole replication: per group in turn, n
-    for the causes, n for the times and, when censored, n for the
-    censoring times.
+    Replication r draws all its uniforms in one call on its own stream
+    (seed, r): per group in turn, n for the causes, n for the times and,
+    when censored, n for the censoring times. Replications are stacked in
+    chunks of at most _CHUNK_UNIFORMS uniforms (or of one replication that
+    alone needs more), each group sampled once per chunk.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
     width = 2 if bounds is None else 3
     sizes = [group.n for group in scn.groups]
-    u = rng.random(width * sum(sizes))
-    times, codes = [], []
-    start = 0
-    for k, (group, n) in enumerate(zip(scn.groups, sizes)):
-        rows = u[start:start + width * n].reshape(width, n)
-        start += width * n
-        t, c = sample_events(group, rows[:2])
-        if bounds is not None:
-            t, c = apply_censoring(t, c, bounds[k], rows[2])
-        if not (c == int(EventCode.INTEREST)).any():  # an int compares faster
-            return None
-        times.append(t)
-        codes.append(c)
-    return TwoGroupSample(np.concatenate(times), np.concatenate(codes),
-                          np.repeat([0, 1], sizes), ("1", "2"))
+    total = width * sum(sizes)
+    group = np.repeat([0, 1], sizes)
+    step = max(1, _CHUNK_UNIFORMS // total)
+    for first in range(start, stop, step):
+        u = np.stack([
+            np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
+            .random(total) for rep in range(first, min(first + step, stop))
+        ])
+        times, codes = [], []
+        parts = np.split(u, [width * sizes[0]], axis=1)
+        for k, (spec, n, part) in enumerate(zip(scn.groups, sizes, parts)):
+            rows = part.reshape(len(u), width, n).swapaxes(0, 1)
+            t, c = sample_events(spec, rows[:2])
+            if bounds is not None:
+                t, c = apply_censoring(t, c, bounds[k], rows[2])
+            times.append(t)
+            codes.append(c)
+        keep = np.all([(c == int(EventCode.INTEREST)).any(axis=-1) for c in codes], axis=0)
+        times, codes = np.concatenate(times, axis=1), np.concatenate(codes, axis=1)
+        for r in range(len(u)):
+            yield TwoGroupSample(times[r], codes[r], group, ("1", "2")) if keep[r] else None
 
 
 def _run_block(scn, methods, start, stop, seed, alpha, rho, eps, bounds):
     skipped = 0
     tallies = {m: [0, 0, 0] for m in methods}  # rejections, valid, degenerate
-    for rep in range(start, stop):
-        sample = _replicate(scn, rep, seed, bounds)
+    for sample in _samples(scn, start, stop, seed, bounds):
         if sample is None:
             skipped += 1
             continue

@@ -41,7 +41,7 @@ from rmtlkit.brownian import (
     solve_crossing_drift,
 )
 from rmtlkit.cli import main as cli_main
-from rmtlkit.simulate import _replicate, resolve_censoring
+from rmtlkit.simulate import _samples, resolve_censoring
 
 from helpers import random_arrays, true_cif, value_at, variance_at
 
@@ -161,8 +161,7 @@ def test_06_variance_oracle_ratios(null_scenario):
     deltas, plugin, cif_vals, cif_vars = [], [], [], []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", rk.ExtrapolationWarning)
-        for r in range(2000):
-            sample = _replicate(scn, r, SEED, bounds)
+        for sample in _samples(scn, 0, 2000, SEED, bounds):
             if sample is None:
                 continue
             d = rmtl_difference(sample, tau)
@@ -280,8 +279,8 @@ def test_09_design_self_consistency():
                               for g in scn.groups)
         )
         bounds = resolve_censoring(probe)
-        taus = [rk.default_tau(s) for r in range(reps)
-                if (s := _replicate(probe, r, 977001, bounds)) is not None]
+        taus = [rk.default_tau(s) for s in _samples(probe, 0, reps, 977001, bounds)
+                if s is not None]
         # upper quartile: a deliberately long horizon, so the designed n
         # errs toward overshooting the power target rather than missing it
         return float(np.percentile(taus, 75))

@@ -13,7 +13,7 @@ from rmtlkit import (
     shipped_scenario_path,
 )
 from rmtlkit.cli import main
-from rmtlkit.simulate import _replicate
+from rmtlkit.simulate import _samples
 
 from helpers import sample_with_events
 
@@ -294,7 +294,7 @@ class TestSampleSize:
             scn,
             groups=tuple(dataclasses.replace(g, n=300) for g in scn.groups),
         )
-        sample = _replicate(scn, 0, 4242, None)
+        sample = next(_samples(scn, 0, 1, 4242, None))
         path = tmp_path / "pilot.csv"
         path.write_text(to_csv(sample), encoding="utf-8")
         rc, out, _ = run(capsys, ["samplesize", "--pilot", str(path),
@@ -331,6 +331,27 @@ class TestSampleSize:
             main(["samplesize", "--pilot", str(path), "--sweep", sweep])
         assert exc.value.code == 2
         assert f"sweep {name} must be finite, got '{value}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sweep, taus", [
+        ("1e-9:1e9:1e-9", "1e+18"),
+        ("1:10001:1", "10001"),
+        ("1e-300:1e300:1e-300", "inf"),
+    ])
+    def test_huge_sweep_is_usage_error(self, capsys, dataset, sweep, taus):
+        path, _ = dataset
+        with pytest.raises(SystemExit) as exc:
+            main(["samplesize", "--pilot", str(path), "--sweep", sweep])
+        assert exc.value.code == 2
+        assert (f"sweep '{sweep}' gives {taus} taus; at most 10000 are allowed"
+                in capsys.readouterr().err)
+
+    def test_largest_sweep_runs(self, capsys, dataset):
+        path, _ = dataset
+        rc, out, _ = run(capsys, ["samplesize", "--pilot", str(path), "--method", "diff",
+                                  "--sweep", "0.0003:3:0.0003", "--format", "json"])
+        assert rc == 0
+        rows = json.loads(out)["sweep"]
+        assert len(rows) == 10_000 and rows[-1]["tau"] == pytest.approx(3.0)
 
 
 class TestSimulate:

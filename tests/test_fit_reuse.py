@@ -19,7 +19,7 @@ from rmtlkit import (
     sdiff_test,
 )
 from rmtlkit.cli import main
-from rmtlkit.simulate import _replicate
+from rmtlkit.simulate import _samples
 
 from helpers import sample_with_events
 
@@ -41,7 +41,7 @@ def risk_table_calls(monkeypatch):
 
 
 def test_one_replication_fits_each_group_once(risk_table_calls):
-    sample = _replicate(load_shipped_scenario("a_null"), 0, 5, None)
+    sample = next(_samples(load_shipped_scenario("a_null"), 0, 1, 5, None))
     tau = default_tau(sample)
     diff_test(sample, tau)
     sdiff_test(sample, tau)
@@ -63,7 +63,7 @@ def pooled_fits(monkeypatch):
 
 
 def test_one_replication_runs_one_pooled_fit(pooled_fits, risk_table_calls):
-    sample = _replicate(load_shipped_scenario("a_null"), 0, 5, None)
+    sample = next(_samples(load_shipped_scenario("a_null"), 0, 1, 5, None))
     tau = default_tau(sample)
     diff_test(sample, tau)
     sdiff_test(sample, tau)
@@ -96,7 +96,7 @@ def test_one_replication_integrates_each_group_once_per_test(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(rmtl_module, name, counted)
-    sample = _replicate(load_shipped_scenario("a_null"), 0, 5, None)
+    sample = next(_samples(load_shipped_scenario("a_null"), 0, 1, 5, None))
     tau = default_tau(sample)
     diff_test(sample, tau)
     sdiff_test(sample, tau)
@@ -112,7 +112,7 @@ def test_one_replication_builds_no_risk_table(monkeypatch):
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(RiskTable, "__init__", counted)
-    sample = _replicate(load_shipped_scenario("a_null"), 0, 5, None)
+    sample = next(_samples(load_shipped_scenario("a_null"), 0, 1, 5, None))
     tau = default_tau(sample)
     diff_test(sample, tau)
     sdiff_test(sample, tau)

@@ -205,14 +205,13 @@ class TestNullConservatismPattern:
         # Both groups share the sustained-difference scenario's group-1 law,
         # so the data satisfy the null; the supremum test should then be the
         # more conservative of the two on nearly every dataset.
-        from rmtlkit.simulate import _replicate, load_shipped_scenario
+        from rmtlkit.simulate import _samples, load_shipped_scenario
 
         scn = load_shipped_scenario("b_proportional")
         g1 = dataclasses.replace(scn.groups[0], n=100)
         scn = dataclasses.replace(scn, groups=(g1, g1))
         wins = total = 0
-        for r in range(100):
-            sample = _replicate(scn, r, 555, None)
+        for sample in _samples(scn, 0, 100, 555, None):
             if sample is None:
                 continue
             tau = default_tau(sample)

@@ -29,7 +29,7 @@ from rmtlkit import simulate
 from rmtlkit.simulate import (
     _CALIBRATION_DRAWS,
     _CALIBRATION_SEED,
-    _replicate,
+    _samples,
     resolve_censoring,
 )
 
@@ -49,6 +49,109 @@ def tiny_scenario(n=30, censoring=CensoringSpec(), mass=0.7):
         n=n,
     )
     return ScenarioSpec(groups=(g, g), censoring=censoring, label="tiny")
+
+
+def replicate_one(scn, rep, seed, bounds):
+    """One replication drawn on its own, group by group: the reference for
+    the block drawer. Its stream is (seed, rep), drawn in one call: per
+    group in turn, n causes, n times and, when censored, n censoring times.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
+    width = 2 if bounds is None else 3
+    sizes = [group.n for group in scn.groups]
+    u = rng.random(width * sum(sizes))
+    times, codes = [], []
+    start = 0
+    for k, (group, n) in enumerate(zip(scn.groups, sizes)):
+        rows = u[start:start + width * n].reshape(width, n)
+        start += width * n
+        t, c = sample_events(group, rows[:2])
+        if bounds is not None:
+            t, c = apply_censoring(t, c, bounds[k], rows[2])
+        if not (c == 1).any():
+            return None
+        times.append(t)
+        codes.append(c)
+    return np.concatenate(times), np.concatenate(codes), np.repeat([0, 1], sizes)
+
+
+def assert_block_matches_one_replication_draws(scn, start, stop, seed):
+    """Draw [start, stop) as one block and compare each replication bitwise
+    with its reference draw; return the number skipped."""
+    bounds = resolve_censoring(scn)
+    block = list(_samples(scn, start, stop, seed, bounds))
+    assert len(block) == stop - start
+    skipped = 0
+    for rep, sample in zip(range(start, stop), block):
+        want = replicate_one(scn, rep, seed, bounds)
+        if want is None:
+            assert sample is None, rep
+            skipped += 1
+            continue
+        assert sample is not None, rep
+        for name, arr in zip(("times", "codes", "group"), want):
+            got = getattr(sample, name)
+            assert got.dtype == arr.dtype and np.array_equal(got, arr), (rep, name)
+        assert sample.groups == ("1", "2")
+    return skipped
+
+
+def resized(scn, n1, n2):
+    return dataclasses.replace(scn, groups=(dataclasses.replace(scn.groups[0], n=n1),
+                                            dataclasses.replace(scn.groups[1], n=n2)))
+
+
+class TestBlockDrawer:
+    @pytest.mark.parametrize("name", SHIPPED_SCENARIOS)
+    @pytest.mark.parametrize("target", [None, 0.45])
+    @pytest.mark.parametrize("split", [None, (30, 70)])
+    def test_matches_one_replication_draws(self, name, target, split):
+        scn = load_shipped_scenario(name)
+        if target is not None:
+            scn = dataclasses.replace(scn, censoring=CensoringSpec(target=target))
+        if split is not None:
+            scn = resized(scn, *split)
+        assert assert_block_matches_one_replication_draws(scn, 3, 40, 7) == 0
+
+    @pytest.mark.parametrize("target", [None, 0.45])
+    def test_a_block_crossing_chunks_matches(self, target):
+        scn = resized(load_shipped_scenario("f_crossing"), 700, 1300)
+        scn = dataclasses.replace(scn, censoring=CensoringSpec(target=target))
+        width = 2 if target is None else 3
+        start, stop = 5, 80
+        # the block spans more than two chunks, and its start is no chunk edge
+        assert (stop - start) * width * 2000 > 2 * simulate._CHUNK_UNIFORMS
+        assert assert_block_matches_one_replication_draws(scn, start, stop, 11) == 0
+
+    def test_skipped_replications_match(self):
+        # interest mass 0.3 in groups of 2: about three in four replications
+        # have a group without an event of interest
+        scn = tiny_scenario(n=2, mass=0.3)
+        skipped = assert_block_matches_one_replication_draws(scn, 0, 200, 21)
+        assert 0 < skipped < 200
+        scn = dataclasses.replace(scn, censoring=CensoringSpec(bound=1.0))
+        skipped = assert_block_matches_one_replication_draws(scn, 0, 200, 21)
+        assert 0 < skipped < 200
+
+    def test_a_long_block_is_sampled_in_bounded_chunks(self, monkeypatch):
+        seen = []
+        original = simulate.sample_events
+
+        def counted(group, u):
+            seen.append(u.shape)
+            return original(group, u)
+
+        monkeypatch.setattr(simulate, "sample_events", counted)
+        # 100 reps of 500 + 500 subjects: drawn unchunked, one group's
+        # causes and times alone would be 10^5 uniforms
+        scn = tiny_scenario(n=500)
+        rep = run_monte_carlo(scn, ["diff"], reps=100, seed=23, workers=1)
+        assert rep.reps == 100
+        assert max(math.prod(shape) for shape in seen) <= simulate._CHUNK_UNIFORMS
+        # each chunk samples group 1 then group 2, and the chunks cover every rep
+        assert [shape[2] for shape in seen] == [500, 500] * (len(seen) // 2)
+        assert sum(shape[1] for shape in seen[::2]) == 100
+        assert len(seen) > 2
 
 
 class TestEventLaw:
@@ -340,6 +443,29 @@ class TestMonteCarlo:
             },
         }
 
+    def test_frozen_regression_unequal_groups(self):
+        # 50/100 split: the groups' uniforms sit at different offsets of
+        # each replication's draw and have different lengths
+        scn = dataclasses.replace(load_shipped_scenario("c_nonproportional"),
+                                  censoring=CensoringSpec(target=0.3))
+        rep = observed_power_at_n(scn, 150, reps=200, seed=7, ratio=2, workers=2)
+        assert rep.to_dict() == {
+            "scenario_label": "non-proportional difference",
+            "reps": 200,
+            "degenerate_reps": 0,
+            "seed": 7,
+            "alpha": 0.05,
+            "rho": 0.5,
+            "tau_rule": "min over groups of the last observed event-of-interest time",
+            "censoring_bounds": [7.323893210419427, 8.526932486668795],
+            "methods": {
+                "diff": {"rejections": 145, "valid_reps": 200, "degenerate_reps": 0,
+                         "rate": 0.725, "mc_se": 0.031573327350787724},
+                "sdiff": {"rejections": 132, "valid_reps": 200, "degenerate_reps": 0,
+                          "rate": 0.66, "mc_se": 0.03349626844888845},
+            },
+        }
+
     def test_replication_draws_once(self, monkeypatch):
         calls = []
         original = np.random.Generator.random
@@ -349,11 +475,18 @@ class TestMonteCarlo:
                 calls.append(args)
                 return original(self, *args, **kwargs)
 
-        monkeypatch.setattr(simulate.np.random, "default_rng",
-                            lambda seed: Counted(np.random.PCG64(seed)))
+        streams = []
+
+        def default_rng(seed):
+            streams.append(seed.spawn_key)
+            return Counted(np.random.PCG64(seed))
+
+        monkeypatch.setattr(simulate.np.random, "default_rng", default_rng)
         scn = tiny_scenario(n=20, censoring=CensoringSpec(bound=3.0))
-        assert _replicate(scn, 0, 5, resolve_censoring(scn)) is not None
-        assert calls == [(3 * 40,)]
+        samples = list(_samples(scn, 3, 10, 5, resolve_censoring(scn)))
+        assert len(samples) == 7 and None not in samples
+        assert calls == [(3 * 40,)] * 7
+        assert streams == [(rep,) for rep in range(3, 10)]
 
     def test_different_seeds_differ(self):
         a = run_monte_carlo(tiny_scenario(), ["diff"], reps=40, seed=1)

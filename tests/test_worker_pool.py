@@ -61,10 +61,10 @@ def test_consecutive_studies_share_one_executor():
         simulate.ProcessPoolExecutor = Counted
         first = report(2)
         # the workers were forked before this patch, so it does not reach them
-        replicate = simulate._replicate
-        simulate._replicate = None
+        samples = simulate._samples
+        simulate._samples = None
         second = report(2, seed=8)
-        simulate._replicate = replicate
+        simulate._samples = samples
         print(json.dumps({"made": made, "first": first == report(1),
                           "second": second == report(1, seed=8)}))
     """)
@@ -103,25 +103,26 @@ def test_a_new_worker_count_replaces_the_pool_after_shutting_it_down():
 @pytest.mark.parametrize("failure", ["worker error", "interrupt"])
 def test_a_failed_study_drops_its_unstarted_blocks(failure, tmp_path):
     # 8 replications make 8 one-replication blocks at 2 workers; the
-    # replications of seed 666 are slow and logged, and its rep 0 raises
-    # NumericError in a worker, or the parent is interrupted while waiting
+    # blocks of seed 666 are slow and logged by their start, and the block
+    # of rep 0 raises NumericError in a worker, or the parent is
+    # interrupted while waiting
     out = run_script("""
         failure, log = sys.argv[1], sys.argv[2]
-        replicate = simulate._replicate
+        samples = simulate._samples
 
-        def logged(scn, rep, seed, bounds):
+        def logged(scn, start, stop, seed, bounds):
             if seed == 666:
                 with open(log, "a") as f:
-                    f.write(f"{rep}\\n")
-                if rep == 0 and failure == "worker error":
+                    f.write(f"{start}\\n")
+                if start == 0 and failure == "worker error":
                     raise NumericError("rep 0 failed")
                 time.sleep(0.3)
-            return replicate(scn, rep, seed, bounds)
+            return samples(scn, start, stop, seed, bounds)
 
         def interrupt(*_):
             raise KeyboardInterrupt
 
-        simulate._replicate = logged
+        simulate._samples = logged
         expected = report(1)
         if failure == "interrupt":
             signal.signal(signal.SIGALRM, interrupt)

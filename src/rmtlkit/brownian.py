@@ -3,7 +3,9 @@
 Covers the survival function of sup|M(t)| via its alternating series, its
 quantiles by bisection, the crossing probability of a level by a drifted
 Brownian motion, and the safeguarded Newton solve for the drift that
-achieves a target crossing probability.
+achieves a target crossing probability. Reflection brackets both roots
+in closed form: 2 Phibar(x) <= P[sup|M| > x] <= 4 Phibar(x), and
+Phibar(u - eta) <= P[drifted BM crosses u] <= exp(2 u eta).
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 
-from scipy.special import log_ndtr, ndtr
+from scipy.special import log_ndtr, ndtr, ndtri
 
 from .errors import DataValidationError, NumericError, SolverError
 
@@ -27,8 +29,8 @@ def series_term_count(x: float, eps: float) -> int:
     at 1. Outside eps in (0, 1/pi) the rule is undefined; fall back to 1
     with a warning, since term-magnitude stopping still bounds the error.
     """
-    if x <= 0:
-        raise DataValidationError(f"x must be positive, got {x!r}")
+    if not (math.isfinite(x) and x > 0):
+        raise DataValidationError(f"x must be positive and finite, got {x!r}")
     if not 0.0 < eps < 1.0 / math.pi:
         warnings.warn(
             f"eps={eps!r} outside (0, 1/pi); using m=1 and relying on "
@@ -53,8 +55,6 @@ def sup_abs_bm_sf(x: float, eps: float = 1e-10) -> float:
     ``series_term_count`` and further until the next term's magnitude
     drops below eps; the result is clamped into [0, 1].
     """
-    if x <= 0:
-        raise DataValidationError(f"x must be positive, got {x!r}")
     if not eps > 0:
         raise DataValidationError(f"eps must be positive, got {eps!r}")
     m = series_term_count(x, eps)
@@ -72,16 +72,24 @@ def sup_abs_bm_sf(x: float, eps: float = 1e-10) -> float:
 
 
 def sup_abs_bm_quantile(p: float, eps: float = 1e-10) -> float:
-    """Value x with sup_abs_bm_sf(x) = p, to within 1e-9 on the probability."""
+    """Value x with sup_abs_bm_sf(x) = p, to within 1e-9 on the probability.
+
+    Bisects on [Phibar^-1((p + d)/2), Phibar^-1((p - d)/8)]. One side alone
+    crosses x with probability 2 Phibar(x) and, by the union bound, either
+    side with at most 4 Phibar(x); the series cut off at eps is within
+    d = 4 eps / pi of the exact sf, since its first omitted term is below
+    eps. So the series is > p at the lower end and < (p + d)/2 at the upper
+    (a factor-2 margin, as 4 Phibar is tight to about 1e-12) whenever d < p.
+    A coarser eps leaves the upper end at Phibar^-1(p/8), where the cut-off
+    series need not fall below p; the final check then reports the miss.
+    """
     if not 0.0 < p < 1.0:
         raise DataValidationError(f"p must be in (0, 1), got {p!r}")
-    lo, hi = 1e-8, 1.0
-    expansions = 0
-    while sup_abs_bm_sf(hi, eps) > p:
-        hi *= 2.0
-        expansions += 1
-        if expansions > 200:
-            raise NumericError("quantile bracket expansion failed")
+    d = 4.0 * eps / math.pi
+    # -ndtri(q), not ndtri(1 - q), keeps the precision of small p; at 1e-8
+    # the series is 1 for every eps
+    lo = max(-float(ndtri(min(p + d, 1.0) / 2.0)), 1e-8)
+    hi = -float(ndtri((p - d if d < p else p) / 8.0))
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if sup_abs_bm_sf(mid, eps) > p:
@@ -119,44 +127,22 @@ def drift_crossing_prob_deriv(level: float, drift: float) -> float:
     return 2.0 * u * math.exp(2.0 * u * x + float(log_ndtr(-(u + x))))
 
 
-def solve_crossing_drift(
-    level: float, target: float, drift0: float | None = None
-) -> float:
+def solve_crossing_drift(level: float, target: float) -> float:
     """Drift at which the crossing probability equals target.
 
-    Newton iteration from drift0 (default 0), safeguarded by a maintained
-    bracket: any step leaving the bracket is replaced by bisection. The
-    crossing probability is strictly increasing in the drift for level > 0,
-    so the root is unique.
+    P is strictly increasing in the drift for level u > 0, so the root is
+    unique. It lies in [log(target/2)/(2u), u + Phi^-1(target)], because
+    P(eta) <= exp(2u eta), the crossing probability on the whole half-line,
+    and P(eta) >= Phibar(u - eta), that of the end point alone. Newton
+    iteration from the upper end; a step leaving the bracket is bisected.
     """
-    if level <= 0:
-        raise DataValidationError(f"level must be positive, got {level!r}")
+    if not (math.isfinite(level) and level > 0):
+        raise DataValidationError(f"level must be positive and finite, got {level!r}")
     if not 0.0 < target < 1.0:
         raise DataValidationError(f"target must be in (0, 1), got {target!r}")
 
-    x = 0.0 if drift0 is None else float(drift0)
-    f0 = drift_crossing_prob(level, x) - target
-    lo, hi, step = x, x, 1.0
-    if f0 < 0:
-        for _ in range(200):
-            hi = lo + step
-            if drift_crossing_prob(level, hi) - target >= 0:
-                break
-            lo, step = hi, step * 2.0
-        else:
-            raise SolverError(f"target {target} unreachable: no upper bracket found")
-    elif f0 > 0:
-        for _ in range(200):
-            lo = hi - step
-            if drift_crossing_prob(level, lo) - target <= 0:
-                break
-            hi, step = lo, step * 2.0
-        else:
-            raise SolverError(f"target {target} unreachable: no lower bracket found")
-    else:
-        return x
-
-    x = min(max(x, lo), hi)
+    lo = math.log(target / 2.0) / (2.0 * level)
+    hi = x = level + float(ndtri(target))
     for _ in range(_NEWTON_ITERATIONS):
         f = drift_crossing_prob(level, x) - target
         if abs(f) < _DRIFT_TOL:

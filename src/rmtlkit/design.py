@@ -108,7 +108,7 @@ def sample_size_sdiff(inp: DesignInput, eps: float = 1e-10) -> SampleSizeResult:
     _check_degenerate(inp)
     drift_normal = float(ndtri(1.0 - inp.alpha / 2.0)) + float(ndtri(inp.power))
     critical = sup_abs_bm_quantile(inp.alpha, eps)
-    drift = solve_crossing_drift(critical, inp.power, drift0=drift_normal)
+    drift = solve_crossing_drift(critical, inp.power)
     inflation = (drift / drift_normal) ** 2
     n1, n2 = _split(inflation * _raw_diff_n(inp), inp.ratio)
     return SampleSizeResult(

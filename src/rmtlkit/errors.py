@@ -19,7 +19,7 @@ class NumericError(RmtlError):
 
 
 class SolverError(NumericError):
-    """Raised when a root-finding routine fails to converge or bracket."""
+    """Raised when a root-finding routine fails to converge."""
 
 
 class ExtrapolationWarning(UserWarning, DataValidationError):

@@ -9,6 +9,7 @@ random streams, so reports are bit-identical for any worker count.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import json
@@ -73,24 +74,20 @@ class PiecewiseWeibullCif:
         if any(b <= a for a, b in zip(starts, starts[1:])):
             raise DataValidationError("segment starts must be strictly ascending")
 
+    @functools.cached_property
     def _pieces(self):
-        # cached: (starts, shapes, scales, hazard at own start, offset at start,
-        # 1 / shapes)
-        cached = self.__dict__.get("_piece_arrays")
-        if cached is None:
-            starts = np.array([s.start for s in self.segments])
-            shapes = np.array([s.shape for s in self.segments])
-            scales = np.array([s.scale for s in self.segments])
-            edge = (starts / scales) ** shapes
-            nxt = (np.append(starts[1:], 0.0) / scales) ** shapes
-            offsets = np.concatenate(([0.0], np.cumsum((nxt - edge)[:-1])))
-            cached = (starts, shapes, scales, edge, offsets, 1.0 / shapes)
-            object.__setattr__(self, "_piece_arrays", cached)
-        return cached
+        # (starts, shapes, scales, hazard at own start, offset at start, 1 / shapes)
+        starts = np.array([s.start for s in self.segments])
+        shapes = np.array([s.shape for s in self.segments])
+        scales = np.array([s.scale for s in self.segments])
+        edge = (starts / scales) ** shapes
+        nxt = (np.append(starts[1:], 0.0) / scales) ** shapes
+        offsets = np.concatenate(([0.0], np.cumsum((nxt - edge)[:-1])))
+        return starts, shapes, scales, edge, offsets, 1.0 / shapes
 
     def cumulative_hazard(self, t):
         t = np.asarray(t, dtype=float)
-        starts, shapes, scales, edge, offsets, _ = self._pieces()
+        starts, shapes, scales, edge, offsets, _ = self._pieces
         seg = np.clip(np.searchsorted(starts, t, side="right") - 1, 0, None)
         tt = np.clip(t, 0.0, None)
         return offsets[seg] + (tt / scales[seg]) ** shapes[seg] - edge[seg]
@@ -105,7 +102,7 @@ class PiecewiseWeibullCif:
         # min/max checks: a NaN fails the first comparison
         if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
             raise DataValidationError("uniform draws must lie in [0, 1)")
-        _, _, scales, edge, offsets, inverse_shapes = self._pieces()
+        _, _, scales, edge, offsets, inverse_shapes = self._pieces
         h = -np.log1p(-u)
         # offsets[0] = 0 <= h, so the segment is the count of later offsets <= h
         seg = offsets[1:].searchsorted(h, side="right")
@@ -525,48 +522,51 @@ def _require(condition: bool, field: str, message: str):
         raise DataValidationError(f"scenario field {field!r}: {message}")
 
 
-def _parse_subdist(obj, path: str) -> PiecewiseWeibullCif:
+def _object(obj, path: str, required, optional=()):
     _require(isinstance(obj, dict), path, "must be an object")
-    unknown = set(obj) - {"p", "segments"}
+    unknown = set(obj) - set(required) - set(optional)
     _require(not unknown, path, f"unknown key(s) {sorted(unknown)}")
-    _require("p" in obj, f"{path}.p", "is required")
-    _require("segments" in obj, f"{path}.segments", "is required")
-    _require(
-        isinstance(obj["p"], (int, float)) and not isinstance(obj["p"], bool),
-        f"{path}.p",
-        "must be a number",
-    )
+    for key in required:
+        _require(key in obj, f"{path}.{key}", "is required")
+
+
+def _number(obj, key: str, path: str) -> float:
+    _require(key in obj, f"{path}.{key}", "is required")
+    value = obj[key]
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
+             f"{path}.{key}", "must be a number")
+    return float(value)
+
+
+@contextlib.contextmanager
+def _field(path: str):
+    """Prefix a constructor's validation error with the scenario field."""
+    try:
+        yield
+    except DataValidationError as exc:
+        raise DataValidationError(f"scenario field {path!r}: {exc}") from None
+
+
+def _parse_subdist(obj, path: str) -> PiecewiseWeibullCif:
+    _object(obj, path, ("p", "segments"))
+    mass = _number(obj, "p", path)
     segs = obj["segments"]
     _require(isinstance(segs, list) and segs, f"{path}.segments", "must be a nonempty list")
     parsed = []
     for i, seg in enumerate(segs):
         spath = f"{path}.segments[{i}]"
-        _require(isinstance(seg, dict), spath, "must be an object")
-        unknown = set(seg) - {"start", "shape", "scale"}
-        _require(not unknown, spath, f"unknown key(s) {sorted(unknown)}")
-        for key in ("start", "shape", "scale"):
-            _require(key in seg, f"{spath}.{key}", "is required")
-            _require(
-                isinstance(seg[key], (int, float)) and not isinstance(seg[key], bool),
-                f"{spath}.{key}",
-                "must be a number",
-            )
-        try:
-            parsed.append(WeibullSegment(float(seg["start"]), float(seg["shape"]),
-                                         float(seg["scale"])))
-        except DataValidationError as exc:
-            raise DataValidationError(f"scenario field {spath!r}: {exc}") from None
-    try:
-        return PiecewiseWeibullCif(mass=float(obj["p"]), segments=tuple(parsed))
-    except DataValidationError as exc:
-        raise DataValidationError(f"scenario field {path!r}: {exc}") from None
+        # each key is checked as required, then as a number, before the next
+        _object(seg, spath, (), ("start", "shape", "scale"))
+        values = [_number(seg, key, spath) for key in ("start", "shape", "scale")]
+        with _field(spath):
+            parsed.append(WeibullSegment(*values))
+    with _field(path):
+        return PiecewiseWeibullCif(mass=mass, segments=tuple(parsed))
 
 
 def scenario_from_dict(data: dict) -> ScenarioSpec:
     """Validate a scenario mapping, reporting the offending field on error."""
-    _require(isinstance(data, dict), "<root>", "must be an object")
-    unknown = set(data) - {"groups", "censoring", "label"}
-    _require(not unknown, "<root>", f"unknown key(s) {sorted(unknown)}")
+    _object(data, "<root>", (), ("groups", "censoring", "label"))
     groups_raw = data.get("groups")
     _require(
         isinstance(groups_raw, list) and len(groups_raw) == 2,
@@ -576,11 +576,7 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
     groups = []
     for k, g in enumerate(groups_raw):
         gpath = f"groups[{k}]"
-        _require(isinstance(g, dict), gpath, "must be an object")
-        unknown = set(g) - {"n", "interest", "competing"}
-        _require(not unknown, gpath, f"unknown key(s) {sorted(unknown)}")
-        for key in ("n", "interest", "competing"):
-            _require(key in g, f"{gpath}.{key}", "is required")
+        _object(g, gpath, ("n", "interest", "competing"))
         _require(
             isinstance(g["n"], int) and not isinstance(g["n"], bool),
             f"{gpath}.n",
@@ -588,31 +584,18 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
         )
         interest = _parse_subdist(g["interest"], f"{gpath}.interest")
         competing = _parse_subdist(g["competing"], f"{gpath}.competing")
-        try:
+        with _field(gpath):
             groups.append(GroupSpec(interest=interest, competing=competing, n=g["n"]))
-        except DataValidationError as exc:
-            raise DataValidationError(f"scenario field {gpath!r}: {exc}") from None
 
     censoring = CensoringSpec()
     if "censoring" in data:
         c = data["censoring"]
-        _require(isinstance(c, dict), "censoring", "must be an object")
-        unknown = set(c) - {"target", "c"}
-        _require(not unknown, "censoring", f"unknown key(s) {sorted(unknown)}")
-        for key in ("target", "c"):
-            if key in c:
-                _require(
-                    isinstance(c[key], (int, float)) and not isinstance(c[key], bool),
-                    f"censoring.{key}",
-                    "must be a number",
-                )
-        try:
-            censoring = CensoringSpec(
-                target=float(c["target"]) if "target" in c else None,
-                bound=float(c["c"]) if "c" in c else None,
-            )
-        except DataValidationError as exc:
-            raise DataValidationError(f"scenario field 'censoring': {exc}") from None
+        _object(c, "censoring", (), ("target", "c"))
+        target, bound = (
+            _number(c, key, "censoring") if key in c else None for key in ("target", "c")
+        )
+        with _field("censoring"):
+            censoring = CensoringSpec(target=target, bound=bound)
 
     label = data.get("label", "")
     _require(isinstance(label, str), "label", "must be a string")

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from rmtlkit import (
     DataValidationError,
@@ -43,8 +43,11 @@ class TestSupSurvival:
             assert 0.0 <= sup_abs_bm_sf(x) <= 1.0
 
     def test_nonpositive_level_rejected(self):
-        with pytest.raises(DataValidationError):
-            sup_abs_bm_sf(0.0)
+        for x in (0.0, float("nan"), float("inf")):
+            with pytest.raises(DataValidationError):
+                sup_abs_bm_sf(x)
+            with pytest.raises(DataValidationError):
+                series_term_count(x, 1e-10)
 
     @pytest.mark.parametrize("eps", [0.0, -1e-10, float("nan")])
     def test_nonpositive_eps_rejected(self, eps):
@@ -147,19 +150,60 @@ class TestDriftSolve:
         assert abs(drift_crossing_prob(level, x) - target) < 1e-10
 
     def test_frozen_solution(self):
-        x = solve_crossing_drift(2.241402727332055, 0.8, drift0=2.8016)
+        x = solve_crossing_drift(2.241402727332055, 0.8)
         assert drift_crossing_prob(2.241402727332055, x) == pytest.approx(
             0.8, abs=1e-10
         )
         assert x == pytest.approx(2.8807327286293107, abs=1e-8)
-
-    def test_start_far_from_root(self):
-        x_near = solve_crossing_drift(2.0, 0.8, drift0=2.5)
-        x_far = solve_crossing_drift(2.0, 0.8, drift0=-50.0)
-        assert x_near == pytest.approx(x_far, abs=1e-8)
 
     def test_domain_errors(self):
         with pytest.raises(DataValidationError):
             solve_crossing_drift(-1.0, 0.8)
         with pytest.raises(DataValidationError):
             solve_crossing_drift(2.0, 1.0)
+        for level in (float("nan"), float("inf")):
+            with pytest.raises(DataValidationError):
+                solve_crossing_drift(level, 0.8)
+
+
+LEVELS = [1e-3, 0.01, 0.1, 0.5, 1.0, 2.241402727332055, 5.0, 20.0, 200.0]
+# the root is negative wherever target < 2 Phibar(level), the crossing
+# probability at drift 0: e.g. every target below 0.999 at level 1e-3
+TARGETS = [1e-9, 1e-6, 1e-3, 0.05, 0.3, 0.5, 0.8, 0.999, 1 - 1e-9]
+
+
+class TestClosedFormBrackets:
+    """The reflection brackets both solvers start from hold, far roots included."""
+
+    @pytest.mark.parametrize("target", TARGETS)
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_drift_bracket_and_residual(self, level, target):
+        lo = math.log(target / 2) / (2 * level)
+        hi = level + float(ndtri(target))
+        assert drift_crossing_prob(level, lo) < target <= drift_crossing_prob(level, hi)
+        x = solve_crossing_drift(level, target)
+        assert lo <= x <= hi
+        assert abs(drift_crossing_prob(level, x) - target) < 1e-10
+
+    @pytest.mark.parametrize("coarse", [False, True])
+    @pytest.mark.parametrize("p", [1e-9, 1e-3, 0.05, 0.5, 0.999])
+    def test_quantile_bracket_and_residual(self, p, coarse):
+        # the bracket holds for the series cut off at eps, whose error bound
+        # d = 4 eps / pi is min(p, 1 - p) / 2 in the coarse case
+        eps = math.pi * min(p, 1 - p) / 8 if coarse else 1e-10
+        d = 4 * eps / math.pi
+        lo, hi = -float(ndtri((p + d) / 2)), -float(ndtri((p - d) / 8))
+        assert sup_abs_bm_sf(lo, eps) >= p > sup_abs_bm_sf(hi, eps)
+        x = sup_abs_bm_quantile(p, eps)
+        assert lo <= x <= hi
+        assert abs(sup_abs_bm_sf(x, eps) - p) < 1e-9
+
+    @pytest.mark.parametrize("p,expected", [(0.9, 0.6963595876490836),
+                                            (0.999, 0.41540576416874764)])
+    def test_quantile_lower_end_floored_for_coarse_eps(self, p, expected):
+        # p + 4 eps / pi >= 1 leaves no positive closed-form lower end; the
+        # bisection starts from 1e-8, where the series is 1 for every eps
+        with pytest.warns(UserWarning, match="outside"):
+            x = sup_abs_bm_quantile(p, 0.5)
+            assert abs(sup_abs_bm_sf(x, 0.5) - p) < 1e-9
+        assert x == pytest.approx(expected, abs=1e-12)

@@ -9,6 +9,7 @@ from rmtlkit import (
     DegenerateDesignWarning,
     DesignInput,
     EventCode,
+    NumericError,
     SubjectRecord,
     TwoGroupSample,
     default_tau,
@@ -130,6 +131,21 @@ class TestSdiffSize:
                 > sample_size_sdiff(base_input(power=0.8)).n_total)
         assert (sample_size_sdiff(base_input(alpha=0.01)).n_total
                 > sample_size_sdiff(base_input(alpha=0.05)).n_total)
+
+    def test_coarse_eps_design(self):
+        # the series cut off at eps 0.3 keeps one term on x < 10 and sinks to
+        # 0 from x = 2.26, below the exact lower bound Phibar^-1(0.005) = 2.58;
+        # the design is still found, on the cut-off series' own root
+        res = sample_size_sdiff(base_input(alpha=0.01), eps=0.3)
+        assert (res.n_total, res.n1, res.n2) == (176, 88, 88)
+        assert res.inflation == pytest.approx(0.7315872002195556, abs=1e-10)
+        assert res.drift == pytest.approx(3.2993285983868463, abs=1e-10)
+
+    def test_coarse_eps_without_a_root_is_reported(self):
+        # at eps 0.05 the cut-off series steps from about 0.028 to 0 at
+        # x = 3.8, so no x gives 0.001
+        with pytest.raises(NumericError, match="did not reach 1e-9"):
+            sample_size_sdiff(base_input(alpha=0.001), eps=0.05)
 
     def test_inflation_applied_to_raw_size(self):
         res_d = sample_size_diff(base_input())

@@ -560,6 +560,14 @@ class TestScenarioFiles:
                            match=r"groups\[0\].interest.segments\[0\].shape"):
             scenario_from_dict(data)
 
+    def test_segment_keys_checked_in_turn(self):
+        # a bad shape is reported before the missing scale that follows it
+        data = scenario_to_dict(tiny_scenario())
+        data["groups"][0]["interest"]["segments"][0] = {"start": 0, "shape": "x"}
+        with pytest.raises(DataValidationError,
+                           match=r"segments\[0\].shape'?: must be a number"):
+            scenario_from_dict(data)
+
     def test_bool_is_not_a_number(self):
         data = scenario_to_dict(tiny_scenario())
         data["groups"][0]["interest"]["p"] = True

@@ -1,10 +1,11 @@
 """Numerics for the supremum of Brownian motion on [0, 1].
 
-Covers the survival function of sup|M(t)| via its alternating series, its
-quantiles by bisection, the crossing probability of a level by a drifted
-Brownian motion, and the safeguarded Newton solve for the drift that
-achieves a target crossing probability. Reflection brackets both roots
-in closed form: 2 Phibar(x) <= P[sup|M| > x] <= 4 Phibar(x), and
+Covers the survival function of sup|M(t)| via its alternating series (the
+reflection series in the far tail), its quantiles by bisection, the
+crossing probability of a level by a drifted Brownian motion, and the
+safeguarded Newton solve for the drift that achieves a target crossing
+probability. Reflection brackets both roots in closed form:
+2 Phibar(x) <= P[sup|M| > x] <= 4 Phibar(x), and
 Phibar(u - eta) <= P[drifted BM crosses u] <= exp(2 u eta).
 """
 
@@ -18,6 +19,10 @@ from scipy.special import log_ndtr, ndtr, ndtri
 from .errors import DataValidationError, NumericError, SolverError
 
 _MAX_TERMS = 1_000_000
+# From here on P[sup|M| > x] is below 4e-9, so 1 - (4/pi) * (theta series)
+# is all cancellation, and the reflection series is summed instead. The
+# bisection brackets of the quantiles for p >= 1e-8 end below it.
+_REFLECTION_FROM = 6.0
 _DRIFT_TOL = 1e-10
 _NEWTON_ITERATIONS = 100
 
@@ -53,11 +58,21 @@ def sup_abs_bm_sf(x: float, eps: float = 1e-10) -> float:
 
     Sums the alternating series to at least the term count from
     ``series_term_count`` and further until the next term's magnitude
-    drops below eps; the result is clamped into [0, 1].
+    drops below eps; the result is clamped into [0, 1]. From x = 6 on, it
+    sums the reflection series 4 sum_k (-1)^k Phibar((2k+1)x) instead, to
+    full relative precision.
     """
     if not eps > 0:
         raise DataValidationError(f"eps must be positive, got {eps!r}")
     m = series_term_count(x, eps)
+    if x >= _REFLECTION_FROM:
+        total, sign, k = 0.0, 1.0, 1
+        while True:
+            term = float(ndtr(-k * x))
+            if total + term == total:  # negligible, or an underflowed first term
+                return 4.0 * total
+            total += sign * term
+            sign, k = -sign, k + 2
     total = 0.0
     a = 0
     while a < _MAX_TERMS:

@@ -37,22 +37,27 @@ class StepFunction:
 
 def _survival(n, d):
     """All-cause Kaplan-Meier survival at every risk-table row (n >= 1 there)."""
-    return (1.0 - d / n).cumprod()
+    return (1.0 - d / n).cumprod(axis=-1)
 
 
 def _incidence(n, dj, dk):
     """CIF of one cause and its Aalen variance at every risk-table row, from
-    at-risk counts n and the events dj of that cause and dk of the other."""
+    at-risk counts n and the events dj of that cause and dk of the other.
+    Rows run along the last axis; each leading index is a separate fit."""
     d = dj + dk
     surv = _survival(n, d)
-    s_prev = np.concatenate(([1.0], surv))[:-1]  # survival just before each row
+    # survival just before each row
+    s_prev = np.concatenate((np.ones(surv.shape[:-1] + (1,)), surv), axis=-1)[..., :-1]
     # Single-cause data: the estimator collapses algebraically to the
     # Kaplan-Meier complement. Computing it that way keeps the identity
     # I_1 = 1 - KM exact in floating point, not just to rounding.
-    if dk.any():
-        inc = (dj / n * s_prev).cumsum()
-    else:
+    single = ~dk.any(axis=-1, keepdims=True)
+    if single.all():
         inc = 1.0 - surv
+    else:
+        inc = (dj / n * s_prev).cumsum(axis=-1)
+        if single.any():
+            inc = np.where(single, 1.0 - surv, inc)
     return inc, _aalen_variance(n, d, dj, s_prev, inc)
 
 
@@ -138,6 +143,84 @@ class PooledFit:
             variances[g] = np.concatenate(([0.0], cif.variances))[at[g]]
             cifs.append(cif)
         return cls(times, values, variances, tuple(cifs), n_total)
+
+
+def _block_fits(times, codes, sizes) -> list[PooledFit]:
+    """The pooled fit of each row of a block of samples with equal groups.
+
+    ``times`` and ``codes`` are (R, N) arrays, one sample per row: its
+    first ``sizes[0]`` subjects are group 0, the next ``sizes[1]`` group 1,
+    and so on. Each fit equals ``PooledFit.from_arrays`` of its row
+    bitwise. A group's risk-table rows (its runs of tied times that hold an
+    event) are laid out left-aligned in an (R, m) array, m the most rows of
+    any sample. The rest of a row is padding that no fitted value reads, as
+    the fit takes cumulative sums and products along each row.
+    """
+    n_rows, width = times.shape
+    order = times.argsort(axis=-1)
+    g = np.repeat(np.arange(len(sizes)), sizes)[order]
+    order += np.arange(0, times.size, width)[:, None]  # flat indices
+    t, c = times.take(order), codes.take(order)
+    # the pooled grid: the last position of each run of tied times that
+    # holds an event (the latest event time so far is the run's own time)
+    grid = np.ones(t.shape, dtype=bool)
+    np.not_equal(t[:, 1:], t[:, :-1], out=grid[:, :-1])
+    grid &= np.maximum.accumulate(np.where(c > 0, t, -1.0), axis=-1) == t
+    grid_at = grid.ravel().nonzero()[0]
+    grid_rows = grid_at // width
+    grid_edges = np.concatenate(([0], grid.sum(axis=-1).cumsum())).tolist()
+    values = np.empty((len(sizes), len(grid_at)))
+    variances = np.empty_like(values)
+    cifs = []
+    for k, n in enumerate(sizes):
+        # the group's sorted subjects, row after row (boolean masks are
+        # slower than these takes)
+        mine = (g == k).ravel()
+        pick = mine.nonzero()[0]
+        tk, ck = t.take(pick), c.take(pick)
+        first = np.ones(tk.size, dtype=bool)  # the first subject of each run
+        np.not_equal(tk[1:], tk[:-1], out=first[1:])
+        first[::n] = True  # and of each row
+        starts = first.nonzero()[0]
+        # censored, interest and competing counts of each run
+        runs = len(starts)
+        counts = np.bincount(ck * runs + first.cumsum() - 1, minlength=3 * runs)
+        keep = counts[runs:].reshape(2, runs).any(axis=0).nonzero()[0]
+        starts = starts.take(keep)
+        dj, dk = counts.reshape(3, runs)[1:].take(keep, axis=1)
+        row, before = np.divmod(starts, n)
+        per_row = np.bincount(row, minlength=n_rows)
+        m = int(per_row.max())
+        cells = row * m + np.arange(len(row)) - (per_row.cumsum() - per_row).take(row)
+        # at risk (everyone from the run on) and the events of each cause;
+        # padding has 1 at risk and no events
+        table = np.zeros((3, n_rows * m))
+        table[0] = 1.0
+        table[:, cells] = n - before, dj, dk
+        inc, var = _incidence(*table.reshape(3, n_rows, m))
+        knots = (dj > 0).nonzero()[0]
+        knot_starts, knot_rows = starts.take(knots), row.take(knots)
+        kt = tk.take(knot_starts)
+        kv, kvar = inc.take(cells.take(knots)), var.take(cells.take(knots))
+        edges = np.concatenate(([0], np.bincount(knot_rows, minlength=n_rows).cumsum()))
+        # each grid time reads the group's CIF and variance at its last knot
+        # at or before it (0 before the first), as from_arrays does: with j
+        # of the group's subjects at or before the time, that is the last
+        # knot among the row's first j subjects
+        marks = np.zeros(n_rows * (n + 1), dtype=np.int64)
+        marks[knot_starts + knot_rows + 1] = 1
+        seen = marks.cumsum().take(mine.cumsum().take(grid_at) + grid_rows)
+        at = np.where(seen > edges.take(grid_rows), seen - 1, len(kv))
+        values[k] = np.append(kv, 0.0).take(at)
+        variances[k] = np.append(kvar, 0.0).take(at)
+        edges = edges.tolist()
+        cifs.append([StepFunction(kt[a:b], kv[a:b], kvar[a:b], 0.0, last)
+                     for a, b, last in zip(edges, edges[1:], tk[n - 1::n].tolist())])
+    n_total = np.array(sizes)
+    n_total.flags.writeable = False  # shared by every fit of the block
+    grid_times = t.take(grid_at)
+    return [PooledFit(grid_times[a:b], values[:, a:b], variances[:, a:b], fit, n_total)
+            for a, b, fit in zip(grid_edges, grid_edges[1:], zip(*cifs))]
 
 
 def _aalen_variance(n, d, dj, s_prev, inc):

@@ -72,18 +72,23 @@ class TwoGroupSample:
             raise DataValidationError("times, codes and group must be 1-d, one length")
         if not times.size:
             raise DataValidationError("both groups must be nonempty")
-        # min/max checks: a NaN fails the first comparison
-        if not (times.min() >= 0 and times.max() < math.inf):
-            raise DataValidationError("times must be finite and nonnegative")
-        if not (codes.min() >= 0 and codes.max() <= 2):
-            raise DataValidationError("status codes must be 0, 1 or 2")
-        if len(self.groups) != 2 or self.groups[0] == self.groups[1]:
-            raise DataValidationError("exactly two distinct group labels required")
-        if not (group.min() == 0 and group.max() == 1):
-            raise DataValidationError("group indices must be 0/1, both groups nonempty")
+        _check_columns(times, codes, group, self.groups)
         for name, arr in (("times", times), ("codes", codes), ("group", group)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+    @classmethod
+    def _checked(cls, times, codes, group, groups, pooled: PooledFit) -> "TwoGroupSample":
+        """A sample of read-only float ``times`` and int64 ``codes`` and
+        ``group`` that already passed ``_check_columns``, with its pooled
+        fit attached: the Monte Carlo engine checks a block of samples at
+        once."""
+        sample = cls.__new__(cls)
+        # the dataclass is frozen, so its fields (and the cached fit) are
+        # set in the instance dictionary directly
+        vars(sample).update(times=times, codes=codes, group=group, groups=groups,
+                            pooled=pooled)
+        return sample
 
     @classmethod
     def from_records(cls, records, reference: str | None = None) -> "TwoGroupSample":
@@ -111,6 +116,20 @@ class TwoGroupSample:
     def _differences(self) -> dict:
         """RMTL differences by tau, filled by ``rmtl.rmtl_difference``."""
         return {}
+
+
+def _check_columns(times, codes, group, groups):
+    """The value checks of a sample: ``times`` and ``codes`` may hold one
+    sample or a block of them (one per row) that share ``group``."""
+    # min/max checks: a NaN fails the first comparison
+    if not (times.min() >= 0 and times.max() < math.inf):
+        raise DataValidationError("times must be finite and nonnegative")
+    if not (codes.min() >= 0 and codes.max() <= 2):
+        raise DataValidationError("status codes must be 0, 1 or 2")
+    if len(groups) != 2 or groups[0] == groups[1]:
+        raise DataValidationError("exactly two distinct group labels required")
+    if not (group.min() == 0 and group.max() == 1):
+        raise DataValidationError("group indices must be 0/1, both groups nonempty")
 
 
 def _from_columns(times, codes, labels, reference) -> TwoGroupSample:
@@ -161,12 +180,12 @@ def _tabulate(times, codes, group, n_groups: int):
     """Risk-table counts of ``n_groups`` groups on their pooled event times.
 
     ``times``, ``codes`` (0, 1 or 2) and ``group`` (each row's group index)
-    hold at least one row. Returns the distinct times with at least one
-    event of either cause in any group (K,); a (3, G, K) array of the
-    at-risk, interest and competing counts there (a group's event counts
-    are 0 at another group's event times, and its at-risk count is 0 once
-    all its subjects have left); and each group's size and last observed
-    time. Ties between events and censorings at the same time are resolved
+    hold at least one row of each group. Returns the distinct times with at
+    least one event of either cause in any group (K,); a (3, G, K) array
+    of the at-risk, interest and competing counts there (a group's event
+    counts are 0 at another group's event times, and its at-risk count is 0
+    once all its subjects have left); and each group's size and last
+    observed time. Ties between events and censorings at the same time are resolved
     with events first: a subject censored at t is still at risk for events
     at t.
     """
@@ -184,15 +203,17 @@ def _tabulate(times, codes, group, n_groups: int):
     counts = np.bincount(codes[order] * width + group[order] * n_times + k,
                          minlength=3 * width).reshape(3, n_groups, n_times)
     total = counts.sum(axis=0)
-    left = total.cumsum(axis=1)
+    left = total.cumsum(axis=1)  # subjects at or before each time
     n_total = left[:, -1]
+    # the times with an event (takes are faster than boolean masks here)
+    rows = counts[1:].any(axis=(0, 1)).nonzero()[0]
+    counts = counts.take(rows, axis=-1)
     # at risk at t = everyone with observed time >= t (censored-at-t
     # included); it takes the place of the censoring counts
-    np.add(n_total[:, None] - left, total, out=counts[0])
-    rows = counts[1:].any(axis=(0, 1))
-    last_observed = np.zeros(n_groups)
-    np.maximum.at(last_observed, group, times)
-    return t[first][rows], counts[..., rows], n_total, last_observed
+    counts[0] = n_total[:, None] - left.take(rows, axis=1) + total.take(rows, axis=1)
+    t = t[first]
+    # a group's last time is the first at which all its subjects are seen
+    return t.take(rows), counts, n_total, t[(left < n_total[:, None]).sum(axis=1)]
 
 
 def build_risk_table(times, codes) -> RiskTable:

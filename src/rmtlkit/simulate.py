@@ -24,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_model import EventCode, TwoGroupSample, read_text
+from .cif import _block_fits
+from .data_model import EventCode, TwoGroupSample, _check_columns, read_text
 from .errors import DataValidationError, DegenerateDataError, SmallSampleWarning
 from .inference import TestMethod, diff_test, sdiff_test
 from .rmtl import default_tau
@@ -286,19 +287,23 @@ def resolve_censoring(scn: ScenarioSpec) -> tuple[float, float] | None:
 
 
 def _samples(scn, start, stop, seed, bounds):
-    """Yield the TwoGroupSample of each replication in [start, stop), or None
-    when a group has no observed events of interest.
+    """Yield the TwoGroupSample of each replication in [start, stop), with
+    its pooled fit attached, or None when a group has no observed events of
+    interest.
 
     Replication r draws all its uniforms in one call on its own stream
     (seed, r): per group in turn, n for the causes, n for the times and,
     when censored, n for the censoring times. Replications are stacked in
     chunks of at most _CHUNK_UNIFORMS uniforms (or of one replication that
-    alone needs more), each group sampled once per chunk.
+    alone needs more). Each group is sampled once per chunk, and the chunk
+    is checked and fitted in one pass.
     """
     width = 2 if bounds is None else 3
     sizes = [group.n for group in scn.groups]
     total = width * sum(sizes)
     group = np.repeat([0, 1], sizes)
+    group.flags.writeable = False
+    labels = ("1", "2")
     step = max(1, _CHUNK_UNIFORMS // total)
     for first in range(start, stop, step):
         u = np.stack([
@@ -316,8 +321,11 @@ def _samples(scn, start, stop, seed, bounds):
             codes.append(c)
         keep = np.all([(c == int(EventCode.INTEREST)).any(axis=-1) for c in codes], axis=0)
         times, codes = np.concatenate(times, axis=1), np.concatenate(codes, axis=1)
-        for r in range(len(u)):
-            yield TwoGroupSample(times[r], codes[r], group, ("1", "2")) if keep[r] else None
+        _check_columns(times, codes, group, labels)
+        times.flags.writeable = codes.flags.writeable = False
+        for r, fit in enumerate(_block_fits(times, codes, sizes)):
+            yield (TwoGroupSample._checked(times[r], codes[r], group, labels, fit)
+                   if keep[r] else None)
 
 
 def _run_block(scn, methods, start, stop, seed, alpha, rho, eps, bounds):

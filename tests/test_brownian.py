@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtr, ndtri
+from scipy.special import log_ndtr, ndtr, ndtri
 
 from rmtlkit import (
     DataValidationError,
@@ -33,6 +33,32 @@ class TestSupSurvival:
         xs = np.linspace(0.3, 5.0, 60)
         vals = [sup_abs_bm_sf(float(x)) for x in xs]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
+
+    @staticmethod
+    def reflection_sf(x):
+        """4 sum_k (-1)^k Phibar((2k+1) x), each term through log_ndtr."""
+        terms = [math.exp(math.log(4.0) + float(log_ndtr(-k * x))) for k in (1, 3, 5, 7)]
+        return terms[0] - terms[1] + terms[2] - terms[3]
+
+    def test_tail_matches_reflection_series(self):
+        # below the smallest normal double a value cannot hold 1e-12
+        # relative precision, so the comparison is absolute there
+        for x in np.linspace(6.0, 40.0, 341):
+            got, want = sup_abs_bm_sf(float(x)), self.reflection_sf(float(x))
+            assert got == pytest.approx(want, rel=1e-12, abs=np.finfo(float).tiny), x
+
+    def test_tail_monotone(self):
+        vals = np.array([sup_abs_bm_sf(float(x)) for x in np.linspace(6.0, 40.0, 3401)])
+        steps = np.diff(vals)
+        assert (steps <= 0).all()
+        assert (steps[vals[1:] > np.finfo(float).tiny] < 0).all()
+
+    def test_tail_joins_the_series(self):
+        # the series cut off at eps just below x = 6 is within its error
+        # bound 4 eps / pi of the reflection series from x = 6 on
+        eps = 1e-10
+        below, at = sup_abs_bm_sf(6.0 - 1e-9, eps), sup_abs_bm_sf(6.0, eps)
+        assert abs(below - at) < 4.0 * eps / math.pi
 
     def test_limits(self):
         assert sup_abs_bm_sf(0.01) == pytest.approx(1.0, abs=1e-12)

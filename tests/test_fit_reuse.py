@@ -19,7 +19,7 @@ from rmtlkit import (
     sdiff_test,
 )
 from rmtlkit.cli import main
-from rmtlkit.simulate import _samples
+from rmtlkit.simulate import _CHUNK_UNIFORMS, _samples
 
 from helpers import sample_with_events
 
@@ -62,12 +62,18 @@ def pooled_fits(monkeypatch):
     return calls
 
 
-def test_one_replication_runs_one_pooled_fit(pooled_fits, risk_table_calls):
-    sample = next(_samples(load_shipped_scenario("a_null"), 0, 1, 5, None))
-    tau = default_tau(sample)
-    diff_test(sample, tau)
-    sdiff_test(sample, tau)
-    assert len(pooled_fits) == 1
+def test_one_replication_runs_one_pooled_fit(block_fit_shapes, pooled_fits,
+                                             risk_table_calls):
+    # a_null is 50/50 uncensored: 2 * 100 uniforms per replication
+    step = _CHUNK_UNIFORMS // 200
+    samples = _samples(load_shipped_scenario("a_null"), 0, step + 5, 5, None)
+    for sample in filter(None, samples):
+        tau = default_tau(sample)
+        diff_test(sample, tau)
+        sdiff_test(sample, tau)
+    # one block fit per chunk, and no replication fits on its own
+    assert block_fit_shapes == [(step, 100), (5, 100)]
+    assert len(pooled_fits) == 0
     assert len(risk_table_calls) == 0
 
 

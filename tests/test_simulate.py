@@ -514,6 +514,40 @@ class TestMonteCarlo:
             run_monte_carlo(tiny_scenario(), ["diff"], reps=5, workers=0)
 
 
+# Each shipped scenario, 300 reps at seed 7, as shipped and at 45%
+# calibrated censoring: skipped replications, then (rejections, valid,
+# degenerate) of Diff and of sDiff, then the censoring bounds. Reports must
+# stay byte-identical as the engine's sampling and fitting change.
+FROZEN_REPORTS = [
+    ("a_null", None, 0, (20, 300, 0), (14, 300, 0), None),
+    ("a_null", 0.45, 0, (30, 300, 0), (14, 300, 0), (4.401135479204312, 4.399287701838078)),
+    ("b_proportional", None, 0, (151, 300, 0), (148, 300, 0), None),
+    ("b_proportional", 0.45, 0, (144, 300, 0), (118, 300, 0),
+     (4.064728016108564, 6.28578686496005)),
+    ("c_nonproportional", None, 0, (176, 300, 0), (174, 300, 0), None),
+    ("c_nonproportional", 0.45, 0, (227, 300, 0), (195, 300, 0),
+     (4.304357267258425, 5.418952936672273)),
+    ("d_early", None, 0, (37, 300, 0), (41, 300, 0), None),
+    ("d_early", 0.45, 0, (102, 300, 0), (83, 300, 0), (4.575538614299915, 3.3107676378716335)),
+    ("e_late", None, 0, (35, 300, 0), (34, 300, 0), None),
+    ("e_late", 0.45, 0, (35, 300, 0), (21, 300, 0), (4.575538614299915, 3.9223399664000387)),
+    ("f_crossing", None, 0, (116, 300, 0), (121, 300, 0), None),
+    ("f_crossing", 0.45, 0, (275, 300, 0), (262, 300, 0), (3.1154095409667706, 5.0055517241209175)),
+]
+
+
+@pytest.mark.parametrize("name, target, skipped, diff, sdiff, bounds", FROZEN_REPORTS,
+                         ids=[f"{row[0]}-{row[1] or 'uncensored'}" for row in FROZEN_REPORTS])
+def test_frozen_shipped_reports(name, target, skipped, diff, sdiff, bounds):
+    scn = dataclasses.replace(load_shipped_scenario(name),
+                              censoring=CensoringSpec(target=target))
+    report = run_monte_carlo(scn, reps=300, seed=7)
+    assert report.degenerate_reps == skipped
+    assert [(m.rejections, m.valid_reps, m.degenerate_reps) for m in report.methods] == [
+        diff, sdiff]
+    assert report.censoring_bounds == bounds
+
+
 class TestObservedPower:
     def test_split_by_scenario_ratio(self):
         scn = tiny_scenario(n=30)

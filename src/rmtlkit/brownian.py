@@ -14,8 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 
-from scipy.special import log_ndtr, ndtr, ndtri
-
+from ._normal import log_ndtr, ndtr, ndtri
 from .errors import DataValidationError, NumericError, SolverError
 
 _MAX_TERMS = 1_000_000
@@ -68,7 +67,7 @@ def sup_abs_bm_sf(x: float, eps: float = 1e-10) -> float:
     if x >= _REFLECTION_FROM:
         total, sign, k = 0.0, 1.0, 1
         while True:
-            term = float(ndtr(-k * x))
+            term = ndtr(-k * x)
             if total + term == total:  # negligible, or an underflowed first term
                 return 4.0 * total
             total += sign * term
@@ -103,8 +102,8 @@ def sup_abs_bm_quantile(p: float, eps: float = 1e-10) -> float:
     d = 4.0 * eps / math.pi
     # -ndtri(q), not ndtri(1 - q), keeps the precision of small p; at 1e-8
     # the series is 1 for every eps
-    lo = max(-float(ndtri(min(p + d, 1.0) / 2.0)), 1e-8)
-    hi = -float(ndtri((p - d if d < p else p) / 8.0))
+    lo = max(-ndtri(min(p + d, 1.0) / 2.0), 1e-8)
+    hi = -ndtri((p - d if d < p else p) / 8.0)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if sup_abs_bm_sf(mid, eps) > p:
@@ -127,7 +126,7 @@ def drift_crossing_prob(level: float, drift: float) -> float:
     cannot overflow. Clamped into [0, 1].
     """
     u, x = float(level), float(drift)
-    val = float(ndtr(x - u)) + math.exp(2.0 * u * x + float(log_ndtr(-(u + x))))
+    val = ndtr(x - u) + math.exp(2.0 * u * x + log_ndtr(-(u + x)))
     return min(max(val, 0.0), 1.0)
 
 
@@ -139,7 +138,7 @@ def drift_crossing_prob_deriv(level: float, drift: float) -> float:
     exp(2ux)*phi(u+x) = phi(u-x), leaving the single positive term.
     """
     u, x = float(level), float(drift)
-    return 2.0 * u * math.exp(2.0 * u * x + float(log_ndtr(-(u + x))))
+    return 2.0 * u * math.exp(2.0 * u * x + log_ndtr(-(u + x)))
 
 
 def solve_crossing_drift(level: float, target: float) -> float:
@@ -157,7 +156,7 @@ def solve_crossing_drift(level: float, target: float) -> float:
         raise DataValidationError(f"target must be in (0, 1), got {target!r}")
 
     lo = math.log(target / 2.0) / (2.0 * level)
-    hi = x = level + float(ndtri(target))
+    hi = x = level + ndtri(target)
     for _ in range(_NEWTON_ITERATIONS):
         f = drift_crossing_prob(level, x) - target
         if abs(f) < _DRIFT_TOL:

@@ -9,8 +9,8 @@ import sys
 import warnings
 
 import numpy as np
-from scipy.special import ndtri
 
+from ._normal import ndtri
 from .cif import cif_estimate, km_overall
 from .data_model import EventCode, build_risk_table, parse_dataset, read_text
 from .design import DesignInput, pilot_parameters, sample_size_diff, sample_size_sdiff
@@ -179,7 +179,7 @@ def _fmt(x, digits=6):
 
 def cmd_estimate(args) -> str:
     sample, tau = _load_sample(args)
-    z = float(ndtri(1.0 - args.alpha / 2.0))
+    z = ndtri(1.0 - args.alpha / 2.0)
     diff = rmtl_difference(sample, tau, require_events=False)
 
     groups = []

@@ -12,8 +12,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from scipy.special import ndtri
-
+from ._normal import ndtri
 from .brownian import solve_crossing_drift, sup_abs_bm_quantile
 from .data_model import TwoGroupSample
 from .errors import DataValidationError, DegenerateDesignWarning
@@ -71,7 +70,7 @@ class PilotParameters:
 
 
 def _raw_diff_n(inp: DesignInput) -> float:
-    z = float(ndtri(1.0 - inp.alpha / 2.0)) + float(ndtri(inp.power))
+    z = ndtri(1.0 - inp.alpha / 2.0) + ndtri(inp.power)
     r = inp.ratio
     return (1.0 + r) * z * z * (inp.var1 + inp.var2 / r) / (inp.delta * inp.delta)
 
@@ -106,7 +105,7 @@ def sample_size_diff(inp: DesignInput) -> SampleSizeResult:
 def sample_size_sdiff(inp: DesignInput, eps: float = 1e-10) -> SampleSizeResult:
     """Sizes for the supremum test via the drift-ratio inflation factor."""
     _check_degenerate(inp)
-    drift_normal = float(ndtri(1.0 - inp.alpha / 2.0)) + float(ndtri(inp.power))
+    drift_normal = ndtri(1.0 - inp.alpha / 2.0) + ndtri(inp.power)
     critical = sup_abs_bm_quantile(inp.alpha, eps)
     drift = solve_crossing_drift(critical, inp.power)
     inflation = (drift / drift_normal) ** 2

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import ndtr
 
+from ._normal import ndtr
 from .brownian import sup_abs_bm_sf
 from .data_model import TwoGroupSample
 from .errors import DataValidationError, DegenerateDataError
@@ -77,7 +77,7 @@ def diff_test(
             "zero standard error: no usable events of interest in either group"
         )
     z = delta.delta / delta.se
-    p = min(2.0 * float(ndtr(-abs(z))), 1.0)
+    p = min(2.0 * ndtr(-abs(z)), 1.0)
     return TestResult(
         method=TestMethod.DIFF,
         statistic=z,

@@ -14,8 +14,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
+from ._normal import ndtri
 from .cif import StepFunction
 from .data_model import TwoGroupSample
 from .errors import DataValidationError, DegenerateDataError, ExtrapolationWarning
@@ -96,7 +96,7 @@ def rmtl_ci(est: RmtlEstimate, alpha: float = 0.05) -> tuple[float, float]:
         raise DataValidationError(f"alpha must be in (0, 1), got {alpha!r}")
     if est.n < 2:
         raise DataValidationError("confidence interval needs group size n >= 2")
-    half = float(ndtri(1.0 - alpha / 2.0)) * math.sqrt(est.variance / est.n)
+    half = ndtri(1.0 - alpha / 2.0) * math.sqrt(est.variance / est.n)
     return max(est.value - half, 0.0), min(est.value + half, est.tau)
 
 

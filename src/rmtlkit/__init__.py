@@ -5,7 +5,6 @@ engine for their operating characteristics."""
 from .brownian import (
     drift_crossing_prob,
     drift_crossing_prob_deriv,
-    series_term_count,
     solve_crossing_drift,
     sup_abs_bm_quantile,
     sup_abs_bm_sf,

@@ -1,10 +1,13 @@
 """Numerics for the supremum of Brownian motion on [0, 1].
 
-Covers the survival function of sup|M(t)| via its alternating series (the
-reflection series in the far tail), its quantiles by bisection, the
-crossing probability of a level by a drifted Brownian motion, and the
-safeguarded Newton solve for the drift that achieves a target crossing
-probability. Reflection brackets both roots in closed form:
+Covers the survival function of sup|M(t)| to full double precision, its
+quantiles by bisection, the crossing probability of a level by a drifted
+Brownian motion, and the safeguarded Newton solve for the drift that
+achieves a target crossing probability. The survival function sums one of
+two exact series, each a fixed few terms: the theta series
+1 - (4/pi) sum_a (-1)^a exp(-pi^2 (2a+1)^2 / (8x^2)) / (2a+1) below
+x = 1.2, and the reflection series 4 sum_k (-1)^k Phibar((2k+1)x) from
+there on. Reflection brackets both roots in closed form:
 2 Phibar(x) <= P[sup|M| > x] <= 4 Phibar(x), and
 Phibar(u - eta) <= P[drifted BM crosses u] <= exp(2 u eta).
 """
@@ -12,108 +15,62 @@ Phibar(u - eta) <= P[drifted BM crosses u] <= exp(2 u eta).
 from __future__ import annotations
 
 import math
-import warnings
 
 from ._normal import log_ndtr, ndtr, ndtri
 from .errors import DataValidationError, NumericError, SolverError
 
-_MAX_TERMS = 1_000_000
-# From here on P[sup|M| > x] is below 4e-9, so 1 - (4/pi) * (theta series)
-# is all cancellation, and the reflection series is summed instead. The
-# bisection brackets of the quantiles for p >= 1e-8 end below it.
-_REFLECTION_FROM = 6.0
+# Where the theta series hands over to the reflection series. The first
+# omitted term is at most 1.7e-19 of the value on the theta side (3 terms)
+# and at most 1e-39 on the reflection side (5 terms).
+_SERIES_SWITCH = 1.2
 _DRIFT_TOL = 1e-10
 _NEWTON_ITERATIONS = 100
 
 
-def series_term_count(x: float, eps: float) -> int:
-    """Minimum number of series terms for permissible error eps.
+def sup_abs_bm_sf(x: float) -> float:
+    """P[sup of |M(t)| over t in [0,1] > x] for standard Brownian motion M.
 
-    Computed as ceil((x*sqrt(2)/pi) * sqrt(log(1/(pi*eps)) - 1/2)), floored
-    at 1. Outside eps in (0, 1/pi) the rule is undefined; fall back to 1
-    with a warning, since term-magnitude stopping still bounds the error.
+    Below x = 1.2 it is the theta series to three terms; from 1.2 on, the
+    reflection series 4 sum_{k<5} (-1)^k Phibar((2k+1)x), whose alternating
+    terms fall fast enough that the far tail keeps full relative precision.
+    Either is exact to double precision.
     """
     if not (math.isfinite(x) and x > 0):
         raise DataValidationError(f"x must be positive and finite, got {x!r}")
-    if not 0.0 < eps < 1.0 / math.pi:
-        warnings.warn(
-            f"eps={eps!r} outside (0, 1/pi); using m=1 and relying on "
-            "term-magnitude stopping",
-            stacklevel=2,
-        )
-        return 1
-    inner = math.log(1.0 / (math.pi * eps)) - 0.5
-    if inner <= 0.0:
-        return 1
-    return max(math.ceil(x * math.sqrt(2.0) / math.pi * math.sqrt(inner)), 1)
-
-
-def _term_magnitude(a: int, x: float) -> float:
-    return math.exp(-math.pi**2 * (2 * a + 1) ** 2 / (8.0 * x * x)) / (2 * a + 1)
-
-
-def sup_abs_bm_sf(x: float, eps: float = 1e-10) -> float:
-    """P[sup of |M(t)| over t in [0,1] > x] for standard Brownian motion M.
-
-    Sums the alternating series to at least the term count from
-    ``series_term_count`` and further until the next term's magnitude
-    drops below eps; the result is clamped into [0, 1]. From x = 6 on, it
-    sums the reflection series 4 sum_k (-1)^k Phibar((2k+1)x) instead, to
-    full relative precision.
-    """
-    if not eps > 0:
-        raise DataValidationError(f"eps must be positive, got {eps!r}")
-    m = series_term_count(x, eps)
-    if x >= _REFLECTION_FROM:
-        total, sign, k = 0.0, 1.0, 1
-        while True:
-            term = ndtr(-k * x)
-            if total + term == total:  # negligible, or an underflowed first term
-                return 4.0 * total
-            total += sign * term
-            sign, k = -sign, k + 2
+    if x < _SERIES_SWITCH:
+        c = math.pi**2 / (8.0 * x * x)
+        total = 0.0
+        for a in range(3):
+            total += (-1) ** a * math.exp(-c * (2 * a + 1) ** 2) / (2 * a + 1)
+        return 1.0 - (4.0 / math.pi) * total
     total = 0.0
-    a = 0
-    while a < _MAX_TERMS:
-        sign = 1.0 if a % 2 == 0 else -1.0
-        total += sign * _term_magnitude(a, x)
-        a += 1
-        if a >= m and _term_magnitude(a, x) < eps:
-            break
-    else:
-        raise NumericError(f"series did not converge within {_MAX_TERMS} terms")
-    return min(max(1.0 - (4.0 / math.pi) * total, 0.0), 1.0)
+    for k in range(5):
+        total += (-1) ** k * ndtr(-(2 * k + 1) * x)
+    return 4.0 * total
 
 
-def sup_abs_bm_quantile(p: float, eps: float = 1e-10) -> float:
+def sup_abs_bm_quantile(p: float) -> float:
     """Value x with sup_abs_bm_sf(x) = p, to within 1e-9 on the probability.
 
-    Bisects on [Phibar^-1((p + d)/2), Phibar^-1((p - d)/8)]. One side alone
-    crosses x with probability 2 Phibar(x) and, by the union bound, either
-    side with at most 4 Phibar(x); the series cut off at eps is within
-    d = 4 eps / pi of the exact sf, since its first omitted term is below
-    eps. So the series is > p at the lower end and < (p + d)/2 at the upper
-    (a factor-2 margin, as 4 Phibar is tight to about 1e-12) whenever d < p.
-    A coarser eps leaves the upper end at Phibar^-1(p/8), where the cut-off
-    series need not fall below p; the final check then reports the miss.
+    Bisects on [Phibar^-1(p/2), Phibar^-1(p/4)]: one side alone crosses x
+    with probability 2 Phibar(x) and, by the union bound, either side with
+    at most 4 Phibar(x), so the sf is >= p at the lower end and <= p at the
+    upper.
     """
     if not 0.0 < p < 1.0:
         raise DataValidationError(f"p must be in (0, 1), got {p!r}")
-    d = 4.0 * eps / math.pi
-    # -ndtri(q), not ndtri(1 - q), keeps the precision of small p; at 1e-8
-    # the series is 1 for every eps
-    lo = max(-ndtri(min(p + d, 1.0) / 2.0), 1e-8)
-    hi = -ndtri((p - d if d < p else p) / 8.0)
+    # -ndtri(q), not ndtri(1 - q), keeps the precision of small p
+    lo, hi = -ndtri(p / 2.0), -ndtri(p / 4.0)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if sup_abs_bm_sf(mid, eps) > p:
+        if sup_abs_bm_sf(mid) > p:
             lo = mid
         else:
             hi = mid
         if hi - lo < 1e-13 * max(1.0, hi):
             break
     x = 0.5 * (lo + hi)
-    if abs(sup_abs_bm_sf(x, eps) - p) >= 1e-9:
+    if abs(sup_abs_bm_sf(x) - p) >= 1e-9:
         raise NumericError(f"quantile solve did not reach 1e-9 at p={p}")
     return x
 

@@ -97,8 +97,6 @@ _SHARED_OPTIONS = {
     "--reference-group": dict(default=None, help="group label to treat as group 1"),
     "--rho": dict(type=_unit_interval, default=0.5,
                   help="cross-interval correlation (default 0.5)"),
-    "--eps": dict(type=_positive_float, default=1e-10,
-                  help="series permissible error (default 1e-10)"),
     "--method": dict(choices=("diff", "sdiff", "both"), default="both"),
 }
 _DATA_OPTIONS = ("--format", "--input", "--tau", "--alpha", "--strict-tau",
@@ -125,10 +123,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_command("estimate", cmd_estimate, "CIF curves, RMTL, RMSTc, difference",
                 *_DATA_OPTIONS)
     add_command("test", cmd_test, "Diff and sDiff hypothesis tests",
-                *_DATA_OPTIONS, "--rho", "--eps", "--method")
+                *_DATA_OPTIONS, "--rho", "--method")
 
     p_size = add_command("samplesize", cmd_samplesize, "designed n for Diff and sDiff",
-                         "--format", "--tau", "--alpha", "--eps", "--method",
+                         "--format", "--tau", "--alpha", "--method",
                          "--strict-tau", "--reference-group")
     p_size.add_argument("--delta", type=float, default=None,
                         help="assumed RMTL difference")
@@ -146,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="tabulate n against tau over this range (pilot only)")
 
     p_sim = add_command("simulate", cmd_simulate, "Monte Carlo size/power study",
-                        "--format", "--alpha", "--rho", "--eps", "--method")
+                        "--format", "--alpha", "--rho", "--method")
     p_sim.add_argument("--input", required=True, help="scenario JSON file")
     p_sim.add_argument("--reps", type=_positive_int, default=5000)
     p_sim.add_argument("--seed", type=_nonneg_int, default=0)
@@ -262,7 +260,7 @@ def cmd_test(args) -> str:
         if method == TestMethod.DIFF:
             res = diff_test(sample, tau, alpha=args.alpha)
         else:
-            res = sdiff_test(sample, tau, alpha=args.alpha, rho=args.rho, eps=args.eps)
+            res = sdiff_test(sample, tau, alpha=args.alpha, rho=args.rho)
         results[method.value] = {
             "statistic": res.statistic,
             "p_value": res.p_value,
@@ -298,13 +296,13 @@ def cmd_test(args) -> str:
     return "\n".join(lines)
 
 
-def _designs(inp: DesignInput, methods, eps: float) -> dict:
+def _designs(inp: DesignInput, methods) -> dict:
     out = {}
     for method in methods:
         if method == TestMethod.DIFF:
             res = sample_size_diff(inp)
         else:
-            res = sample_size_sdiff(inp, eps)
+            res = sample_size_sdiff(inp)
         entry = {"n_total": res.n_total, "n1": res.n1, "n2": res.n2,
                  "inflation": res.inflation}
         if res.drift is not None:
@@ -338,7 +336,7 @@ def cmd_samplesize(args) -> str:
                 inp = DesignInput(delta=pp.delta, var1=pp.var1, var2=pp.var2,
                                   ratio=args.ratio, alpha=args.alpha,
                                   power=args.power)
-                for name, entry in _designs(inp, methods, args.eps).items():
+                for name, entry in _designs(inp, methods).items():
                     row[name] = entry["n_total"]
             except RmtlError as exc:
                 row["error"] = str(exc)
@@ -370,7 +368,7 @@ def cmd_samplesize(args) -> str:
                           ratio=args.ratio, alpha=args.alpha, power=args.power)
         payload["inputs"] = {"delta": args.delta, "var1": args.var1,
                              "var2": args.var2}
-    payload["results"] = _designs(inp, methods, args.eps)
+    payload["results"] = _designs(inp, methods)
 
     if args.format == "json":
         return json.dumps(payload, indent=2)
@@ -400,7 +398,6 @@ def cmd_simulate(args) -> str:
         seed=args.seed,
         alpha=args.alpha,
         rho=args.rho,
-        eps=args.eps,
         workers=args.workers,
     )
     if args.n_total is not None:

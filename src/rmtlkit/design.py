@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 from ._normal import ndtri
 from .brownian import solve_crossing_drift, sup_abs_bm_quantile
@@ -102,13 +103,19 @@ def sample_size_diff(inp: DesignInput) -> SampleSizeResult:
     )
 
 
-def sample_size_sdiff(inp: DesignInput, eps: float = 1e-10) -> SampleSizeResult:
+@lru_cache
+def _sdiff_drifts(alpha: float, power: float) -> tuple[float, float, float]:
+    """(drift, normal drift, inflation): all that depends on alpha and power
+    alone, so a sweep over pilot taus solves for the drift once."""
+    drift_normal = ndtri(1.0 - alpha / 2.0) + ndtri(power)
+    drift = solve_crossing_drift(sup_abs_bm_quantile(alpha), power)
+    return drift, drift_normal, (drift / drift_normal) ** 2
+
+
+def sample_size_sdiff(inp: DesignInput) -> SampleSizeResult:
     """Sizes for the supremum test via the drift-ratio inflation factor."""
     _check_degenerate(inp)
-    drift_normal = ndtri(1.0 - inp.alpha / 2.0) + ndtri(inp.power)
-    critical = sup_abs_bm_quantile(inp.alpha, eps)
-    drift = solve_crossing_drift(critical, inp.power)
-    inflation = (drift / drift_normal) ** 2
+    drift, drift_normal, inflation = _sdiff_drifts(inp.alpha, inp.power)
     n1, n2 = _split(inflation * _raw_diff_n(inp), inp.ratio)
     return SampleSizeResult(
         method=TestMethod.SDIFF,

@@ -142,7 +142,6 @@ def sdiff_test(
     tau: float,
     alpha: float = 0.05,
     rho: float = 0.5,
-    eps: float = 1e-10,
 ) -> TestResult:
     """Supremum test of zero RMTL difference over the whole window."""
     alpha = _check_alpha(alpha)
@@ -155,7 +154,7 @@ def sdiff_test(
     if statistic == 0.0:
         p = 1.0
     else:
-        p = sup_abs_bm_sf(statistic, eps)
+        p = sup_abs_bm_sf(statistic)
     return TestResult(
         method=TestMethod.SDIFF,
         statistic=statistic,

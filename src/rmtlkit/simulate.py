@@ -328,7 +328,7 @@ def _samples(scn, start, stop, seed, bounds):
                    if keep[r] else None)
 
 
-def _run_block(scn, methods, start, stop, seed, alpha, rho, eps, bounds):
+def _run_block(scn, methods, start, stop, seed, alpha, rho, bounds):
     skipped = 0
     tallies = {m: [0, 0, 0] for m in methods}  # rejections, valid, degenerate
     for sample in _samples(scn, start, stop, seed, bounds):
@@ -341,7 +341,7 @@ def _run_block(scn, methods, start, stop, seed, alpha, rho, eps, bounds):
                 if method == TestMethod.DIFF:
                     result = diff_test(sample, tau, alpha=alpha)
                 else:
-                    result = sdiff_test(sample, tau, alpha=alpha, rho=rho, eps=eps)
+                    result = sdiff_test(sample, tau, alpha=alpha, rho=rho)
             except DegenerateDataError:
                 tallies[method][2] += 1
                 continue
@@ -400,7 +400,6 @@ def run_monte_carlo(
     seed: int = 0,
     alpha: float = 0.05,
     rho: float = 0.5,
-    eps: float = 1e-10,
     workers: int = 1,
 ) -> SimulationReport:
     """Replicated size/power study of the selected tests under a scenario.
@@ -421,7 +420,7 @@ def run_monte_carlo(
     bounds = resolve_censoring(scn)
 
     if workers == 1:
-        blocks = [_run_block(scn, methods, 0, reps, seed, alpha, rho, eps, bounds)]
+        blocks = [_run_block(scn, methods, 0, reps, seed, alpha, rho, bounds)]
     else:
         n_blocks = min(workers * 4, reps)
         edges = np.linspace(0, reps, n_blocks + 1, dtype=int)
@@ -433,8 +432,7 @@ def run_monte_carlo(
                     if b > a:
                         futures.append(pool.submit(
                             _run_block, scn, methods, int(a), int(b), seed, alpha, rho,
-                            eps, bounds,
-                        ))
+                            bounds))
             blocks = [f.result() for f in futures]
         finally:
             # after an error or an interrupt, the blocks not yet started are
@@ -481,7 +479,6 @@ def observed_power_at_n(
     seed: int = 0,
     alpha: float = 0.05,
     rho: float = 0.5,
-    eps: float = 1e-10,
     ratio: float | None = None,
     workers: int = 1,
 ) -> SimulationReport:
@@ -516,8 +513,7 @@ def observed_power_at_n(
         ),
     )
     return run_monte_carlo(
-        resized, methods, reps=reps, seed=seed, alpha=alpha, rho=rho, eps=eps,
-        workers=workers,
+        resized, methods, reps=reps, seed=seed, alpha=alpha, rho=rho, workers=workers,
     )
 
 

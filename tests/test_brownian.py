@@ -2,16 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import log_ndtr, ndtr, ndtri
+from scipy.special import log_ndtr, ndtr
 
 from rmtlkit import (
     DataValidationError,
-    NumericError,
     _normal,
-    brownian,
     drift_crossing_prob,
     drift_crossing_prob_deriv,
-    series_term_count,
     solve_crossing_drift,
     sup_abs_bm_quantile,
     sup_abs_bm_sf,
@@ -44,7 +41,7 @@ class TestSupSurvival:
     def test_tail_matches_reflection_series(self):
         # below the smallest normal double a value cannot hold 1e-12
         # relative precision, so the comparison is absolute there
-        for x in np.linspace(6.0, 40.0, 341):
+        for x in np.linspace(1.2, 40.0, 389):
             got, want = sup_abs_bm_sf(float(x)), self.reflection_sf(float(x))
             assert got == pytest.approx(want, rel=1e-12, abs=np.finfo(float).tiny), x
 
@@ -54,12 +51,36 @@ class TestSupSurvival:
         assert (steps <= 0).all()
         assert (steps[vals[1:] > np.finfo(float).tiny] < 0).all()
 
-    def test_tail_joins_the_series(self):
-        # the series cut off at eps just below x = 6 is within its error
-        # bound 4 eps / pi of the reflection series from x = 6 on
-        eps = 1e-10
-        below, at = sup_abs_bm_sf(6.0 - 1e-9, eps), sup_abs_bm_sf(6.0, eps)
-        assert abs(below - at) < 4.0 * eps / math.pi
+    @pytest.mark.parametrize("x0", [1.2, 6.0])
+    def test_no_rise_across_a_series_switch(self, x0):
+        # 1.2 is where the theta series hands over to the reflection series;
+        # at 6 a series cut off at a tolerance once stepped up
+        xs = np.concatenate([np.linspace(x0 - 1e-6, x0, 1001),
+                             np.linspace(x0, x0 + 1e-6, 1001)[1:]])
+        vals = np.array([sup_abs_bm_sf(float(x)) for x in xs])
+        assert (np.diff(vals) <= 0).all()
+
+    @staticmethod
+    def theta_sf(x):
+        """1 - (4/pi) sum_a (-1)^a exp(-pi^2 (2a+1)^2 / (8x^2)) / (2a+1),
+        summed until the terms vanish."""
+        total, a = 0.0, 0
+        while True:
+            term = math.exp(-math.pi**2 * (2 * a + 1) ** 2 / (8 * x * x)) / (2 * a + 1)
+            if total + term == total:
+                return 1.0 - 4.0 / math.pi * total
+            total += (-1) ** a * term
+            a += 1
+
+    def test_theta_and_reflection_series_agree(self):
+        # on the overlap of the two series around the switch at x = 1.2,
+        # each summed to convergence independently of the library
+        k = np.arange(60)
+        for x in np.linspace(0.8, 2.0, 121):
+            theta = self.theta_sf(float(x))
+            reflection = 4.0 * float(np.sum((-1.0) ** k * ndtr(-(2 * k + 1) * x)))
+            assert theta == pytest.approx(reflection, rel=1e-14, abs=0), x
+            assert sup_abs_bm_sf(float(x)) == pytest.approx(theta, rel=1e-14, abs=0), x
 
     def test_limits(self):
         assert sup_abs_bm_sf(0.01) == pytest.approx(1.0, abs=1e-12)
@@ -73,18 +94,6 @@ class TestSupSurvival:
         for x in (0.0, float("nan"), float("inf")):
             with pytest.raises(DataValidationError):
                 sup_abs_bm_sf(x)
-            with pytest.raises(DataValidationError):
-                series_term_count(x, 1e-10)
-
-    @pytest.mark.parametrize("eps", [0.0, -1e-10, float("nan")])
-    def test_nonpositive_eps_rejected(self, eps):
-        with pytest.raises(DataValidationError, match="eps must be positive"):
-            sup_abs_bm_sf(1.0, eps=eps)
-
-    def test_exhausted_budget_raises(self, monkeypatch):
-        monkeypatch.setattr(brownian, "_MAX_TERMS", 2)
-        with pytest.raises(NumericError):
-            sup_abs_bm_sf(2.0, eps=1e-300)
 
     @pytest.mark.parametrize("x", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
     def test_matches_reflection_series(self, x):
@@ -101,24 +110,6 @@ class TestSupSurvival:
             assert 2 * tail <= sup_abs_bm_sf(x) <= 4 * tail
 
 
-class TestTermCount:
-    def test_frozen_count(self):
-        assert series_term_count(2.0, 1e-10) == 5
-
-    def test_grows_with_level(self):
-        assert series_term_count(4.0, 1e-10) >= series_term_count(1.0, 1e-10)
-
-    def test_grows_as_eps_shrinks(self):
-        assert series_term_count(2.0, 1e-14) >= series_term_count(2.0, 1e-6)
-
-    def test_out_of_range_eps_warns(self):
-        with pytest.warns(UserWarning, match="1/pi"):
-            assert series_term_count(2.0, 0.9) == 1
-
-    def test_at_least_one(self):
-        assert series_term_count(1e-6, 1e-10) == 1
-
-
 class TestQuantile:
     def test_frozen_value(self):
         assert sup_abs_bm_quantile(0.05) == pytest.approx(
@@ -132,6 +123,10 @@ class TestQuantile:
 
     def test_monotone(self):
         assert sup_abs_bm_quantile(0.01) > sup_abs_bm_quantile(0.05)
+
+    @pytest.mark.parametrize("p", [1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 0.01, 0.3, 0.7, 0.999])
+    def test_relative_residual(self, p):
+        assert sup_abs_bm_sf(sup_abs_bm_quantile(p)) == pytest.approx(p, rel=1e-11, abs=0)
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.5])
     def test_domain(self, p):
@@ -214,25 +209,12 @@ class TestClosedFormBrackets:
         assert lo <= x <= hi
         assert abs(drift_crossing_prob(level, x) - target) < 1e-10
 
-    @pytest.mark.parametrize("coarse", [False, True])
-    @pytest.mark.parametrize("p", [1e-9, 1e-3, 0.05, 0.5, 0.999])
-    def test_quantile_bracket_and_residual(self, p, coarse):
-        # the bracket holds for the series cut off at eps, whose error bound
-        # d = 4 eps / pi is min(p, 1 - p) / 2 in the coarse case
-        eps = math.pi * min(p, 1 - p) / 8 if coarse else 1e-10
-        d = 4 * eps / math.pi
-        lo, hi = -float(ndtri((p + d) / 2)), -float(ndtri((p - d) / 8))
-        assert sup_abs_bm_sf(lo, eps) >= p > sup_abs_bm_sf(hi, eps)
-        x = sup_abs_bm_quantile(p, eps)
+    @pytest.mark.parametrize("p", [1e-9, 1e-3, 0.05, 0.5, 0.9, 0.999, 1 - 1e-9])
+    def test_quantile_bracket_and_residual(self, p):
+        # 2 Phibar(x) <= sf(x) <= 4 Phibar(x) puts the root between
+        # Phibar^-1(p/2) and Phibar^-1(p/4), with the solver's own ndtri
+        lo, hi = -_normal.ndtri(p / 2), -_normal.ndtri(p / 4)
+        assert sup_abs_bm_sf(lo) >= p >= sup_abs_bm_sf(hi)
+        x = sup_abs_bm_quantile(p)
         assert lo <= x <= hi
-        assert abs(sup_abs_bm_sf(x, eps) - p) < 1e-9
-
-    @pytest.mark.parametrize("p,expected", [(0.9, 0.6963595876490836),
-                                            (0.999, 0.41540576416874764)])
-    def test_quantile_lower_end_floored_for_coarse_eps(self, p, expected):
-        # p + 4 eps / pi >= 1 leaves no positive closed-form lower end; the
-        # bisection starts from 1e-8, where the series is 1 for every eps
-        with pytest.warns(UserWarning, match="outside"):
-            x = sup_abs_bm_quantile(p, 0.5)
-            assert abs(sup_abs_bm_sf(x, 0.5) - p) < 1e-9
-        assert x == pytest.approx(expected, abs=1e-12)
+        assert abs(sup_abs_bm_sf(x) - p) < 1e-9

@@ -12,6 +12,7 @@ from rmtlkit import (
     sample_size_sdiff,
     shipped_scenario_path,
 )
+from rmtlkit import design
 from rmtlkit.cli import main
 from rmtlkit.simulate import _samples
 
@@ -229,24 +230,24 @@ class TestSampleSize:
         assert results["sdiff"]["inflation"] > 1.0
         assert results["sdiff"]["drift"] > results["sdiff"]["drift_normal"]
 
-    def test_eps_reaches_the_sdiff_design(self, capsys):
-        rc, out, _ = run(capsys, ["samplesize", "--delta", "1", "--var1", "4",
-                                  "--var2", "4", "--eps", "0.3", "--format", "json"])
-        assert rc == 0
-        coarse = sample_size_sdiff(DesignInput(delta=1.0, var1=4.0, var2=4.0), eps=0.3)
-        default = sample_size_sdiff(DesignInput(delta=1.0, var1=4.0, var2=4.0))
-        assert coarse.n_total != default.n_total
-        assert json.loads(out)["results"]["sdiff"]["n_total"] == coarse.n_total
-
-    def test_eps_reaches_the_pilot_sweep(self, capsys, dataset):
+    def test_sweep_solves_the_sdiff_drift_once(self, capsys, dataset, monkeypatch):
+        # the critical value and drift depend on (alpha, power) alone
         path, sample = dataset
+        calls = []
+        quantile = design.sup_abs_bm_quantile
+        monkeypatch.setattr(design, "sup_abs_bm_quantile",
+                            lambda p: calls.append(p) or quantile(p))
+        design._sdiff_drifts.cache_clear()
         rc, out, _ = run(capsys, ["samplesize", "--pilot", str(path), "--sweep",
-                                  "2:2:1", "--eps", "0.3", "--format", "json"])
+                                  "2:4:1", "--alpha", "0.03", "--format", "json"])
         assert rc == 0
-        pp = pilot_parameters(sample, 2.0)
-        inp = DesignInput(delta=pp.delta, var1=pp.var1, var2=pp.var2)
-        assert json.loads(out)["sweep"][0]["sdiff"] == \
-            sample_size_sdiff(inp, eps=0.3).n_total
+        rows = json.loads(out)["sweep"]
+        assert [row["tau"] for row in rows] == [2.0, 3.0, 4.0]
+        assert calls == [0.03]
+        for row in rows:
+            pp = pilot_parameters(sample, row["tau"])
+            inp = DesignInput(delta=pp.delta, var1=pp.var1, var2=pp.var2, alpha=0.03)
+            assert row["sdiff"] == sample_size_sdiff(inp).n_total
 
     def test_missing_variances_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -462,3 +463,19 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["test", "--input", "x.csv"],
+            ["samplesize", "--delta", "1", "--var1", "4", "--var2", "4"],
+            ["simulate", "--input", "x.json"],
+        ],
+    )
+    def test_eps_is_not_an_option(self, capsys, argv):
+        # the Brownian series are exact to double precision: there is no
+        # truncation error left to set
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--eps", "1e-10"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --eps" in capsys.readouterr().err

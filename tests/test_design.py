@@ -9,7 +9,6 @@ from rmtlkit import (
     DegenerateDesignWarning,
     DesignInput,
     EventCode,
-    NumericError,
     SubjectRecord,
     TwoGroupSample,
     default_tau,
@@ -132,20 +131,16 @@ class TestSdiffSize:
         assert (sample_size_sdiff(base_input(alpha=0.01)).n_total
                 > sample_size_sdiff(base_input(alpha=0.05)).n_total)
 
-    def test_coarse_eps_design(self):
-        # the series cut off at eps 0.3 keeps one term on x < 10 and sinks to
-        # 0 from x = 2.26, below the exact lower bound Phibar^-1(0.005) = 2.58;
-        # the design is still found, on the cut-off series' own root
-        res = sample_size_sdiff(base_input(alpha=0.01), eps=0.3)
-        assert (res.n_total, res.n1, res.n2) == (176, 88, 88)
-        assert res.inflation == pytest.approx(0.7315872002195556, abs=1e-10)
-        assert res.drift == pytest.approx(3.2993285983868463, abs=1e-10)
-
-    def test_coarse_eps_without_a_root_is_reported(self):
-        # at eps 0.05 the cut-off series steps from about 0.028 to 0 at
-        # x = 3.8, so no x gives 0.001
-        with pytest.raises(NumericError, match="did not reach 1e-9"):
-            sample_size_sdiff(base_input(alpha=0.001), eps=0.05)
+    @pytest.mark.parametrize("alpha,expected", [
+        (0.01, (248, 1.037572038634148, 3.9291775321082123)),
+        (0.001, (344, 1.0259682656941478, 4.631062295228581)),
+    ])
+    def test_frozen_small_alpha_designs(self, alpha, expected):
+        n_total, inflation, drift = expected
+        res = sample_size_sdiff(base_input(alpha=alpha))
+        assert (res.n_total, res.n1, res.n2) == (n_total, n_total // 2, n_total // 2)
+        assert res.inflation == pytest.approx(inflation, abs=1e-10)
+        assert res.drift == pytest.approx(drift, abs=1e-10)
 
     def test_inflation_applied_to_raw_size(self):
         res_d = sample_size_diff(base_input())

@@ -7,6 +7,7 @@ The few deliberate exceptions are listed with their reason.
 """
 
 import ast
+import inspect
 from functools import cached_property
 from pathlib import Path
 from types import FunctionType
@@ -105,3 +106,17 @@ def test_every_public_method_is_used_in_the_package():
 
 def test_method_exceptions_exist_and_are_still_unused():
     assert set(METHODS_UNUSED_BY_DESIGN) <= unused_methods()
+
+
+def test_no_exported_callable_takes_eps():
+    # the Brownian series are exact to double precision with a fixed number
+    # of terms, so there is no truncation error for a caller to set
+    takes_eps = set()
+    for name in exported_callables():
+        try:
+            parameters = inspect.signature(getattr(rmtlkit, name)).parameters
+        except ValueError:  # exception classes: builtin constructors
+            continue
+        if "eps" in parameters:
+            takes_eps.add(name)
+    assert not takes_eps

@@ -23,7 +23,6 @@ from .errors import DataValidationError, NumericError, SolverError
 # omitted term is at most 1.7e-19 of the value on the theta side (3 terms)
 # and at most 1e-39 on the reflection side (5 terms).
 _SERIES_SWITCH = 1.2
-_DRIFT_TOL = 1e-10
 _NEWTON_ITERATIONS = 100
 
 
@@ -106,6 +105,9 @@ def solve_crossing_drift(level: float, target: float) -> float:
     P(eta) <= exp(2u eta), the crossing probability on the whole half-line,
     and P(eta) >= Phibar(u - eta), that of the end point alone. Newton
     iteration from the upper end; a step leaving the bracket is bisected.
+    It stops once the Newton step is at most 4 ulp of max(|eta|, u), the
+    scale at which P itself is rounded, so the drift is settled to machine
+    precision and does not follow rounding noise in ``level``.
     """
     if not (math.isfinite(level) and level > 0):
         raise DataValidationError(f"level must be positive and finite, got {level!r}")
@@ -116,17 +118,17 @@ def solve_crossing_drift(level: float, target: float) -> float:
     hi = x = level + ndtri(target)
     for _ in range(_NEWTON_ITERATIONS):
         f = drift_crossing_prob(level, x) - target
-        if abs(f) < _DRIFT_TOL:
-            return x
         if f < 0:
             lo = x
         else:
             hi = x
         deriv = drift_crossing_prob_deriv(level, x)
-        x_new = x - f / deriv if deriv > 0 else None
-        if x_new is None or not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        x = x_new
+        step = f / deriv if deriv > 0 else math.inf
+        if abs(step) <= 4.0 * math.ulp(max(abs(x), level)):
+            return x - step
+        x -= step
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
     raise SolverError(
         f"drift solve did not converge within {_NEWTON_ITERATIONS} iterations"
     )

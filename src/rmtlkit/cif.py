@@ -231,25 +231,46 @@ def _aalen_variance(n, d, dj, s_prev, inc):
     The three per-row terms a, b, c are divided in one guarded call and
     the six running sums taken in one cumsum. Rows where a denominator hits
     zero (n_k <= 1 or n_k = d_k) contribute nothing, matching the plug-in
-    limit.
+    limit. Every step writes into one of three buffers: fresh temporaries
+    of this size would each be mapped and faulted in again.
     """
-    n1 = n - 1.0
-    nd = n - d
-    p = (n - dj) * dj
-    num = np.empty((3,) + n.shape)
+    terms = np.empty((6,) + n.shape)  # a, b, c, a*I, a*I^2, c*I
     den = np.empty((3,) + n.shape)
+    t = np.empty(n.shape)
+    num = terms[:3]
     num[0] = d
-    np.multiply(p, s_prev**2, out=num[1])
-    np.multiply(p, s_prev, out=num[2])
-    np.multiply(n1, nd, out=den[0])
-    np.multiply(n1, n**2, out=den[1])
-    np.multiply(n * nd, n1, out=den[2])
-    terms = np.zeros((6,) + n.shape)  # a, b, c, a*I, a*I^2, c*I
-    a, b, c = np.divide(num, den, out=terms[:3], where=den > 0)
-    inc2 = inc**2
+    np.subtract(n, dj, out=t)
+    np.multiply(t, dj, out=t)  # (n - dj) dj
+    np.square(s_prev, out=num[1])
+    np.multiply(t, num[1], out=num[1])
+    np.multiply(t, s_prev, out=num[2])
+    np.subtract(n, 1.0, out=t)
+    np.subtract(n, d, out=den[2])
+    np.multiply(t, den[2], out=den[0])  # (n - 1)(n - d)
+    np.multiply(n, den[2], out=den[2])
+    np.multiply(den[2], t, out=den[2])  # n (n - d) (n - 1)
+    np.square(n, out=den[1])
+    np.multiply(t, den[1], out=den[1])  # (n - 1) n^2
+    positive = den > 0
+    np.divide(num, den, out=num, where=positive)
+    np.copyto(num, 0.0, where=~positive)
+    a, b, c = num
+    np.square(inc, out=t)  # I^2
     np.multiply(a, inc, out=terms[3])
-    np.multiply(a, inc2, out=terms[4])
+    np.multiply(a, t, out=terms[4])
     np.multiply(c, inc, out=terms[5])
-    sum_a, sum_b, sum_c, sum_ai, sum_ai2, sum_ci = terms.cumsum(axis=-1)
-    var = inc2 * sum_a - 2.0 * inc * sum_ai + sum_ai2 + sum_b - 2.0 * (inc * sum_c - sum_ci)
+    np.add.accumulate(terms, axis=-1, out=terms)
+    sum_a, sum_b, sum_c, sum_ai, sum_ai2, sum_ci = terms
+    # I^2 A - 2 I (aI) + (aI^2) + B - 2 (I C - (cI)), in this order
+    var, u = den[0], den[1]
+    np.multiply(t, sum_a, out=var)
+    np.multiply(inc, 2.0, out=u)
+    np.multiply(u, sum_ai, out=u)
+    np.subtract(var, u, out=var)
+    np.add(var, sum_ai2, out=var)
+    np.add(var, sum_b, out=var)
+    np.multiply(inc, sum_c, out=u)
+    np.subtract(u, sum_ci, out=u)
+    np.multiply(u, 2.0, out=u)
+    np.subtract(var, u, out=var)
     return np.maximum(var, 0.0)

@@ -21,6 +21,7 @@ from .simulate import load_scenario, observed_power_at_n, run_monte_carlo, scena
 
 SCHEMA_VERSION = 1
 _MAX_SWEEP_TAUS = 10_000
+_ARRAY = "\0array\0"  # stands for a spliced float array in the encoded payload
 
 
 def _probability(text: str) -> float:
@@ -167,6 +168,45 @@ def _methods(choice: str) -> tuple[TestMethod, ...]:
     return (TestMethod(choice),)
 
 
+def _dumps(payload) -> str:
+    """``json.dumps(payload, indent=2)`` of the payload with its numpy arrays
+    as lists, byte for byte.
+
+    ``indent`` puts ``json`` on its pure-Python encoder, so each finite
+    float array is written here in one join of ``float.__repr__``, the text
+    ``json`` writes for a finite float, and spliced into the encoding of
+    the rest. Empty, non-finite and non-float arrays are encoded as lists.
+    """
+    arrays = []
+    parts = json.dumps(_with_stand_ins(payload, 0, arrays), indent=2).split(
+        json.dumps(_ARRAY))
+    if len(parts) != len(arrays) + 1:  # a string of the payload reads as a stand-in
+        return json.dumps(_with_stand_ins(payload, 0, None), indent=2)
+    out = [parts[0]]
+    for array, part in zip(arrays, parts[1:]):
+        out += (array, part)
+    return "".join(out)
+
+
+def _with_stand_ins(obj, depth: int, arrays: list | None):
+    """A copy of ``obj`` (at nesting ``depth``) with each finite float array
+    written into ``arrays`` and replaced by ``_ARRAY``, and every other
+    array by its list; with ``arrays`` None, every array by its list."""
+    if isinstance(obj, dict):
+        return {k: _with_stand_ins(v, depth + 1, arrays) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_with_stand_ins(v, depth + 1, arrays) for v in obj]
+    if not isinstance(obj, np.ndarray):
+        return obj
+    if (arrays is None or obj.dtype != np.float64 or obj.ndim != 1 or not obj.size
+            or not np.isfinite(obj).all()):
+        return obj.tolist()
+    pad = "\n" + "  " * (depth + 1)
+    arrays.append("[" + pad + f",{pad}".join(map(float.__repr__, obj.tolist()))
+                  + pad[:-2] + "]")
+    return _ARRAY
+
+
 def _fmt(x, digits=6):
     if x is None:
         return "-"
@@ -196,11 +236,8 @@ def cmd_estimate(args) -> str:
                 "ci": [lo, hi],
                 "rmtl_competing": rmtl(cif_estimate(table, EventCode.COMPETING), tau),
                 "rmstc": rmstc(km_overall(table), tau),
-                "cif": {
-                    "times": cif.times.tolist(),
-                    "values": cif.values.tolist(),
-                    "variances": cif.variances.tolist(),
-                },
+                "cif": {"times": cif.times, "values": cif.values,
+                        "variances": cif.variances},
             }
         )
 
@@ -222,7 +259,7 @@ def cmd_estimate(args) -> str:
               "RMTL + RMSTc = tau"],
     }
     if args.format == "json":
-        return json.dumps(payload, indent=2)
+        return _dumps(payload)
 
     level = 100 * (1 - args.alpha)
     lines = [f"RMTL estimates (tau = {_fmt(tau)})", ""]
@@ -244,8 +281,9 @@ def cmd_estimate(args) -> str:
         lines.append("")
         lines.append(f"CIF of the event of interest, group {g['label']}")
         lines.append(f"{'time':>12}  {'estimate':>10}  {'variance':>12}")
-        for t, v, var in zip(g["cif"]["times"], g["cif"]["values"],
-                             g["cif"]["variances"]):
+        curve = g["cif"]
+        for t, v, var in zip(curve["times"].tolist(), curve["values"].tolist(),
+                             curve["variances"].tolist()):
             lines.append(f"{_fmt(t):>12}  {_fmt(v):>10}  {_fmt(var):>12}")
     for note in payload["notes"]:
         lines.append("")
@@ -278,7 +316,7 @@ def cmd_test(args) -> str:
         "results": results,
     }
     if args.format == "json":
-        return json.dumps(payload, indent=2)
+        return _dumps(payload)
 
     lines = [
         f"RMTL difference tests (tau = {_fmt(tau)}, alpha = {args.alpha:g})",
@@ -343,7 +381,7 @@ def cmd_samplesize(args) -> str:
             rows.append(row)
         payload["sweep"] = rows
         if args.format == "json":
-            return json.dumps(payload, indent=2)
+            return _dumps(payload)
         names = [m.value for m in methods]
         lines = [f"sample size by tau (alpha {args.alpha:g}, power {args.power:g})",
                  "",
@@ -371,7 +409,7 @@ def cmd_samplesize(args) -> str:
     payload["results"] = _designs(inp, methods)
 
     if args.format == "json":
-        return json.dumps(payload, indent=2)
+        return _dumps(payload)
     lines = [f"designed sample sizes (alpha {args.alpha:g}, power {args.power:g}, "
              f"ratio {args.ratio:g})", ""]
     lines.append(f"{'method':<8}{'n_total':>9}{'n1':>7}{'n2':>7}  {'inflation':>10}"
@@ -411,7 +449,7 @@ def cmd_simulate(args) -> str:
         "report": report.to_dict(),
     }
     if args.format == "json":
-        return json.dumps(payload, indent=2)
+        return _dumps(payload)
 
     r = report
     lines = [

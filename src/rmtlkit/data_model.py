@@ -256,6 +256,7 @@ def read_text(path) -> str:
 
 _REQUIRED_COLUMNS = ("time", "status", "group")
 _STATUS_CODES = {"0": 0, "1": 1, "2": 2}
+_BLOCK_CHARS = 1 << 16  # characters a plain file is split in at a time
 
 
 def parse_dataset(text: str, reference: str | None = None) -> TwoGroupSample:
@@ -267,7 +268,90 @@ def parse_dataset(text: str, reference: str | None = None) -> TwoGroupSample:
     must be 0 (censored), 1 (event of interest), or 2 (competing event). A
     leading UTF-8 byte order mark is ignored. Lines may end in ``\n``,
     ``\r\n`` or a bare ``\r``.
+
+    A plain file (no quote, carriage return or NUL, every line as many
+    fields as the header) is split in blocks of lines with string methods
+    and checked in bulk. Any other file, and any file with a value that
+    fails a check, is read row by row by the csv module, which words the
+    error; either way the result and every message are the same.
     """
+    sample = _parse_plain(text.removeprefix("\ufeff"), reference)
+    return sample if sample is not None else _parse_rows(text, reference)
+
+
+def _parse_plain(text: str, reference: str | None) -> TwoGroupSample | None:
+    """The sample of a plain, valid ``text`` (byte order mark removed);
+    None for any other text. Only a block of lines is held as fields at a
+    time."""
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    start = text.find("\n") + 1
+    head = text[:start]
+    limit = csv.field_size_limit()
+    if not start or not head.strip() or len(head) >= limit:
+        return None
+    delimiter = "\t" if ("\t" in head and "," not in head) else ","
+    header = head[:-1].split(delimiter)
+    column = {name.strip(): k for k, name in enumerate(header)}
+    if not all(c in column for c in _REQUIRED_COLUMNS):
+        return None
+    t_col, s_col, g_col = (column[c] for c in _REQUIRED_COLUMNS)
+    stride = len(header) + 1  # a line's fields, then its line-end marker
+    stop = len(text) - 1 if text.endswith("\n") else len(text)
+    if stop <= start:
+        return None
+    n = text.count("\n", start, stop) + 1
+    times = np.empty(n)
+    codes = np.empty(n, dtype=np.int64)
+    group = np.empty(n, dtype=np.int64)
+    labels = {}  # label -> group index, in first-seen order
+    row = 0
+    while start <= stop:  # a blank last line is a block of its own
+        end = text.find("\n", start + _BLOCK_CHARS, stop)
+        end = stop if end < 0 else end
+        block = text[start:end]
+        start = end + 1
+        lines = block.count("\n") + 1
+        # every line end becomes a field of its own; the fields are as
+        # many as the header's on each line exactly when the ends sit at
+        # every stride-th field
+        fields = block.replace("\n", f"{delimiter}\n{delimiter}").split(delimiter)
+        if (len(fields) != stride * lines - 1
+                or fields[stride - 1::stride].count("\n") != lines - 1
+                or len(block) >= limit and max(map(len, fields)) >= limit):
+            return None
+        status, names = fields[s_col::stride], fields[g_col::stride]
+        if not _STATUS_CODES.keys() >= set(status):
+            return None
+        for label in dict.fromkeys(names):
+            if label not in labels:
+                if not label or label != label.strip() or len(labels) == 2:
+                    return None
+                labels[label] = len(labels)
+        try:
+            times[row:row + lines] = np.fromiter(map(float, fields[t_col::stride]),
+                                                 float, lines)
+        except ValueError:
+            return None
+        codes[row:row + lines] = np.frombuffer("".join(status).encode(), np.uint8)
+        group[row:row + lines] = np.fromiter(map(labels.__getitem__, names),
+                                             np.int64, lines)
+        row += lines
+    # min/max checks: a NaN fails the first comparison
+    if not (times.min() >= 0 and times.max() < math.inf) or len(labels) != 2:
+        return None
+    groups = tuple(labels)
+    if reference is not None and reference != groups[0]:
+        if reference != groups[1]:
+            return None
+        groups, group = groups[::-1], 1 - group
+    codes -= ord("0")
+    return TwoGroupSample(times, codes, group, groups)
+
+
+def _parse_rows(text: str, reference: str | None) -> TwoGroupSample:
+    """``parse_dataset`` row by row through the csv module: any text, and
+    the error message for any invalid one."""
     text = text.removeprefix("\ufeff")
     first = io.StringIO(text, newline=None).readline()
     if not first.strip():

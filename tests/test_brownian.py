@@ -178,6 +178,18 @@ class TestDriftSolve:
         )
         assert x == pytest.approx(2.8807327286293107, abs=1e-8)
 
+    @pytest.mark.parametrize("power", [0.8, 0.9, 0.95])
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1])
+    def test_settled_to_machine_precision(self, alpha, power):
+        # the design's drift: the crossing probability is met to rounding,
+        # and an ulp of change in the critical value (its own rounding)
+        # moves the drift by rounding only
+        level = sup_abs_bm_quantile(alpha)
+        x = solve_crossing_drift(level, power)
+        assert abs(drift_crossing_prob(level, x) - power) <= 4 * math.ulp(power)
+        for nearby in (math.nextafter(level, 0.0), math.nextafter(level, math.inf)):
+            assert abs(solve_crossing_drift(nearby, power) - x) <= 1e-14 * x
+
     def test_domain_errors(self):
         with pytest.raises(DataValidationError):
             solve_crossing_drift(-1.0, 0.8)

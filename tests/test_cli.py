@@ -2,7 +2,10 @@ import dataclasses
 import json
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmtlkit import (
     DesignInput,
@@ -12,7 +15,7 @@ from rmtlkit import (
     sample_size_sdiff,
     shipped_scenario_path,
 )
-from rmtlkit import design
+from rmtlkit import cli, design
 from rmtlkit.cli import main
 from rmtlkit.simulate import _samples
 
@@ -479,3 +482,95 @@ class TestUsageErrors:
             main(argv + ["--eps", "1e-10"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --eps" in capsys.readouterr().err
+
+
+def listed(obj):
+    """The payload with every numpy array as its list, as json reads it."""
+    if isinstance(obj, dict):
+        return {k: listed(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [listed(v) for v in obj]
+    return obj.tolist() if isinstance(obj, np.ndarray) else obj
+
+
+SPECIAL = np.array([1.5, -0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e308,
+                    -1e308, 0.1, 1e-7, 1e16, 123456789.125])
+
+
+class TestDumps:
+    @pytest.mark.parametrize("payload", [
+        SPECIAL,
+        {"finite": SPECIAL, "nan": np.array([1.0, np.nan]), "inf": np.array([np.inf]),
+         "neginf": np.array([-np.inf, 2.0]), "all_nan": np.full(3, np.nan)},
+        {"empty": np.array([]), "one": np.array([3.0]), "int64": np.arange(4),
+         "bool": np.array([True, False]), "float32": np.array([0.1], np.float32),
+         "matrix": np.ones((2, 2)), "scalars": [np.float64(0.1), 2, None, "x"]},
+        {"a": [{"b": (np.array([1.0, 2.0]), [np.array([0.5]), []])}],
+         "c": [[[np.array([7.0, -8.0])], np.array([], dtype=np.int64)]],
+         "d": {"e": {"f": {"g": SPECIAL[::-1]}}}, "h": {}},
+        [np.array([1.0]), [np.array([2.0, 3.0])], {"k": np.array([4.0])}],
+        # a payload string that reads as the stand-in
+        {"label": cli._ARRAY, "values": np.array([1.0, 2.0])},
+        {"values": np.array([1.0]), "labels": [cli._ARRAY, cli._ARRAY]},
+    ])
+    def test_equals_json_dumps_of_the_listed_payload(self, payload):
+        assert cli._dumps(payload) == json.dumps(listed(payload), indent=2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.recursive(
+        st.lists(st.floats(width=64), max_size=6).map(np.array),
+        lambda inner: st.one_of(st.lists(inner, max_size=3),
+                                st.dictionaries(st.sampled_from("pqr"), inner, max_size=3)),
+        max_leaves=6))
+    def test_arrays_at_any_depth(self, payload):
+        assert cli._dumps(payload) == json.dumps(listed(payload), indent=2)
+
+    def test_estimate_hands_the_cif_arrays_over_unlisted(self, capsys, dataset, monkeypatch):
+        payloads = []
+        monkeypatch.setattr(cli, "_dumps", lambda payload: payloads.append(payload) or "")
+        run(capsys, ["estimate", "--input", str(dataset[0]), "--format", "json"])
+        (payload,) = payloads
+        for group in payload["groups"]:
+            for values in group["cif"].values():
+                assert isinstance(values, np.ndarray) and values.dtype == np.float64
+
+    SMALL = {
+        "mixed": "time,status,group\n1,1,a\n2,2,b\n3,0,a\n1.5,1,b\n4,1,b\n2.5,2,a\n0.5,1,a\n",
+        "single_cause": "time,status,group\n1,1,a\n2,0,a\n3,1,a\n1,1,b\n2,2,b\n4,1,b\n5,0,b\n",
+        "no_interest": "time,status,group\n1,1,a\n2,0,a\n3,1,a\n1,0,b\n2,2,b\n4,2,b\n5,0,b\n",
+    }
+
+    @pytest.mark.parametrize("name", sorted(SMALL))
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--tau", "3"],
+        ["estimate"],
+        ["test", "--tau", "3"],
+        ["test", "--reference-group", "b", "--method", "sdiff"],
+        ["samplesize", "--tau", "3"],
+        ["samplesize", "--sweep", "0.5:4:0.5"],
+    ])
+    def test_every_data_command_writes_what_json_dumps_writes(
+            self, capsys, tmp_path, monkeypatch, name, argv):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(self.SMALL[name], encoding="utf-8")
+        option = "--pilot" if argv[0] == "samplesize" else "--input"
+        argv = argv + [option, str(path), "--format", "json"]
+        spliced = run(capsys, argv)
+        monkeypatch.setattr(cli, "_dumps",
+                            lambda payload: json.dumps(listed(payload), indent=2))
+        assert run(capsys, argv) == spliced
+
+    @pytest.mark.parametrize("argv", [
+        ["samplesize", "--delta", "0.3", "--var1", "4", "--var2", "5"],
+        ["simulate", "--input", str(shipped_scenario_path("f_crossing")), "--reps", "10"],
+        ["simulate", "--input", str(shipped_scenario_path("a_null")), "--reps", "10",
+         "--n-total", "40", "--method", "sdiff"],
+    ])
+    def test_design_and_simulate_write_what_json_dumps_writes(self, capsys, monkeypatch,
+                                                               argv):
+        argv = argv + ["--format", "json"]
+        spliced = run(capsys, argv)
+        assert spliced[0] == 0
+        monkeypatch.setattr(cli, "_dumps",
+                            lambda payload: json.dumps(listed(payload), indent=2))
+        assert run(capsys, argv) == spliced

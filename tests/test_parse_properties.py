@@ -2,7 +2,9 @@
 and analyses (or fails as degenerate, naming the cause), or is rejected
 with an error naming the offending row."""
 
+import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from rmtlkit import (
     diff_test,
     parse_dataset,
 )
+from rmtlkit import data_model
 
 # A coarse grid forces tied times, within and across groups; 0 is included.
 TIMES = st.one_of(
@@ -103,3 +106,131 @@ def test_a_short_row_is_rejected_naming_its_row(rows, data):
     lines[row + 1] = ",".join(lines[row + 1].split(",")[:keep])
     with pytest.raises(DataValidationError, match=rf"^row {row + 1}: "):
         parse_dataset("\n".join(lines) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# The bulk split of plain files against the row-by-row csv reader
+
+LABELS = ("a", "b", "c")
+# True one time in five (Hypothesis draws the first of a list most often)
+RARELY = st.sampled_from([False, False, False, False, True])
+CELLS = {"time": TIMES, "status": st.sampled_from(["0", "1", "2"]),
+         "x": st.sampled_from(["", "9", "z"])}
+
+
+@st.composite
+def tables(draw):
+    """A table text, plain or not, and a reference label. Each departure
+    from a plain file is drawn for the whole table: padded names and
+    fields, quoted fields, rows short or long by a field, a blank line, CR
+    or CRLF line ends. Also drawn: the column order, repeated and extra
+    columns, the delimiter, a BOM, 1-3 labels and at most one bad value."""
+    columns = draw(st.permutations(["time", "status", "group"]))
+    columns[draw(st.integers(0, 3)):0] = draw(st.lists(st.sampled_from(["x", "time"]),
+                                                        max_size=2))
+    delimiter = draw(st.sampled_from([",", "\t"]))
+    labels = draw(st.sampled_from([2, 2, 2, 1, 3]))
+    padded, quoted, ragged, blank, cr = (draw(RARELY) for _ in range(5))
+    lines = [[f" {c} " if padded and draw(st.booleans()) else c for c in columns]]
+    for k in range(draw(st.integers(2, 12))):
+        line = []
+        for c in columns:
+            cell = (LABELS[k if k < labels else draw(st.integers(0, labels - 1))]
+                    if c == "group" else draw(CELLS[c]))
+            if padded and draw(RARELY):
+                cell = draw(st.sampled_from([f" {cell}", f"{cell} "]))
+            if quoted and draw(RARELY):
+                cell = f'"{cell}"'
+            line.append(cell)
+        if ragged:
+            line = draw(st.sampled_from([line, line, line[:-1], line + ["9"], line[:1]]))
+        lines.append(line)
+    if draw(RARELY):
+        row = draw(st.integers(1, len(lines) - 1))
+        column, cell = draw(BAD_CELLS)
+        k = len(columns) - 1 - columns[::-1].index(column)  # the column read
+        if k < len(lines[row]):
+            lines[row][k] = cell
+    text = [delimiter.join(line) for line in lines]
+    if blank:
+        text.insert(draw(st.integers(1, len(text))), "")
+    end = draw(st.sampled_from(["\r\n", "\r"])) if cr else "\n"
+    text = end.join(text) + draw(st.sampled_from([end, ""]))
+    if draw(RARELY):
+        text = "\ufeff" + text
+    reference = draw(st.sampled_from([None, None, "a", "b", "c", "zz"]))
+    return text, reference
+
+
+def outcome(parse, text, reference):
+    """What a parser makes of a text: the sample's arrays as bytes with
+    their dtypes and its groups, or the error message."""
+    try:
+        sample = parse(text, reference)
+    except DataValidationError as exc:
+        return str(exc)
+    arrays = (sample.times, sample.codes, sample.group)
+    return [(a.dtype, a.tobytes()) for a in arrays], sample.groups
+
+
+@settings(max_examples=600, deadline=None)
+@given(tables(), st.integers(1, 40))
+def test_bulk_split_equals_the_row_reader(table, block_chars):
+    # small blocks split even these short texts at every few lines
+    text, reference = table
+    expected = outcome(data_model._parse_rows, text, reference)
+    assert outcome(data_model.parse_dataset, text, reference) == expected
+    with mock.patch.object(data_model, "_BLOCK_CHARS", block_chars):
+        assert outcome(data_model.parse_dataset, text, reference) == expected
+
+
+def test_a_plain_file_never_reaches_the_row_reader(monkeypatch):
+    def refuse(text, reference):
+        raise AssertionError("a plain file went to the row reader")
+
+    # several blocks, each time read whole
+    text = to_csv([(f"{k * 0.37:.3f}", str(k % 3), "ab"[k % 2]) for k in range(30_000)])
+    assert len(text) > 4 * data_model._BLOCK_CHARS
+    expected = outcome(data_model._parse_rows, text, "b")
+    monkeypatch.setattr(data_model, "_parse_rows", refuse)
+    assert outcome(data_model.parse_dataset, text, "b") == expected
+    for plain in (text.replace(",", "\t"), "\ufeff" + text, text.rstrip("\n"),
+                  "x," + text[:-1].replace("\n", "\n9,") + "\n"):
+        parse_dataset(plain)
+    # every "a" quoted: read as it stands, '"a"' would pass as a label
+    for not_plain in (text.replace(",a\n", ',"a"\n'), text.replace("\n", "\r\n"),
+                      text.replace("\n", "\r"), text.replace("\n", "\n\n", 1),
+                      text.replace(",2,", ", 2,", 1), text + "4,1,c\n",
+                      text + "4,1,a,9\n5,1\n"):
+        with pytest.raises(AssertionError, match="row reader"):
+            parse_dataset(not_plain)
+
+
+def test_fields_shifted_across_lines_are_read_per_line():
+    # the first line lacks its (unread) last field and the second has one
+    # too many: as one run of fields, the second line would read (2, 1, a)
+    text = "time,status,group,x\n1,1,a\n1,2,1,a,9\n3,1,1,9\n"
+    sample = parse_dataset(text)
+    assert sample.times.tolist() == [1.0, 1.0, 3.0]
+    assert sample.codes.tolist() == [1, 2, 1]
+    assert sample.groups == ("a", "1")
+    assert outcome(parse_dataset, text, None) == outcome(data_model._parse_rows, text, None)
+
+
+@pytest.mark.parametrize("line,message", [
+    ("nan,1,a", "row 24001: time must be finite and nonnegative, got nan"),
+    ("-0.5,1,a", "row 24001: time must be finite and nonnegative, got -0.5"),
+    ("1e999,1,a", "row 24001: time must be finite and nonnegative, got inf"),
+    ("x,1,a", "row 24001: unparseable time 'x'"),
+    ("1,3,a", "row 24001: unknown status code '3'"),
+    ("1,1,", "row 24001: empty group label"),
+    ("1,1", "row 24001: empty group label"),
+    ("1,1,c", "exactly two groups required, found 3: ['a', 'b', 'c']"),
+    # as many fields as lines of three, but not three on each line
+    ("1,1,a,9\n2,1", "row 24002: empty group label"),
+])
+def test_a_bad_line_in_a_late_block_names_its_row(line, message):
+    text = to_csv([("1", "1", "a"), ("2.5", "0", "b"), ("3", "2", "a")] * 8000)
+    assert len(text) > 2 * data_model._BLOCK_CHARS
+    with pytest.raises(DataValidationError, match=f"^{re.escape(message)}$"):
+        parse_dataset(text + line + "\n4,1,b\n")

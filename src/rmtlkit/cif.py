@@ -13,6 +13,7 @@ CIF use Aalen's delta-method estimator (the form given in Pintilie,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -145,20 +146,61 @@ class PooledFit:
         return cls(times, values, variances, tuple(cifs), n_total)
 
 
-def _block_fits(times, codes, sizes) -> list[PooledFit]:
+class BlockFit(NamedTuple):
+    """The pooled fits of a block of samples with equal groups, row r that
+    of sample r, in arrays whose leading index is the group.
+
+    Group k's interest-CIF knots in row r are the first
+    ``knot_counts[k, r]`` entries of ``knot_times[k, r]``, with its CIF and
+    Aalen variance there in ``knot_values`` and ``knot_variances``. The
+    pooled grid of row r is the first ``grid_counts[r]`` entries of
+    ``grid_times[r]``, with each group's CIF and variance there in
+    ``values[k, r]`` and ``variances[k, r]``. Padding times are +inf, and
+    padding values and variances 0. ``n_total`` holds the group sizes.
+    Row r holds the arrays of ``PooledFit.from_arrays`` of sample r
+    bitwise.
+    """
+
+    knot_times: np.ndarray
+    knot_values: np.ndarray
+    knot_variances: np.ndarray
+    knot_counts: np.ndarray
+    grid_times: np.ndarray
+    grid_counts: np.ndarray
+    values: np.ndarray
+    variances: np.ndarray
+    n_total: np.ndarray
+
+
+def _left_aligned(rows, counts, columns, fill):
+    """Entries given by their row (ascending) and ``columns`` of values,
+    laid out in a (C, R, m) array: row r's entries left-aligned in
+    ``out[:, r]``, m the largest of the R ``counts``, the rest ``fill``
+    (one value per column). Also returns the flat positions they took in
+    an (R, m) array."""
+    m = int(counts.max())
+    cells = rows * m + np.arange(len(rows)) - (counts.cumsum() - counts).take(rows)
+    out = np.empty((len(columns), len(counts) * m))
+    out[:] = np.reshape(fill, (-1, 1))
+    out[:, cells] = columns
+    return out.reshape(len(columns), len(counts), m), cells
+
+
+def _block_fits(times, codes, sizes) -> BlockFit:
     """The pooled fit of each row of a block of samples with equal groups.
 
     ``times`` and ``codes`` are (R, N) arrays, one sample per row: its
     first ``sizes[0]`` subjects are group 0, the next ``sizes[1]`` group 1,
-    and so on. Each fit equals ``PooledFit.from_arrays`` of its row
-    bitwise. A group's risk-table rows (its runs of tied times that hold an
-    event) are laid out left-aligned in an (R, m) array, m the most rows of
-    any sample. The rest of a row is padding that no fitted value reads, as
-    the fit takes cumulative sums and products along each row.
+    and so on. A group's risk-table rows (its runs of tied times that hold
+    an event) are laid out left-aligned in an (R, m) array, m the most rows
+    of any sample. The rest of a row is padding that no fitted value reads,
+    as the fit takes cumulative sums and products along each row. The fits
+    come back in the layout ``BlockFit`` describes.
     """
     n_rows, width = times.shape
+    n_groups = len(sizes)
     order = times.argsort(axis=-1)
-    g = np.repeat(np.arange(len(sizes)), sizes)[order]
+    g = np.repeat(np.arange(n_groups), sizes)[order]
     order += np.arange(0, times.size, width)[:, None]  # flat indices
     t, c = times.take(order), codes.take(order)
     # the pooled grid: the last position of each run of tied times that
@@ -168,10 +210,10 @@ def _block_fits(times, codes, sizes) -> list[PooledFit]:
     grid &= np.maximum.accumulate(np.where(c > 0, t, -1.0), axis=-1) == t
     grid_at = grid.ravel().nonzero()[0]
     grid_rows = grid_at // width
-    grid_edges = np.concatenate(([0], grid.sum(axis=-1).cumsum())).tolist()
-    values = np.empty((len(sizes), len(grid_at)))
-    variances = np.empty_like(values)
-    cifs = []
+    # the grid times, then each group's CIF, then each group's variance
+    on_grid = np.empty((1 + 2 * n_groups, len(grid_at)))
+    on_grid[0] = t.take(grid_at)
+    knots, knot_counts = [], []  # each group's (row, time, CIF, variance) at its knots
     for k, n in enumerate(sizes):
         # the group's sorted subjects, row after row (boolean masks are
         # slower than these takes)
@@ -189,20 +231,17 @@ def _block_fits(times, codes, sizes) -> list[PooledFit]:
         starts = starts.take(keep)
         dj, dk = counts.reshape(3, runs)[1:].take(keep, axis=1)
         row, before = np.divmod(starts, n)
-        per_row = np.bincount(row, minlength=n_rows)
-        m = int(per_row.max())
-        cells = row * m + np.arange(len(row)) - (per_row.cumsum() - per_row).take(row)
         # at risk (everyone from the run on) and the events of each cause;
         # padding has 1 at risk and no events
-        table = np.zeros((3, n_rows * m))
-        table[0] = 1.0
-        table[:, cells] = n - before, dj, dk
-        inc, var = _incidence(*table.reshape(3, n_rows, m))
-        knots = (dj > 0).nonzero()[0]
-        knot_starts, knot_rows = starts.take(knots), row.take(knots)
-        kt = tk.take(knot_starts)
-        kv, kvar = inc.take(cells.take(knots)), var.take(cells.take(knots))
-        edges = np.concatenate(([0], np.bincount(knot_rows, minlength=n_rows).cumsum()))
+        table, cells = _left_aligned(row, np.bincount(row, minlength=n_rows),
+                                     (n - before, dj, dk), (1.0, 0.0, 0.0))
+        inc, var = _incidence(*table)
+        at_knots = (dj > 0).nonzero()[0]
+        knot_starts, knot_rows = starts.take(at_knots), row.take(at_knots)
+        kv, kvar = inc.take(cells.take(at_knots)), var.take(cells.take(at_knots))
+        knots.append((knot_rows + k * n_rows, tk.take(knot_starts), kv, kvar))
+        knot_counts.append(np.bincount(knot_rows, minlength=n_rows))
+        edges = np.concatenate(([0], knot_counts[-1].cumsum()))
         # each grid time reads the group's CIF and variance at its last knot
         # at or before it (0 before the first), as from_arrays does: with j
         # of the group's subjects at or before the time, that is the last
@@ -211,16 +250,18 @@ def _block_fits(times, codes, sizes) -> list[PooledFit]:
         marks[knot_starts + knot_rows + 1] = 1
         seen = marks.cumsum().take(mine.cumsum().take(grid_at) + grid_rows)
         at = np.where(seen > edges.take(grid_rows), seen - 1, len(kv))
-        values[k] = np.append(kv, 0.0).take(at)
-        variances[k] = np.append(kvar, 0.0).take(at)
-        edges = edges.tolist()
-        cifs.append([StepFunction(kt[a:b], kv[a:b], kvar[a:b], 0.0, last)
-                     for a, b, last in zip(edges, edges[1:], tk[n - 1::n].tolist())])
-    n_total = np.array(sizes)
-    n_total.flags.writeable = False  # shared by every fit of the block
-    grid_times = t.take(grid_at)
-    return [PooledFit(grid_times[a:b], values[:, a:b], variances[:, a:b], fit, n_total)
-            for a, b, fit in zip(grid_edges, grid_edges[1:], zip(*cifs))]
+        on_grid[1 + k] = np.append(kv, 0.0).take(at)
+        on_grid[1 + n_groups + k] = np.append(kvar, 0.0).take(at)
+    # the knots of group k in row r go to row k * R + r of one table
+    rows, *columns = map(np.concatenate, zip(*knots))
+    knot_table = _left_aligned(rows, np.concatenate(knot_counts), columns,
+                               (np.inf, 0.0, 0.0))[0]
+    knot_table = knot_table.reshape(3, n_groups, n_rows, knot_table.shape[-1])
+    grid_counts = grid.sum(axis=-1)
+    grid_table = _left_aligned(grid_rows, grid_counts, on_grid,
+                               (np.inf,) + (0.0,) * (2 * n_groups))[0]
+    return BlockFit(*knot_table, np.array(knot_counts), grid_table[0], grid_counts,
+                    grid_table[1:1 + n_groups], grid_table[1 + n_groups:], np.array(sizes))
 
 
 def _aalen_variance(n, d, dj, s_prev, inc):

@@ -208,11 +208,8 @@ def _with_stand_ins(obj, depth: int, arrays: list | None):
 
 
 def _fmt(x, digits=6):
-    if x is None:
-        return "-"
-    if isinstance(x, float) and (math.isnan(x) or math.isinf(x)):
-        return str(x)
-    return f"{x:.{digits}g}"
+    # format(x, ".6g") already writes nan, inf and -inf
+    return "-" if x is None else f"{x:.{digits}g}"
 
 
 def cmd_estimate(args) -> str:
@@ -284,7 +281,7 @@ def cmd_estimate(args) -> str:
         curve = g["cif"]
         for t, v, var in zip(curve["times"].tolist(), curve["values"].tolist(),
                              curve["variances"].tolist()):
-            lines.append(f"{_fmt(t):>12}  {_fmt(v):>10}  {_fmt(var):>12}")
+            lines.append(f"{t:>12.6g}  {v:>10.6g}  {var:>12.6g}")
     for note in payload["notes"]:
         lines.append("")
         lines.append(f"note: {note}")

@@ -78,19 +78,6 @@ class TwoGroupSample:
             object.__setattr__(self, name, arr)
 
     @classmethod
-    def _checked(cls, times, codes, group, groups, pooled: PooledFit) -> "TwoGroupSample":
-        """A sample of read-only float ``times`` and int64 ``codes`` and
-        ``group`` that already passed ``_check_columns``, with its pooled
-        fit attached: the Monte Carlo engine checks a block of samples at
-        once."""
-        sample = cls.__new__(cls)
-        # the dataclass is frozen, so its fields (and the cached fit) are
-        # set in the instance dictionary directly
-        vars(sample).update(times=times, codes=codes, group=group, groups=groups,
-                            pooled=pooled)
-        return sample
-
-    @classmethod
     def from_records(cls, records, reference: str | None = None) -> "TwoGroupSample":
         """Build a sample with group order taken as first seen in ``records``.
 

@@ -8,7 +8,6 @@ distribution of sup|M(t)| for standard Brownian motion M.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -16,9 +15,16 @@ import numpy as np
 
 from ._normal import ndtr
 from .brownian import sup_abs_bm_sf
+from .cif import BlockFit
 from .data_model import TwoGroupSample
 from .errors import DataValidationError, DegenerateDataError
-from .rmtl import RmtlDifference, rmtl_difference
+from .rmtl import (
+    RmtlDifference,
+    _plug_in_variance,
+    _step_integrals,
+    _tau_at_zero,
+    rmtl_difference,
+)
 
 
 class TestMethod(str, Enum):
@@ -64,6 +70,22 @@ def _check_alpha(alpha: float) -> float:
     return float(alpha)
 
 
+def _check_rho(rho: float) -> float:
+    if not 0.0 <= rho <= 1.0:
+        raise DataValidationError(f"rho must be in [0, 1], got {rho!r}")
+    return float(rho)
+
+
+def _diff_p(z: float) -> float:
+    """Two-sided normal p-value of Diff's statistic."""
+    return min(2.0 * ndtr(-abs(z)), 1.0)
+
+
+def _sdiff_p(statistic: float) -> float:
+    """P[sup|M| > statistic], 1 at a statistic of 0."""
+    return 1.0 if statistic == 0.0 else sup_abs_bm_sf(statistic)
+
+
 def diff_test(
     sample: TwoGroupSample,
     tau: float,
@@ -77,7 +99,7 @@ def diff_test(
             "zero standard error: no usable events of interest in either group"
         )
     z = delta.delta / delta.se
-    p = min(2.0 * ndtr(-abs(z)), 1.0)
+    p = _diff_p(z)
     return TestResult(
         method=TestMethod.DIFF,
         statistic=z,
@@ -98,8 +120,7 @@ def partial_process(
     zero-width interval). Each CIF and its variance are read from the
     pooled fit, which holds them by right-continuity at every grid time.
     """
-    if not 0.0 <= rho <= 1.0:
-        raise DataValidationError(f"rho must be in [0, 1], got {rho!r}")
+    rho = _check_rho(rho)
     delta = rmtl_difference(sample, tau, require_events=False)
     tau = delta.tau
     pooled = sample.pooled
@@ -110,7 +131,8 @@ def partial_process(
     widths = np.concatenate((grid[1:], [tau])) - grid
     values = np.cumsum((pooled.values[1, :k] - pooled.values[0, :k]) * widths)
     var_first, var_second = pooled.variances[:, :k]
-    sigma = _sigma_tau(widths, var_first + var_second, rho)
+    s = widths * np.sqrt(var_first + var_second)
+    sigma = float(_sigma_tau(float(np.dot(s, s)), float(s.sum()), rho))
     return PartialDifferenceProcess(
         times=grid,
         widths=widths,
@@ -118,23 +140,20 @@ def partial_process(
         var_first=var_first,
         var_second=var_second,
         tau=tau,
-        rho=float(rho),
+        rho=rho,
         sigma_tau=sigma,
         delta=delta,
     )
 
 
-def _sigma_tau(widths: np.ndarray, var_sum: np.ndarray, rho: float) -> float:
-    """Normalizer combining interval lengths and summed CIF variances.
+def _sigma_tau(sq, total, rho: float):
+    """Normalizer combining interval lengths w_i and summed CIF variances
+    v_i, from sq = sum(s_i^2) and total = sum(s_i), s_i = w_i * sqrt(v_i).
 
-    With s_i = w_i * sqrt(v_i), the defining double sum
-    sum(s_i^2) + 2*rho*sum_{i<i'} s_i*s_i' equals
+    The defining double sum sum(s_i^2) + 2*rho*sum_{i<i'} s_i*s_i' equals
     (1 - rho)*sum(s_i^2) + rho*(sum(s_i))^2, which costs O(K).
     """
-    s = widths * np.sqrt(var_sum)
-    sq = float(np.dot(s, s))
-    total = float(s.sum())
-    return math.sqrt(max((1.0 - rho) * sq + rho * total * total, 0.0))
+    return np.sqrt(np.maximum((1.0 - rho) * sq + rho * total * total, 0.0))
 
 
 def sdiff_test(
@@ -151,10 +170,7 @@ def sdiff_test(
             "zero normalizer: all CIF variances vanish on the grid"
         )
     statistic = float(np.max(np.abs(process.values))) / process.sigma_tau
-    if statistic == 0.0:
-        p = 1.0
-    else:
-        p = sup_abs_bm_sf(statistic)
+    p = _sdiff_p(statistic)
     return TestResult(
         method=TestMethod.SDIFF,
         statistic=statistic,
@@ -163,3 +179,54 @@ def sdiff_test(
         alpha=alpha,
         reject=p < alpha,
     )
+
+
+def _block_tests(fit: BlockFit, methods, rho: float, groups: tuple[str, str]):
+    """tau by the default rule and the selected tests on every row of a
+    two-group block fit, as arrays over the rows.
+
+    Returns tau and, for each method, (statistic, p-value, degenerate),
+    the first two NaN where degenerate. Row r gets what ``default_tau``,
+    ``diff_test`` and ``sdiff_test`` give sample r, up to the order in
+    which sums are taken, and is degenerate where they raise: Diff at a
+    zero standard error, sDiff with no grid time below tau or a zero
+    normalizer. Every row needs an event of interest in each group; a row
+    whose tau is 0 raises as ``default_tau`` does.
+    """
+    last = np.take_along_axis(fit.knot_times, fit.knot_counts[..., None] - 1, -1)[..., 0]
+    tau = last.min(axis=0)
+    if not tau.all():
+        raise _tau_at_zero(groups[int((last[:, (tau == 0).argmax()] == 0).argmax())])
+    # Clipped at tau, every row's knots and grid times end at tau: each
+    # group's last knot, an event time on the grid, is at or after it, and
+    # so is the padding. Knots and grid times from tau on then start
+    # intervals of width 0.
+    results = {}
+    if TestMethod.DIFF in methods:
+        knots = np.minimum(fit.knot_times, tau[:, None])
+        area, area_t = _step_integrals(fit.knot_values[..., :-1], knots[..., :-1],
+                                       knots[..., 1:])
+        var = _plug_in_variance(tau, area, area_t) / fit.n_total[:, None]
+        se = np.sqrt(var[0] + var[1])
+        ok = se > 0.0
+        z = np.divide(area[1] - area[0], se, out=np.full_like(se, np.nan), where=ok)
+        results[TestMethod.DIFF] = (z, _p_values(_diff_p, z, ok), ~ok)
+    if TestMethod.SDIFF in methods:
+        widths = np.diff(np.minimum(fit.grid_times, tau[:, None]), axis=-1)
+        values, variances = fit.values[..., :-1], fit.variances[..., :-1]
+        process = ((values[1] - values[0]) * widths).cumsum(axis=-1)
+        s = widths * np.sqrt(variances[0] + variances[1])
+        # with no grid time below tau every width is 0, and so is sigma
+        sigma = _sigma_tau(np.einsum("ij,ij->i", s, s), s.sum(axis=-1), rho)
+        ok = sigma > 0.0
+        statistic = np.divide(np.abs(process).max(axis=-1, initial=0.0), sigma,
+                              out=np.full_like(sigma, np.nan), where=ok)
+        results[TestMethod.SDIFF] = (statistic, _p_values(_sdiff_p, statistic, ok), ~ok)
+    return tau, results
+
+
+def _p_values(p_value, statistics, ok):
+    """``p_value`` of each statistic where ``ok``, NaN elsewhere."""
+    p = np.full_like(statistics, np.nan)
+    p[ok] = [p_value(x) for x in statistics[ok].tolist()]
+    return p

@@ -74,10 +74,24 @@ def _areas(fn: StepFunction, tau: float) -> tuple[float, float, float]:
     starts = np.concatenate(([0.0], fn.times[:k]))
     ends = np.concatenate((fn.times[:k], [tau]))
     vals = np.concatenate(([fn.value_before_first], fn.values[:k]))
-    area = float((vals * (ends - starts)).sum())
+    area, area_t = _step_integrals(vals, starts, ends)
+    return tau, float(area), float(area_t)
+
+
+def _step_integrals(values, starts, ends):
+    """int f and int t*f of the step function equal to ``values`` on
+    [``starts``, ``ends``), interval by interval along the last axis."""
+    area = (values * (ends - starts)).sum(axis=-1)
     # per interval, int_a^b t*v dt has the closed form v*(b^2 - a^2)/2
-    area_t = float((vals * (ends**2 - starts**2)).sum() / 2.0)
-    return tau, area, area_t
+    area_t = (values * (ends**2 - starts**2)).sum(axis=-1) / 2.0
+    return area, area_t
+
+
+def _plug_in_variance(tau, area, area_t):
+    """Per-subject plug-in variance of an RMTL from int I and int t*I on
+    [0, tau]: 2*tau*int(I) - 2*int(t*I) - int(I)^2, rounding residue
+    clipped at zero."""
+    return np.maximum(2.0 * tau * area - 2.0 * area_t - area * area, 0.0)
 
 
 def rmtl(cif: StepFunction, tau: float) -> float:
@@ -111,7 +125,7 @@ def rmtl_estimate(cif: StepFunction, n: int, tau: float) -> RmtlEstimate:
     tau, area, area_t = _areas(cif, tau)
     return RmtlEstimate(
         value=area,
-        variance=max(2.0 * tau * area - 2.0 * area_t - area * area, 0.0),
+        variance=float(_plug_in_variance(tau, area, area_t)),
         n=int(n),
         tau=tau,
     )
@@ -166,8 +180,11 @@ def default_tau(sample: TwoGroupSample) -> float:
             )
         last.append(float(cif.times[-1]))
     if min(last) == 0.0:
-        raise DegenerateDataError(
-            f"group {sample.groups[last.index(0.0)]!r} has its last event of "
-            "interest at time 0; tau rule undefined"
-        )
+        raise _tau_at_zero(sample.groups[last.index(0.0)])
     return min(last)
+
+
+def _tau_at_zero(label: str) -> DegenerateDataError:
+    return DegenerateDataError(
+        f"group {label!r} has its last event of interest at time 0; tau rule undefined"
+    )

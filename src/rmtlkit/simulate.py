@@ -25,15 +25,15 @@ from pathlib import Path
 import numpy as np
 
 from .cif import _block_fits
-from .data_model import EventCode, TwoGroupSample, _check_columns, read_text
-from .errors import DataValidationError, DegenerateDataError, SmallSampleWarning
-from .inference import TestMethod, diff_test, sdiff_test
-from .rmtl import default_tau
+from .data_model import EventCode, _check_columns, read_text
+from .errors import DataValidationError, SmallSampleWarning
+from .inference import TestMethod, _block_tests, _check_alpha, _check_rho
 
 _CALIBRATION_SEED = 1_000_003
 _CALIBRATION_DRAWS = 100_000
 _CHUNK_UNIFORMS = 1 << 16  # uniforms drawn at once: bounds a block's memory
 
+_GROUPS = ("1", "2")  # the labels of a scenario's groups, in order
 TAU_RULE = "min over groups of the last observed event-of-interest time"
 
 
@@ -287,23 +287,22 @@ def resolve_censoring(scn: ScenarioSpec) -> tuple[float, float] | None:
 
 
 def _samples(scn, start, stop, seed, bounds):
-    """Yield the TwoGroupSample of each replication in [start, stop), with
-    its pooled fit attached, or None when a group has no observed events of
-    interest.
+    """Yield the replications in [start, stop) a chunk at a time, as
+    (times, codes, keep): (R, N) arrays holding one replication per row,
+    group 1's subjects first, and whether each has an observed event of
+    interest in both groups.
 
     Replication r draws all its uniforms in one call on its own stream
     (seed, r): per group in turn, n for the causes, n for the times and,
     when censored, n for the censoring times. Replications are stacked in
     chunks of at most _CHUNK_UNIFORMS uniforms (or of one replication that
     alone needs more). Each group is sampled once per chunk, and the chunk
-    is checked and fitted in one pass.
+    is checked in one pass.
     """
     width = 2 if bounds is None else 3
     sizes = [group.n for group in scn.groups]
     total = width * sum(sizes)
     group = np.repeat([0, 1], sizes)
-    group.flags.writeable = False
-    labels = ("1", "2")
     step = max(1, _CHUNK_UNIFORMS // total)
     for first in range(start, stop, step):
         u = np.stack([
@@ -321,33 +320,28 @@ def _samples(scn, start, stop, seed, bounds):
             codes.append(c)
         keep = np.all([(c == int(EventCode.INTEREST)).any(axis=-1) for c in codes], axis=0)
         times, codes = np.concatenate(times, axis=1), np.concatenate(codes, axis=1)
-        _check_columns(times, codes, group, labels)
-        times.flags.writeable = codes.flags.writeable = False
-        for r, fit in enumerate(_block_fits(times, codes, sizes)):
-            yield (TwoGroupSample._checked(times[r], codes[r], group, labels, fit)
-                   if keep[r] else None)
+        _check_columns(times, codes, group, _GROUPS)
+        yield times, codes, keep
 
 
 def _run_block(scn, methods, start, stop, seed, alpha, rho, bounds):
+    """Skipped replications and each method's tallies over [start, stop):
+    each chunk's kept replications are fitted and tested in one pass."""
+    sizes = [group.n for group in scn.groups]
     skipped = 0
     tallies = {m: [0, 0, 0] for m in methods}  # rejections, valid, degenerate
-    for sample in _samples(scn, start, stop, seed, bounds):
-        if sample is None:
-            skipped += 1
+    for times, codes, keep in _samples(scn, start, stop, seed, bounds):
+        kept = int(np.count_nonzero(keep))
+        skipped += len(keep) - kept
+        if kept == 0:
             continue
-        tau = default_tau(sample)
-        for method in methods:
-            try:
-                if method == TestMethod.DIFF:
-                    result = diff_test(sample, tau, alpha=alpha)
-                else:
-                    result = sdiff_test(sample, tau, alpha=alpha, rho=rho)
-            except DegenerateDataError:
-                tallies[method][2] += 1
-                continue
-            tallies[method][1] += 1
-            if result.reject:
-                tallies[method][0] += 1
+        fit = _block_fits(times[keep], codes[keep], sizes)
+        _, results = _block_tests(fit, methods, rho, _GROUPS)
+        for method, (_, p, degenerate) in results.items():
+            failed = int(np.count_nonzero(degenerate))
+            tallies[method][0] += int(np.count_nonzero(p < alpha))
+            tallies[method][1] += kept - failed
+            tallies[method][2] += failed
     return skipped, tallies
 
 
@@ -416,6 +410,8 @@ def run_monte_carlo(
         raise DataValidationError(f"reps must be >= 1, got {reps}")
     if workers < 1:
         raise DataValidationError(f"workers must be >= 1, got {workers}")
+    _check_alpha(alpha)
+    _check_rho(rho)
     methods = _normalize_methods(methods)
     bounds = resolve_censoring(scn)
 

@@ -5,6 +5,18 @@ import numpy as np
 from rmtlkit import EventCode, SubjectRecord, TwoGroupSample
 
 
+def engine_samples(scn, start, stop, seed, bounds):
+    """The Monte Carlo engine's draws of replications [start, stop), one item
+    per replication: its sample built by the public constructor, or None
+    where a group has no observed event of interest (the engine skips it)."""
+    from rmtlkit.simulate import _samples
+
+    group = np.repeat([0, 1], [g.n for g in scn.groups])
+    for times, codes, keep in _samples(scn, start, stop, seed, bounds):
+        for t, c, kept in zip(times, codes, keep):
+            yield TwoGroupSample(t, c, group, ("1", "2")) if kept else None
+
+
 def random_arrays(rng, n, p_interest=0.5, p_competing=0.3, tie_grid=None):
     """(times, codes) with a controllable mix of causes and optional tied times."""
     times = rng.exponential(2.0, n)

@@ -41,9 +41,9 @@ from rmtlkit.brownian import (
     solve_crossing_drift,
 )
 from rmtlkit.cli import main as cli_main
-from rmtlkit.simulate import _samples, resolve_censoring
+from rmtlkit.simulate import resolve_censoring
 
-from helpers import random_arrays, true_cif, value_at, variance_at
+from helpers import engine_samples, random_arrays, true_cif, value_at, variance_at
 
 SEED = 20260817
 
@@ -161,7 +161,7 @@ def test_06_variance_oracle_ratios(null_scenario):
     deltas, plugin, cif_vals, cif_vars = [], [], [], []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", rk.ExtrapolationWarning)
-        for sample in _samples(scn, 0, 2000, SEED, bounds):
+        for sample in engine_samples(scn, 0, 2000, SEED, bounds):
             if sample is None:
                 continue
             d = rmtl_difference(sample, tau)
@@ -279,7 +279,7 @@ def test_09_design_self_consistency():
                               for g in scn.groups)
         )
         bounds = resolve_censoring(probe)
-        taus = [rk.default_tau(s) for s in _samples(probe, 0, reps, 977001, bounds)
+        taus = [rk.default_tau(s) for s in engine_samples(probe, 0, reps, 977001, bounds)
                 if s is not None]
         # upper quartile: a deliberately long horizon, so the designed n
         # errs toward overshooting the power target rather than missing it

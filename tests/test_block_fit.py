@@ -1,8 +1,10 @@
 """The block fit of the Monte Carlo engine against PooledFit.from_arrays,
-bitwise, sign bits included: the fit of every replication on the shipped
-scenarios, an unequal split, tied and single-cause blocks, skipped
-replications, one-row blocks and blocks that cross chunk edges. Also the
-size of each kernel call, and the checks that run once per chunk."""
+bitwise, sign bits included: each row of the returned arrays (every
+array of a PooledFit but the groups' last observed times), on every
+replication of the shipped scenarios, an unequal split, tied and
+single-cause blocks, skipped replications, one-row blocks and blocks that
+cross chunk edges. Also the padding, the size of each kernel call, and the
+checks that run once per chunk."""
 
 import dataclasses
 import math
@@ -16,6 +18,7 @@ from rmtlkit import (
     DataValidationError,
     PiecewiseWeibullCif,
     PooledFit,
+    StepFunction,
     TwoGroupSample,
     WeibullSegment,
     load_shipped_scenario,
@@ -45,28 +48,48 @@ def assert_same_fit(got, want):
         assert same_float(a.last_observed, b.last_observed)
 
 
+def row_fit(fit, r, last_observed) -> PooledFit:
+    """Row r of a block fit as a PooledFit, given each group's last time
+    (the block fit does not keep it)."""
+    cifs = tuple(
+        StepFunction(fit.knot_times[k, r, :m], fit.knot_values[k, r, :m],
+                     fit.knot_variances[k, r, :m], 0.0, last)
+        for k, (m, last) in enumerate(zip(fit.knot_counts[:, r].tolist(), last_observed)))
+    m = fit.grid_counts[r]
+    return PooledFit(fit.grid_times[r, :m], fit.values[:, r, :m], fit.variances[:, r, :m],
+                     cifs, fit.n_total)
+
+
+def assert_padded(fit):
+    """Past each row's count, times are +inf and values and variances 0."""
+    for times, counts, arrays in (
+            (fit.knot_times, fit.knot_counts, (fit.knot_values, fit.knot_variances)),
+            (fit.grid_times, fit.grid_counts, (fit.values, fit.variances))):
+        pad = np.arange(times.shape[-1]) >= counts[..., None]
+        assert np.all(times[pad] == np.inf)
+        for arr in arrays:
+            assert np.all(arr[..., pad] == 0.0)
+
+
 def assert_block_matches(times, codes, sizes):
     """The kernel on an (R, N) block against from_arrays row by row."""
     group = np.repeat(np.arange(len(sizes)), sizes)
-    fits = _block_fits(times, codes, sizes)
-    assert len(fits) == len(times)
-    for t, c, fit in zip(times, codes, fits):
-        assert_same_fit(fit, PooledFit.from_arrays(t, c, group, len(sizes)))
+    fit = _block_fits(times, codes, sizes)
+    assert fit.grid_counts.shape == (len(times),)
+    assert_padded(fit)
+    for r, (t, c) in enumerate(zip(times, codes)):
+        want = PooledFit.from_arrays(t, c, group, len(sizes))
+        got = row_fit(fit, r, [cif.last_observed for cif in want.cifs])
+        assert_same_fit(got, want)
 
 
 def assert_engine_fits_match(scn, start, stop, seed) -> int:
-    """Each sample the engine yields carries its block fit, equal to
-    from_arrays of its arrays; return the number of samples."""
+    """The block fit of the replications the engine keeps from each chunk
+    it draws, against from_arrays of each; return the number kept."""
     count = 0
-    for sample in _samples(scn, start, stop, seed, resolve_censoring(scn)):
-        if sample is None:
-            continue
-        assert "pooled" in vars(sample)  # attached, not fitted on first use
-        for arr in (sample.times, sample.codes, sample.group):
-            assert not arr.flags.writeable
-        assert_same_fit(sample.pooled, PooledFit.from_arrays(
-            sample.times, sample.codes, sample.group, 2))
-        count += 1
+    for times, codes, keep in _samples(scn, start, stop, seed, resolve_censoring(scn)):
+        assert_block_matches(times[keep], codes[keep], [g.n for g in scn.groups])
+        count += int(keep.sum())
     return count
 
 
@@ -197,7 +220,8 @@ class TestChunks:
         monkeypatch.setattr(TwoGroupSample, "__post_init__", refuse)
         scn = load_shipped_scenario("b_proportional")
         step = _CHUNK_UNIFORMS // 200
-        assert len([s for s in _samples(scn, 0, step + 3, 1, None) if s]) == step + 3
+        report = run_monte_carlo(scn, ["diff"], reps=step + 3, seed=1)
+        assert report.degenerate_reps == 0 and report.methods[0].valid_reps == step + 3
         assert checks == [(step, 100), (3, 100)]
 
     def test_a_non_finite_draw_in_a_chunk_raises(self):

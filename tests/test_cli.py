@@ -17,9 +17,8 @@ from rmtlkit import (
 )
 from rmtlkit import cli, design
 from rmtlkit.cli import main
-from rmtlkit.simulate import _samples
 
-from helpers import sample_with_events
+from helpers import engine_samples, sample_with_events
 
 
 def to_csv(sample) -> str:
@@ -298,7 +297,7 @@ class TestSampleSize:
             scn,
             groups=tuple(dataclasses.replace(g, n=300) for g in scn.groups),
         )
-        sample = next(_samples(scn, 0, 1, 4242, None))
+        sample = next(engine_samples(scn, 0, 1, 4242, None))
         path = tmp_path / "pilot.csv"
         path.write_text(to_csv(sample), encoding="utf-8")
         rc, out, _ = run(capsys, ["samplesize", "--pilot", str(path),

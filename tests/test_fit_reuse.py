@@ -1,8 +1,10 @@
 """One fit per sample: every statistic of a sample reads the same pooled
 fit of both groups, however many statistics or truncation times it is
 asked for, and no risk table is built for a replication; and the two tests
-share one difference, so a replication integrates once per group (and
-checks tau once per group per test)."""
+share one difference, so a sample integrates once per group (and checks
+tau once per group per test). The Monte Carlo engine fits and tests a
+chunk of replications at a time, with no per-replication fit, integral
+or difference."""
 
 import json
 import sys
@@ -16,12 +18,13 @@ from rmtlkit import (
     default_tau,
     diff_test,
     load_shipped_scenario,
+    run_monte_carlo,
     sdiff_test,
 )
 from rmtlkit.cli import main
-from rmtlkit.simulate import _CHUNK_UNIFORMS, _samples
+from rmtlkit.simulate import _CHUNK_UNIFORMS
 
-from helpers import sample_with_events
+from helpers import engine_samples, sample_with_events
 
 
 @pytest.fixture
@@ -41,10 +44,11 @@ def risk_table_calls(monkeypatch):
 
 
 def test_one_replication_fits_each_group_once(risk_table_calls):
-    sample = next(_samples(load_shipped_scenario("a_null"), 0, 1, 5, None))
+    sample = next(engine_samples(load_shipped_scenario("a_null"), 0, 1, 5, None))
     tau = default_tau(sample)
     diff_test(sample, tau)
     sdiff_test(sample, tau)
+    run_monte_carlo(load_shipped_scenario("a_null"), reps=5, seed=5)
     assert len(risk_table_calls) == 0
 
 
@@ -63,18 +67,29 @@ def pooled_fits(monkeypatch):
 
 
 def test_one_replication_runs_one_pooled_fit(block_fit_shapes, pooled_fits,
-                                             risk_table_calls):
+                                             risk_table_calls, monkeypatch):
+    per_sample = []
+    for name in ("_areas", "rmtl_difference"):
+        original = getattr(sys.modules["rmtlkit.rmtl"], name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            per_sample.append(_name)
+            return _original(*args, **kwargs)
+
+        # patched wherever a module refers to it
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("rmtlkit.") and vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, counted)
     # a_null is 50/50 uncensored: 2 * 100 uniforms per replication
     step = _CHUNK_UNIFORMS // 200
-    samples = _samples(load_shipped_scenario("a_null"), 0, step + 5, 5, None)
-    for sample in filter(None, samples):
-        tau = default_tau(sample)
-        diff_test(sample, tau)
-        sdiff_test(sample, tau)
-    # one block fit per chunk, and no replication fits on its own
+    report = run_monte_carlo(load_shipped_scenario("a_null"), reps=step + 5, seed=5)
+    assert all(m.valid_reps for m in report.methods)
+    # one block fit per chunk, and no replication fits, integrates or
+    # takes a difference on its own
     assert block_fit_shapes == [(step, 100), (5, 100)]
     assert len(pooled_fits) == 0
     assert len(risk_table_calls) == 0
+    assert per_sample == []
 
 
 def test_sweep_runs_one_pooled_fit(pooled_fits, capsys, tmp_path):
@@ -102,7 +117,7 @@ def test_one_replication_integrates_each_group_once_per_test(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(rmtl_module, name, counted)
-    sample = next(_samples(load_shipped_scenario("a_null"), 0, 1, 5, None))
+    sample = next(engine_samples(load_shipped_scenario("a_null"), 0, 1, 5, None))
     tau = default_tau(sample)
     diff_test(sample, tau)
     sdiff_test(sample, tau)
@@ -118,10 +133,11 @@ def test_one_replication_builds_no_risk_table(monkeypatch):
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(RiskTable, "__init__", counted)
-    sample = next(_samples(load_shipped_scenario("a_null"), 0, 1, 5, None))
+    sample = next(engine_samples(load_shipped_scenario("a_null"), 0, 1, 5, None))
     tau = default_tau(sample)
     diff_test(sample, tau)
     sdiff_test(sample, tau)
+    run_monte_carlo(load_shipped_scenario("a_null"), reps=5, seed=5)
     assert len(tables) == 0
 
 

@@ -19,7 +19,7 @@ from rmtlkit import (
     sdiff_test,
 )
 from rmtlkit import TestMethod as Method
-from helpers import sample_with_events, swap_groups
+from helpers import engine_samples, sample_with_events, swap_groups
 
 
 def two_group(spec1, spec2):
@@ -205,13 +205,13 @@ class TestNullConservatismPattern:
         # Both groups share the sustained-difference scenario's group-1 law,
         # so the data satisfy the null; the supremum test should then be the
         # more conservative of the two on nearly every dataset.
-        from rmtlkit.simulate import _samples, load_shipped_scenario
+        from rmtlkit.simulate import load_shipped_scenario
 
         scn = load_shipped_scenario("b_proportional")
         g1 = dataclasses.replace(scn.groups[0], n=100)
         scn = dataclasses.replace(scn, groups=(g1, g1))
         wins = total = 0
-        for sample in _samples(scn, 0, 100, 555, None):
+        for sample in engine_samples(scn, 0, 100, 555, None):
             if sample is None:
                 continue
             tau = default_tau(sample)

@@ -29,11 +29,10 @@ from rmtlkit import simulate
 from rmtlkit.simulate import (
     _CALIBRATION_DRAWS,
     _CALIBRATION_SEED,
-    _samples,
     resolve_censoring,
 )
 
-from helpers import true_cif
+from helpers import engine_samples, true_cif
 
 
 def exponential_cif(mass=0.7, scale=2.0):
@@ -79,7 +78,7 @@ def assert_block_matches_one_replication_draws(scn, start, stop, seed):
     """Draw [start, stop) as one block and compare each replication bitwise
     with its reference draw; return the number skipped."""
     bounds = resolve_censoring(scn)
-    block = list(_samples(scn, start, stop, seed, bounds))
+    block = list(engine_samples(scn, start, stop, seed, bounds))
     assert len(block) == stop - start
     skipped = 0
     for rep, sample in zip(range(start, stop), block):
@@ -483,7 +482,7 @@ class TestMonteCarlo:
 
         monkeypatch.setattr(simulate.np.random, "default_rng", default_rng)
         scn = tiny_scenario(n=20, censoring=CensoringSpec(bound=3.0))
-        samples = list(_samples(scn, 3, 10, 5, resolve_censoring(scn)))
+        samples = list(engine_samples(scn, 3, 10, 5, resolve_censoring(scn)))
         assert len(samples) == 7 and None not in samples
         assert calls == [(3 * 40,)] * 7
         assert streams == [(rep,) for rep in range(3, 10)]
@@ -512,6 +511,36 @@ class TestMonteCarlo:
             run_monte_carlo(tiny_scenario(), ["diff"], reps=0)
         with pytest.raises(DataValidationError):
             run_monte_carlo(tiny_scenario(), ["diff"], reps=5, workers=0)
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("alpha", 1.5, r"alpha must be in \(0, 1\), got 1.5"),
+        ("rho", 1.5, r"rho must be in \[0, 1\], got 1.5"),
+        ("rho", math.nan, r"rho must be in \[0, 1\], got nan"),
+    ], ids=["alpha", "rho", "rho-nan"])
+    def test_alpha_and_rho_checked_before_any_draw(self, monkeypatch, option, value,
+                                                   message):
+        def refuse(*args):
+            raise AssertionError("the study calibrated or drew before its checks")
+
+        monkeypatch.setattr(simulate, "resolve_censoring", refuse)
+        monkeypatch.setattr(simulate, "_samples", refuse)
+        with pytest.raises(DataValidationError, match=message):
+            run_monte_carlo(tiny_scenario(), reps=5, **{option: value})
+
+    @pytest.mark.parametrize("name", ["a_null", "f_crossing"])
+    @pytest.mark.parametrize("target", [None, 0.45])
+    def test_reports_do_not_depend_on_the_chunk_size(self, monkeypatch, name, target):
+        # chunks of 1, of 7 and of the default number of replications: each
+        # pads its fits to its own widest row
+        scn = dataclasses.replace(load_shipped_scenario(name),
+                                  censoring=CensoringSpec(target=target))
+        per_rep = (2 if target is None else 3) * 100
+        reports = []
+        for rows in (1, 7, None):
+            if rows is not None:
+                monkeypatch.setattr(simulate, "_CHUNK_UNIFORMS", rows * per_rep)
+            reports.append(json.dumps(run_monte_carlo(scn, reps=60, seed=31).to_dict()))
+        assert reports[0] == reports[1] == reports[2]
 
 
 # Each shipped scenario, 300 reps at seed 7, as shipped and at 45%

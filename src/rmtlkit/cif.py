@@ -181,8 +181,9 @@ def _left_aligned(rows, counts, columns, fill):
     m = int(counts.max())
     cells = rows * m + np.arange(len(rows)) - (counts.cumsum() - counts).take(rows)
     out = np.empty((len(columns), len(counts) * m))
-    out[:] = np.reshape(fill, (-1, 1))
-    out[:, cells] = columns
+    for table, column, value in zip(out, columns, fill):
+        table.fill(value)
+        table[cells] = column
     return out.reshape(len(columns), len(counts), m), cells
 
 

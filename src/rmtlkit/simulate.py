@@ -3,8 +3,16 @@
 Scenarios describe each group by two piecewise-Weibull sub-distributions
 (event of interest and competing event) whose masses sum to 1, plus a
 uniform censoring law given either as an upper bound or as a target
-censoring rate to calibrate. Replications run on independent counter-based
-random streams, so reports are bit-identical for any worker count.
+censoring rate to calibrate. Replication r of a study draws from its own
+PCG64 stream seeded by ``SeedSequence(seed, (r,))``, so reports are
+bit-identical for any worker count.
+
+Those streams are not built as numpy objects per replication:
+``_stream_states`` derives each one's PCG64 state in Python ints, following
+numpy's documented SeedSequence mixing and ``generate_state`` and PCG64's
+seeding step, and one generator per block is loaded with each state in turn.
+The draws are numpy's own; a numpy release that changed that seeding would
+fail the state test in ``tests/test_simulate.py``, not only the reports.
 """
 
 from __future__ import annotations
@@ -32,6 +40,16 @@ from .inference import TestMethod, _block_tests, _check_alpha, _check_rho
 _CALIBRATION_SEED = 1_000_003
 _CALIBRATION_DRAWS = 100_000
 _CHUNK_UNIFORMS = 1 << 16  # uniforms drawn at once: bounds a block's memory
+
+# numpy's SeedSequence constants (its mixing works on uint32 words) and
+# PCG64's multiplier, for _stream_states
+_MASK32 = 0xFFFF_FFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
+_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01_F9DD, 0x4973_F715
+_PCG64_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
+_LOW_HALVES = 0x0000_FFFF_0000_FFFF_0000_FFFF_0000_FFFF  # low 16 bits of each word
 
 _GROUPS = ("1", "2")  # the labels of a scenario's groups, in order
 TAU_RULE = "min over groups of the last observed event-of-interest time"
@@ -286,6 +304,101 @@ def resolve_censoring(scn: ScenarioSpec) -> tuple[float, float] | None:
     return calibrate_censoring(scn, cen.target)
 
 
+def _hash_constants(const, mult, count):
+    """``count`` steps of a SeedSequence hash constant, as pairs (the
+    constant, the next one)."""
+    return [(const, const := const * mult & _MASK32) for _ in range(count)]
+
+
+def _uint32_words(value):
+    """SeedSequence's uint32 words of an int >= 0, least significant first
+    (one word, 0, for 0)."""
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _mix_in(pool, word, constants, skip=None):
+    """Mix ``word`` into each of the four pool words but ``skip``, in turn,
+    as SeedSequence does: hashmix under the next pair of hash constants
+    from the iterator ``constants``, then mix."""
+    for dst in range(4):
+        if dst != skip:
+            xor, mult = next(constants)
+            hashed = (word ^ xor) * mult & _MASK32
+            hashed ^= hashed >> 16
+            mixed = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashed) & _MASK32
+            pool[dst] = mixed ^ mixed >> 16
+
+
+def _stream_states(seed: int):
+    """A function taking reps and yielding, for each, the (state, inc)
+    that ``PCG64(SeedSequence(seed, spawn_key=(rep,)))`` starts from.
+
+    SeedSequence hashes its entropy into a pool of four uint32 words: first
+    the seed's words (padded with zeros to four), then the rep's (one below
+    2^32, more from there on). The hash constants it steps through depend
+    only on how many words came before, so the seed's part is done here,
+    once. Per rep, its words are mixed in, the pool is expanded by
+    ``generate_state(4, uint64)`` into (initstate, initseq), and PCG64's
+    seeding step gives inc = 2·initseq + 1 and
+    state = ((inc + initstate)·MULT + inc) mod 2^128.
+    """
+    words = _uint32_words(seed)
+    words += [0] * (4 - len(words))
+    # the pool's first four words, the other words of each mixed into it,
+    # the seed's words beyond four, then the rep's first word
+    constants = iter(_hash_constants(_INIT_A, _MULT_A, 4 * len(words) + 4))
+    pool = []
+    for word, (xor, mult) in zip(words[:4], constants):
+        hashed = (word ^ xor) * mult & _MASK32
+        pool.append(hashed ^ hashed >> 16)
+    for src in range(4):
+        _mix_in(pool, pool[src], constants, skip=src)
+    for word in words[4:]:
+        _mix_in(pool, word, constants)
+    # the rep's first word is mixed in unrolled below, from these products
+    # and hash constants; any further word goes through _mix_in
+    l0, l1, l2, l3 = (_MIX_MULT_L * p for p in pool)
+    (a0, b0), (a1, b1), (a2, b2), (a3, b3) = constants
+    (c0, d0), (c1, d1), (c2, d2), (c3, d3), (c4, d4), (c5, d5), (c6, d6), (c7, d7) = (
+        _hash_constants(_INIT_B, _MULT_B, 8))
+
+    def states(reps):
+        mask, mult_r, low_halves = _MASK32, _MIX_MULT_R, _LOW_HALVES
+        for rep in reps:
+            word = rep & mask
+            h = (word ^ a0) * b0 & mask
+            q0 = (l0 - mult_r * (h ^ h >> 16)) & mask
+            h = (word ^ a1) * b1 & mask
+            q1 = (l1 - mult_r * (h ^ h >> 16)) & mask
+            h = (word ^ a2) * b2 & mask
+            q2 = (l2 - mult_r * (h ^ h >> 16)) & mask
+            h = (word ^ a3) * b3 & mask
+            q3 = (l3 - mult_r * (h ^ h >> 16)) & mask
+            q0, q1, q2, q3 = q0 ^ q0 >> 16, q1 ^ q1 >> 16, q2 ^ q2 >> 16, q3 ^ q3 >> 16
+            if rep > mask:
+                q, high = [q0, q1, q2, q3], _uint32_words(rep >> 32)
+                more = iter(_hash_constants(b3, _MULT_A, 4 * len(high)))
+                for word in high:
+                    _mix_in(q, word, more)
+                q0, q1, q2, q3 = q
+            # generate_state hashes the pool words in turn into eight words
+            # o0..o7 (o ^= o >> 16 last, done here on all four words of a
+            # 128-bit value at once); uint64 k is o[2k] | o[2k+1] << 32, and
+            # initstate and initseq are uint64 0, 1 and 2, 3, high word first
+            x = (((q0 ^ c0) * d0 & mask) << 64 | ((q1 ^ c1) * d1 & mask) << 96
+                 | (q2 ^ c2) * d2 & mask | ((q3 ^ c3) * d3 & mask) << 32)
+            y = (((q0 ^ c4) * d4 & mask) << 64 | ((q1 ^ c5) * d5 & mask) << 96
+                 | (q2 ^ c6) * d6 & mask | ((q3 ^ c7) * d7 & mask) << 32)
+            initstate = x ^ x >> 16 & low_halves
+            inc = ((y ^ y >> 16 & low_halves) << 1 | 1) & _MASK128
+            yield ((inc + initstate) * _PCG64_MULT + inc) & _MASK128, inc
+
+    return states
+
+
 def _samples(scn, start, stop, seed, bounds):
     """Yield the replications in [start, stop) a chunk at a time, as
     (times, codes, keep): (R, N) arrays holding one replication per row,
@@ -294,21 +407,30 @@ def _samples(scn, start, stop, seed, bounds):
 
     Replication r draws all its uniforms in one call on its own stream
     (seed, r): per group in turn, n for the causes, n for the times and,
-    when censored, n for the censoring times. Replications are stacked in
+    when censored, n for the censoring times. Replications are drawn in
     chunks of at most _CHUNK_UNIFORMS uniforms (or of one replication that
-    alone needs more). Each group is sampled once per chunk, and the chunk
-    is checked in one pass.
+    alone needs more), each stream straight into its row of the chunk: one
+    generator, made here (so threads do not share it), is loaded with each
+    stream's state in turn. Each group is sampled once per chunk, and the
+    chunk is checked in one pass.
     """
     width = 2 if bounds is None else 3
     sizes = [group.n for group in scn.groups]
     total = width * sum(sizes)
     group = np.repeat([0, 1], sizes)
     step = max(1, _CHUNK_UNIFORMS // total)
+    stream_states = _stream_states(seed)
+    bit_generator = np.random.PCG64(0)  # its state is replaced before each draw
+    generator = np.random.Generator(bit_generator)
+    stream = {"state": 0, "inc": 0}
+    loaded = {"bit_generator": "PCG64", "state": stream, "has_uint32": 0, "uinteger": 0}
     for first in range(start, stop, step):
-        u = np.stack([
-            np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
-            .random(total) for rep in range(first, min(first + step, stop))
-        ])
+        reps = range(first, min(first + step, stop))
+        u = np.empty((len(reps), total))
+        for row, (state, inc) in zip(u, stream_states(reps)):
+            stream["state"], stream["inc"] = state, inc
+            bit_generator.state = loaded
+            generator.random(out=row)
         times, codes = [], []
         parts = np.split(u, [width * sizes[0]], axis=1)
         for k, (spec, n, part) in enumerate(zip(scn.groups, sizes, parts)):
@@ -387,6 +509,19 @@ def _normalize_methods(methods) -> tuple[TestMethod, ...]:
     return out
 
 
+def _check_seed(seed) -> int:
+    """The seed as a plain int: an integer >= 0 that is not a bool."""
+    from operator import index
+
+    try:
+        value = index(seed)
+    except TypeError:
+        value = None
+    if isinstance(seed, bool) or value is None or value < 0:
+        raise DataValidationError(f"seed must be an integer >= 0, got {seed!r}")
+    return value
+
+
 def run_monte_carlo(
     scn: ScenarioSpec,
     methods=(TestMethod.DIFF, TestMethod.SDIFF),
@@ -399,7 +534,8 @@ def run_monte_carlo(
     """Replicated size/power study of the selected tests under a scenario.
 
     Replication r draws from an independent stream derived from (seed, r),
-    making the report deterministic for any worker count. tau is chosen
+    making the report deterministic for any worker count. ``seed`` is an
+    integer >= 0 (a numpy integer counts as its value). tau is chosen
     per replication as the minimum over groups of the last observed event
     of interest; replications where a group has none are excluded from the
     rate denominator and reported separately. With ``workers > 1`` the
@@ -410,6 +546,7 @@ def run_monte_carlo(
         raise DataValidationError(f"reps must be >= 1, got {reps}")
     if workers < 1:
         raise DataValidationError(f"workers must be >= 1, got {workers}")
+    seed = _check_seed(seed)
     _check_alpha(alpha)
     _check_rho(rho)
     methods = _normalize_methods(methods)

@@ -466,26 +466,71 @@ class TestMonteCarlo:
         }
 
     def test_replication_draws_once(self, monkeypatch):
-        calls = []
-        original = np.random.Generator.random
+        # every replication's row of a chunk is its own stream's one draw,
+        # bitwise, made straight into one (R, total) buffer per chunk
+        outs = []
 
-        class Counted(np.random.Generator):
-            def random(self, *args, **kwargs):
-                calls.append(args)
-                return original(self, *args, **kwargs)
+        class Recorded(np.random.Generator):
+            def random(self, size=None, dtype=np.float64, out=None):
+                outs.append(out)
+                return super().random(size, dtype, out)
 
-        streams = []
-
-        def default_rng(seed):
-            streams.append(seed.spawn_key)
-            return Counted(np.random.PCG64(seed))
-
-        monkeypatch.setattr(simulate.np.random, "default_rng", default_rng)
+        monkeypatch.setattr(simulate.np.random, "Generator", Recorded)
+        monkeypatch.setattr(simulate, "_CHUNK_UNIFORMS", 3 * 120)  # 3 reps a chunk
         scn = tiny_scenario(n=20, censoring=CensoringSpec(bound=3.0))
         samples = list(engine_samples(scn, 3, 10, 5, resolve_censoring(scn)))
         assert len(samples) == 7 and None not in samples
-        assert calls == [(3 * 40,)] * 7
-        assert streams == [(rep,) for rep in range(3, 10)]
+        assert len(outs) == 7 and all(out.base is not None for out in outs)
+        buffers = [outs[0].base, outs[3].base, outs[6].base]
+        assert [b.shape for b in buffers] == [(3, 120), (3, 120), (1, 120)]
+        assert [out.base for out in outs] == [buffers[i // 3] for i in range(7)]
+        assert np.array_equal(np.concatenate(buffers), np.array(outs))
+        for rep, out in zip(range(3, 10), outs):
+            stream = np.random.SeedSequence(entropy=5, spawn_key=(rep,))
+            assert np.array_equal(out, np.random.default_rng(stream).random(120)), rep
+
+    def test_stream_states_are_numpys(self):
+        # the derived (state, inc) of PCG64(SeedSequence(seed, (rep,))) on
+        # 10^4 pairs: seeds of 1 to 5 uint32 words and 0, reps from 0 past
+        # 2^32 (two words) and 2^64 (three)
+        rng = np.random.default_rng(0)
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5, 2**96 - 3, 2**96,
+                 2**127 + 11, 2**128 - 1, 2**128, 2**130 + 2**64 + 9]
+        seeds += [int(x) for x in rng.integers(0, 2**63, 8)]
+        fixed = [0, 1, 2, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**40 + 3, 2**64 - 1,
+                 2**64, 2**64 + 2**32 + 7]
+        pairs = 0
+        for seed in seeds:
+            reps = fixed + [int(r) for r in rng.integers(0, 2**16, 350)]
+            reps += [int(r) for r in rng.integers(2**32, 2**48, 139)]
+            for rep, got in zip(reps, simulate._stream_states(seed)(reps)):
+                bit_generator = np.random.PCG64(
+                    np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
+                want = bit_generator.state["state"]
+                assert got == (want["state"], want["inc"]), (seed, rep)
+                pairs += 1
+        assert pairs == 10_000
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_seed_is_checked_before_any_draw_and_reported_as_an_int(self, workers,
+                                                                      monkeypatch):
+        scn = tiny_scenario(censoring=CensoringSpec(target=0.2))
+        want = run_monte_carlo(scn, ["diff"], reps=6, seed=3, workers=workers).to_dict()
+        got = run_monte_carlo(scn, ["diff"], reps=6, seed=np.int64(3),
+                              workers=workers).to_dict()
+        assert type(got["seed"]) is int
+        assert json.dumps(got) == json.dumps(want)
+
+        def refused(*args):
+            raise AssertionError("calibrated or drew before checking the seed")
+
+        monkeypatch.setattr(simulate, "resolve_censoring", refused)
+        monkeypatch.setattr(simulate, "_samples", refused)
+        for bad in (-1, True, np.bool_(False), 3.0, "3"):
+            with pytest.raises(DataValidationError, match="seed must be an integer"):
+                run_monte_carlo(scn, ["diff"], reps=6, seed=bad, workers=workers)
+        with pytest.raises(DataValidationError, match="seed must be an integer"):
+            observed_power_at_n(scn, 40, ["diff"], reps=6, seed=-5, workers=workers)
 
     def test_different_seeds_differ(self):
         a = run_monte_carlo(tiny_scenario(), ["diff"], reps=40, seed=1)

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data_model import EventCode, RiskTable, _tabulate
+from .data_model import EventCode, RiskTable, build_risk_table
 from .errors import DataValidationError
 
 
@@ -105,14 +105,13 @@ def cif_estimate(rt: RiskTable, cause: EventCode) -> StepFunction:
 class PooledFit:
     """Interest CIFs of several groups, also held on one pooled grid.
 
-    ``cifs`` holds each group's interest CIF with knots at its own events of
-    interest. Each group is fitted on its own event rows (either cause)
-    only, so its CIF equals its one-group fit bitwise. ``times`` holds the
-    distinct event times (either cause) of all groups together. ``values``
-    and ``variances`` have one row per group and one column per pooled
-    time: each group's CIF and its Aalen variance read from ``cifs`` by
-    right-continuity there (0 before the group's first event of interest).
-    ``n_total`` holds the group sizes.
+    ``tables`` holds each group's risk table and ``cifs`` the interest CIF
+    fitted from it, with knots at the group's own events of interest.
+    ``times`` holds the distinct event times (either cause) of all groups
+    together. ``values`` and ``variances`` have one row per group and one
+    column per pooled time: each group's CIF and its Aalen variance read
+    from ``cifs`` by right-continuity there (0 before the group's first
+    event of interest). ``n_total`` holds the group sizes.
     """
 
     times: np.ndarray
@@ -120,30 +119,26 @@ class PooledFit:
     variances: np.ndarray
     cifs: tuple[StepFunction, ...]
     n_total: np.ndarray
+    tables: tuple[RiskTable, ...]
 
     @classmethod
     def from_arrays(cls, times, codes, group, n_groups: int) -> "PooledFit":
         """Fit every group from all subjects' times, codes and group indices."""
-        times, counts, n_total, last = _tabulate(times, codes, group, n_groups)
-        is_knot = counts[1] > 0
-        rows = is_knot | (counts[2] > 0)  # each group's own event rows
-        # each pooled time reads the group's CIF and variance at its last
-        # knot at or before it (1-based; 0 reads the 0 before the first), not
-        # at its last row: the Aalen variance moves at competing events too,
-        # by rounding only
-        at = is_knot.cumsum(axis=1)
-        values = np.empty((n_groups, len(times)))
-        variances = np.empty_like(values)
-        cifs = []
+        tables = []
         for g in range(n_groups):
-            n, dj, d2 = counts[:, g].compress(rows[g], axis=1).astype(float)
-            inc, var = _incidence(n, dj, d2)
-            knot = dj > 0
-            cif = StepFunction(times[is_knot[g]], inc[knot], var[knot], 0.0, float(last[g]))
-            values[g] = np.concatenate(([0.0], cif.values))[at[g]]
-            variances[g] = np.concatenate(([0.0], cif.variances))[at[g]]
-            cifs.append(cif)
-        return cls(times, values, variances, tuple(cifs), n_total)
+            rows = np.flatnonzero(group == g)  # faster than a boolean mask here
+            tables.append(build_risk_table(times.take(rows), codes.take(rows)))
+        cifs = tuple(cif_estimate(table, EventCode.INTEREST) for table in tables)
+        grid = np.unique(np.concatenate([table.times for table in tables]))
+        # each pooled time reads the CIF and variance at the group's last
+        # knot at or before it: the count of such knots indexes the knot
+        # values after a leading 0, the value before the first knot
+        at = [cif.times.searchsorted(grid, side="right") for cif in cifs]
+        values = np.array([np.append(0.0, cif.values).take(k) for cif, k in zip(cifs, at)])
+        variances = np.array([np.append(0.0, cif.variances).take(k)
+                              for cif, k in zip(cifs, at)])
+        n_total = np.array([table.n_total for table in tables])
+        return cls(grid, values, variances, cifs, n_total, tuple(tables))
 
 
 class BlockFit(NamedTuple):

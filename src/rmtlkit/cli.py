@@ -12,7 +12,7 @@ import numpy as np
 
 from ._normal import ndtri
 from .cif import cif_estimate, km_overall
-from .data_model import EventCode, build_risk_table, parse_dataset, read_text
+from .data_model import EventCode, parse_dataset, read_text
 from .design import DesignInput, pilot_parameters, sample_size_diff, sample_size_sdiff
 from .errors import DataValidationError, ExtrapolationWarning, NumericError, RmtlError
 from .inference import TestMethod, diff_test, sdiff_test
@@ -219,11 +219,10 @@ def cmd_estimate(args) -> str:
 
     groups = []
     any_competing = bool(np.any(sample.codes == EventCode.COMPETING))
-    for g, (label, cif, est) in enumerate(zip(sample.groups, sample.pooled.cifs,
-                                               diff.per_group)):
+    pooled = sample.pooled
+    for label, cif, table, est in zip(sample.groups, pooled.cifs, pooled.tables,
+                                      diff.per_group):
         lo, hi = rmtl_ci(est, args.alpha)
-        rows = sample.group == g
-        table = build_risk_table(sample.times[rows], sample.codes[rows])
         groups.append(
             {
                 "label": label,

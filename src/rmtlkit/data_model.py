@@ -1,7 +1,10 @@
 """Observation records, two-group samples, and risk tables.
 
 The risk table is the single input consumed by every estimator: ordered
-distinct event times with at-risk counts and per-cause event counts.
+distinct event times with at-risk counts and per-cause event counts. Each
+group of a sample is tabulated once, by its pooled fit, and every
+statistic of the sample reads that group's table or the CIFs fitted from
+it.
 """
 
 from __future__ import annotations
@@ -93,8 +96,9 @@ class TwoGroupSample:
 
     @cached_property
     def pooled(self) -> PooledFit:
-        """Both groups' interest CIFs, fitted in one pass on the pooled
-        event times on first use; every statistic of the sample reads it."""
+        """Each group's risk table and interest CIF, fitted once on first
+        use and also read on the pooled event times; every statistic of
+        the sample reads it."""
         from .cif import PooledFit  # cif imports this module
 
         return PooledFit.from_arrays(self.times, self.codes, self.group, 2)
@@ -163,52 +167,13 @@ class RiskTable:
         raise DataValidationError(f"cause must be Interest or Competing, got {cause}")
 
 
-def _tabulate(times, codes, group, n_groups: int):
-    """Risk-table counts of ``n_groups`` groups on their pooled event times.
-
-    ``times``, ``codes`` (0, 1 or 2) and ``group`` (each row's group index)
-    hold at least one row of each group. Returns the distinct times with at
-    least one event of either cause in any group (K,); a (3, G, K) array
-    of the at-risk, interest and competing counts there (a group's event
-    counts are 0 at another group's event times, and its at-risk count is 0
-    once all its subjects have left); and each group's size and last
-    observed time. Ties between events and censorings at the same time are resolved
-    with events first: a subject censored at t is still at risk for events
-    at t.
-    """
-    # counts are summed by bincount, so the order within tied times is free
-    order = times.argsort()
-    t = times[order]
-    first = np.empty(len(t), dtype=bool)  # each distinct time's first row
-    first[0] = False  # set after counting, so that the first time has index 0
-    np.not_equal(t[1:], t[:-1], out=first[1:])
-    k = first.cumsum()  # each row's distinct-time index
-    first[0] = True
-    n_times = int(k[-1]) + 1
-    width = n_groups * n_times
-    # one count per (status code, group, time): censored, interest, competing
-    counts = np.bincount(codes[order] * width + group[order] * n_times + k,
-                         minlength=3 * width).reshape(3, n_groups, n_times)
-    total = counts.sum(axis=0)
-    left = total.cumsum(axis=1)  # subjects at or before each time
-    n_total = left[:, -1]
-    # the times with an event (takes are faster than boolean masks here)
-    rows = counts[1:].any(axis=(0, 1)).nonzero()[0]
-    counts = counts.take(rows, axis=-1)
-    # at risk at t = everyone with observed time >= t (censored-at-t
-    # included); it takes the place of the censoring counts
-    counts[0] = n_total[:, None] - left.take(rows, axis=1) + total.take(rows, axis=1)
-    t = t[first]
-    # a group's last time is the first at which all its subjects are seen
-    return t.take(rows), counts, n_total, t[(left < n_total[:, None]).sum(axis=1)]
-
-
 def build_risk_table(times, codes) -> RiskTable:
     """Tabulate at-risk and event counts at each distinct event time.
 
     ``times`` and ``codes`` hold one group's observed times and status
-    codes; this is the one-group case of the pooled tabulation that
-    ``TwoGroupSample.pooled`` runs on both groups at once.
+    codes. Ties between events and censorings at the same time are resolved
+    with events first: a subject censored at t is still at risk for events
+    at t.
     """
     times = np.asarray(times, dtype=float)
     codes = np.asarray(codes, dtype=np.int64)
@@ -216,15 +181,29 @@ def build_risk_table(times, codes) -> RiskTable:
         raise DataValidationError("cannot build a risk table from no observations")
     if not ((codes >= 0) & (codes <= 2)).all():
         raise DataValidationError("status codes must be 0, 1 or 2")
-    uniq, counts, n_total, last = _tabulate(times, codes, np.zeros(len(times), np.int64), 1)
-    at_risk, d1, d2 = counts[:, 0]
+    # counts are summed by bincount, so the order within tied times is free
+    order = times.argsort()
+    t = times[order]
+    first = np.empty(len(t), dtype=bool)  # each distinct time's first row
+    first[0] = True
+    np.not_equal(t[1:], t[:-1], out=first[1:])
+    k = first.cumsum() - 1  # each row's distinct-time index
+    n_times = int(k[-1]) + 1
+    # censored, interest and competing counts at each distinct time
+    counts = np.bincount(codes[order] * n_times + k, minlength=3 * n_times)
+    counts = counts.reshape(3, n_times)
+    total = counts.sum(axis=0)
+    # the times with an event (takes are faster than boolean masks here)
+    rows = counts[1:].any(axis=0).nonzero()[0]
+    # at risk at t = everyone not seen before t (censored-at-t included)
+    seen_before = total.cumsum() - total
     return RiskTable(
-        times=uniq,
-        at_risk=at_risk,
-        events_interest=d1,
-        events_competing=d2,
-        n_total=int(n_total[0]),
-        last_observed=float(last[0]),
+        times=t[first].take(rows),
+        at_risk=len(t) - seen_before.take(rows),
+        events_interest=counts[1].take(rows),
+        events_competing=counts[2].take(rows),
+        n_total=len(t),
+        last_observed=float(t[-1]),
     )
 
 

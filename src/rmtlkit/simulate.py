@@ -22,6 +22,7 @@ import dataclasses
 import functools
 import json
 import math
+import operator
 import os
 import threading
 import warnings
@@ -509,17 +510,15 @@ def _normalize_methods(methods) -> tuple[TestMethod, ...]:
     return out
 
 
-def _check_seed(seed) -> int:
-    """The seed as a plain int: an integer >= 0 that is not a bool."""
-    from operator import index
-
+def _as_int(value, name: str) -> int:
+    """``value`` as a plain int: an integer that is not a bool (a numpy
+    integer counts as its value)."""
     try:
-        value = index(seed)
+        if not isinstance(value, bool):
+            return operator.index(value)
     except TypeError:
-        value = None
-    if isinstance(seed, bool) or value is None or value < 0:
-        raise DataValidationError(f"seed must be an integer >= 0, got {seed!r}")
-    return value
+        pass
+    raise DataValidationError(f"{name} must be an integer, got {value!r}")
 
 
 def run_monte_carlo(
@@ -542,11 +541,14 @@ def run_monte_carlo(
     replications run on a pool of worker processes that is kept for the
     next study in this process with the same worker count.
     """
+    reps, workers = _as_int(reps, "reps"), _as_int(workers, "workers")
+    seed = _as_int(seed, "seed")
     if reps < 1:
         raise DataValidationError(f"reps must be >= 1, got {reps}")
     if workers < 1:
         raise DataValidationError(f"workers must be >= 1, got {workers}")
-    seed = _check_seed(seed)
+    if seed < 0:
+        raise DataValidationError(f"seed must be an integer >= 0, got {seed}")
     _check_alpha(alpha)
     _check_rho(rho)
     methods = _normalize_methods(methods)
@@ -620,6 +622,7 @@ def observed_power_at_n(
     The total is split by ``ratio`` (n2/n1; defaults to the scenario's own
     group-size ratio) with the first group rounded up.
     """
+    n_total = _as_int(n_total, "n_total")
     if n_total < 4:
         raise DataValidationError(f"n_total must be >= 4, got {n_total}")
     if n_total < 20:

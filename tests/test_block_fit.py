@@ -50,14 +50,14 @@ def assert_same_fit(got, want):
 
 def row_fit(fit, r, last_observed) -> PooledFit:
     """Row r of a block fit as a PooledFit, given each group's last time
-    (the block fit does not keep it)."""
+    (the block fit keeps neither it nor the risk tables)."""
     cifs = tuple(
         StepFunction(fit.knot_times[k, r, :m], fit.knot_values[k, r, :m],
                      fit.knot_variances[k, r, :m], 0.0, last)
         for k, (m, last) in enumerate(zip(fit.knot_counts[:, r].tolist(), last_observed)))
     m = fit.grid_counts[r]
     return PooledFit(fit.grid_times[r, :m], fit.values[:, r, :m], fit.variances[:, r, :m],
-                     cifs, fit.n_total)
+                     cifs, fit.n_total, tables=())
 
 
 def assert_padded(fit):

@@ -1,10 +1,11 @@
 """One fit per sample: every statistic of a sample reads the same pooled
-fit of both groups, however many statistics or truncation times it is
-asked for, and no risk table is built for a replication; and the two tests
-share one difference, so a sample integrates once per group (and checks
-tau once per group per test). The Monte Carlo engine fits and tests a
-chunk of replications at a time, with no per-replication fit, integral
-or difference."""
+fit of both groups, which builds exactly one risk table per group, however
+many statistics or truncation times it is asked for; ``estimate`` reads its
+competing-cause CIF and Kaplan-Meier curve off those tables too. The two
+tests share one difference, so a sample integrates once per group (and
+checks tau once per group per test). The Monte Carlo engine fits and tests
+a chunk of replications at a time, with no per-replication risk table,
+fit, integral or difference."""
 
 import json
 import sys
@@ -13,11 +14,14 @@ import pytest
 
 import rmtlkit
 from rmtlkit import (
+    EventCode,
     PooledFit,
     RiskTable,
     default_tau,
     diff_test,
     load_shipped_scenario,
+    partial_process,
+    rmtl_difference,
     run_monte_carlo,
     sdiff_test,
 )
@@ -43,24 +47,42 @@ def risk_table_calls(monkeypatch):
     return calls
 
 
-def test_one_replication_fits_each_group_once(risk_table_calls):
+@pytest.fixture
+def tables_built(monkeypatch):
+    """Collect every RiskTable constructed, however it is built."""
+    original = RiskTable.__init__
+    tables = []
+
+    def counted(self, *args, **kwargs):
+        tables.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(RiskTable, "__init__", counted)
+    return tables
+
+
+def test_one_replication_fits_each_group_once(risk_table_calls, tables_built):
     sample = next(engine_samples(load_shipped_scenario("a_null"), 0, 1, 5, None))
     tau = default_tau(sample)
     diff_test(sample, tau)
     sdiff_test(sample, tau)
-    run_monte_carlo(load_shipped_scenario("a_null"), reps=5, seed=5)
-    assert len(risk_table_calls) == 0
+    rmtl_difference(sample, tau / 2)
+    partial_process(sample, tau / 3)
+    assert len(risk_table_calls) == 2
+    assert list(map(id, tables_built)) == list(map(id, sample.pooled.tables))
+    assert [table.n_total for table in tables_built] == sample.pooled.n_total.tolist()
 
 
 @pytest.fixture
 def pooled_fits(monkeypatch):
-    """Count pooled fits (both groups in one pass)."""
+    """Collect the pooled fits (every group of a sample) as they are made."""
     original = PooledFit.from_arrays.__func__
     calls = []
 
     def counted(cls, *args):
-        calls.append(args)
-        return original(cls, *args)
+        fit = original(cls, *args)
+        calls.append(fit)
+        return fit
 
     monkeypatch.setattr(PooledFit, "from_arrays", classmethod(counted))
     return calls
@@ -92,14 +114,16 @@ def test_one_replication_runs_one_pooled_fit(block_fit_shapes, pooled_fits,
     assert per_sample == []
 
 
-def test_sweep_runs_one_pooled_fit(pooled_fits, capsys, tmp_path):
-    sample = sample_with_events(809, n1=40, n2=40)
-    path = tmp_path / "pilot.csv"
+def write_csv(sample, path):
     path.write_text("time,status,group\n" + "".join(
         f"{t!r},{c},{sample.groups[g]}\n" for t, c, g in zip(
             sample.times.tolist(), sample.codes.tolist(), sample.group.tolist())),
         encoding="utf-8")
-    pooled_fits.clear()
+
+
+def test_sweep_runs_one_pooled_fit(pooled_fits, capsys, tmp_path):
+    path = tmp_path / "pilot.csv"
+    write_csv(sample_with_events(809, n1=40, n2=40), path)
     assert main(["samplesize", "--pilot", str(path), "--sweep", "0.25:3.0:0.25",
                  "--format", "json"]) == 0
     assert len(json.loads(capsys.readouterr().out)["sweep"]) == 12
@@ -124,34 +148,42 @@ def test_one_replication_integrates_each_group_once_per_test(monkeypatch):
     assert calls == {"_areas": 2, "_check_tau": 4}
 
 
-def test_one_replication_builds_no_risk_table(monkeypatch):
-    original = RiskTable.__init__
-    tables = []
-
-    def counted(self, *args, **kwargs):
-        tables.append(args)
-        original(self, *args, **kwargs)
-
-    monkeypatch.setattr(RiskTable, "__init__", counted)
-    sample = next(engine_samples(load_shipped_scenario("a_null"), 0, 1, 5, None))
-    tau = default_tau(sample)
-    diff_test(sample, tau)
-    sdiff_test(sample, tau)
+def test_one_replication_builds_no_risk_table(risk_table_calls, tables_built):
     run_monte_carlo(load_shipped_scenario("a_null"), reps=5, seed=5)
-    assert len(tables) == 0
+    assert len(risk_table_calls) == 0
+    assert len(tables_built) == 0
 
 
-def test_sweep_fits_the_pilot_once(risk_table_calls, capsys, tmp_path):
-    sample = sample_with_events(808, n1=60, n2=60)
+def test_sweep_fits_the_pilot_once(risk_table_calls, pooled_fits, capsys, tmp_path):
     path = tmp_path / "pilot.csv"
-    path.write_text("time,status,group\n" + "".join(
-        f"{t!r},{c},{sample.groups[g]}\n" for t, c, g in zip(
-            sample.times.tolist(), sample.codes.tolist(), sample.group.tolist())),
-        encoding="utf-8")
-    risk_table_calls.clear()
+    write_csv(sample_with_events(808, n1=60, n2=60), path)
     assert main(["samplesize", "--pilot", str(path), "--sweep", "0.25:3.0:0.25",
                  "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)["sweep"]
     assert len(rows) == 12
     assert all("diff" in row for row in rows)
-    assert len(risk_table_calls) == 0
+    assert len(pooled_fits) == 1
+    assert len(risk_table_calls) == 2
+
+
+def test_estimate_reads_the_pooled_tables(risk_table_calls, pooled_fits, monkeypatch,
+                                          capsys, tmp_path):
+    cli_module = sys.modules["rmtlkit.cli"]
+    handed = []
+    for name in ("cif_estimate", "km_overall"):
+        original = getattr(cli_module, name)
+
+        def recorded(table, *args, _name=name, _original=original):
+            handed.append((_name, table, args))
+            return _original(table, *args)
+
+        monkeypatch.setattr(cli_module, name, recorded)
+    path = tmp_path / "data.csv"
+    write_csv(sample_with_events(810, n1=40, n2=40), path)
+    assert main(["estimate", "--input", str(path), "--format", "json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["groups"]) == 2
+    [fit] = pooled_fits
+    assert [(name, args) for name, _, args in handed] == [
+        ("cif_estimate", (EventCode.COMPETING,)), ("km_overall", ())] * 2
+    assert all(table is fit.tables[k // 2] for k, (_, table, _) in enumerate(handed))
+    assert len(risk_table_calls) == 2

@@ -532,6 +532,38 @@ class TestMonteCarlo:
         with pytest.raises(DataValidationError, match="seed must be an integer"):
             observed_power_at_n(scn, 40, ["diff"], reps=6, seed=-5, workers=workers)
 
+    def test_counts_are_plain_ints_checked_before_any_draw(self, monkeypatch):
+        scn = tiny_scenario()
+        want = run_monte_carlo(scn, ["diff"], reps=3, seed=3).to_dict()
+        got = run_monte_carlo(scn, ["diff"], reps=np.int64(3), seed=3,
+                              workers=np.int64(1)).to_dict()
+        assert type(got["reps"]) is int
+        assert json.dumps(got) == json.dumps(want)
+        got = observed_power_at_n(scn, np.int64(40), ["diff"], reps=3, seed=3).to_dict()
+        assert json.dumps(got) == json.dumps(
+            observed_power_at_n(scn, 40, ["diff"], reps=3, seed=3).to_dict())
+
+        def refused(*args):
+            raise AssertionError("calibrated or drew before checking the counts")
+
+        monkeypatch.setattr(simulate, "resolve_censoring", refused)
+        monkeypatch.setattr(simulate, "_samples", refused)
+        for name, bad in (("reps", True), ("reps", 2.5), ("reps", np.bool_(True)),
+                          ("reps", "3"), ("workers", 1.5), ("workers", False)):
+            with pytest.raises(DataValidationError,
+                               match=f"^{name} must be an integer, got {bad!r}$"):
+                run_monte_carlo(scn, ["diff"], seed=3, **{"reps": 3, name: bad})
+        with pytest.raises(DataValidationError,
+                           match=r"^n_total must be an integer, got 100\.5$"):
+            observed_power_at_n(scn, 100.5, ["diff"], reps=3)
+        # out-of-range values keep their messages
+        for kwargs, message in (({"reps": 0}, "reps must be >= 1, got 0"),
+                                ({"workers": 0}, "workers must be >= 1, got 0")):
+            with pytest.raises(DataValidationError, match=f"^{message}$"):
+                run_monte_carlo(scn, ["diff"], **{"reps": 3, **kwargs})
+        with pytest.raises(DataValidationError, match="^n_total must be >= 4, got 3$"):
+            observed_power_at_n(scn, np.int64(3), ["diff"], reps=3)
+
     def test_different_seeds_differ(self):
         a = run_monte_carlo(tiny_scenario(), ["diff"], reps=40, seed=1)
         b = run_monte_carlo(tiny_scenario(), ["diff"], reps=40, seed=2)

@@ -53,12 +53,9 @@ def _incidence(n, dj, dk):
     # Kaplan-Meier complement. Computing it that way keeps the identity
     # I_1 = 1 - KM exact in floating point, not just to rounding.
     single = ~dk.any(axis=-1, keepdims=True)
-    if single.all():
-        inc = 1.0 - surv
-    else:
-        inc = (dj / n * s_prev).cumsum(axis=-1)
-        if single.any():
-            inc = np.where(single, 1.0 - surv, inc)
+    inc = (dj / n * s_prev).cumsum(axis=-1)
+    if single.any():
+        inc = np.where(single, 1.0 - surv, inc)
     return inc, _aalen_variance(n, d, dj, s_prev, inc)
 
 
@@ -145,41 +142,34 @@ class BlockFit(NamedTuple):
     """The pooled fits of a block of samples with equal groups, row r that
     of sample r, in arrays whose leading index is the group.
 
-    Group k's interest-CIF knots in row r are the first
-    ``knot_counts[k, r]`` entries of ``knot_times[k, r]``, with its CIF and
-    Aalen variance there in ``knot_values`` and ``knot_variances``. The
-    pooled grid of row r is the first ``grid_counts[r]`` entries of
-    ``grid_times[r]``, with each group's CIF and variance there in
-    ``values[k, r]`` and ``variances[k, r]``. Padding times are +inf, and
-    padding values and variances 0. ``n_total`` holds the group sizes.
-    Row r holds the arrays of ``PooledFit.from_arrays`` of sample r
-    bitwise.
+    The pooled grid of row r is the first ``grid_counts[r]`` entries of
+    ``grid_times[r]``, with each group's CIF and Aalen variance there in
+    ``values[k, r]`` and ``variances[k, r]``: bitwise the arrays of
+    ``PooledFit.from_arrays`` of sample r. Padding times are +inf, and
+    padding values and variances 0. ``last[k, r]`` is group k's last time
+    with an event of interest in row r (0 with none), and ``n_total``
+    holds the group sizes.
     """
 
-    knot_times: np.ndarray
-    knot_values: np.ndarray
-    knot_variances: np.ndarray
-    knot_counts: np.ndarray
     grid_times: np.ndarray
     grid_counts: np.ndarray
     values: np.ndarray
     variances: np.ndarray
+    last: np.ndarray
     n_total: np.ndarray
 
 
-def _left_aligned(rows, counts, columns, fill):
-    """Entries given by their row (ascending) and ``columns`` of values,
-    laid out in a (C, R, m) array: row r's entries left-aligned in
-    ``out[:, r]``, m the largest of the R ``counts``, the rest ``fill``
-    (one value per column). Also returns the flat positions they took in
-    an (R, m) array."""
-    m = int(counts.max())
-    cells = rows * m + np.arange(len(rows)) - (counts.cumsum() - counts).take(rows)
-    out = np.empty((len(columns), len(counts) * m))
+def _left_aligned(counts, columns, fill):
+    """``columns`` of entries held row after row, ``counts[r]`` of them in
+    row r, laid out in a (C, R, m) array: row r's entries left-aligned in
+    ``out[:, r]``, m the largest count, the rest ``fill`` (one value per
+    column). Also returns the (R, m) mask of the cells the entries took."""
+    filled = np.arange(counts.max()) < counts[:, None]
+    out = np.empty((len(columns),) + filled.shape)
     for table, column, value in zip(out, columns, fill):
         table.fill(value)
-        table[cells] = column
-    return out.reshape(len(columns), len(counts), m), cells
+        table[filled] = column
+    return out, filled
 
 
 def _block_fits(times, codes, sizes) -> BlockFit:
@@ -190,7 +180,8 @@ def _block_fits(times, codes, sizes) -> BlockFit:
     and so on. A group's risk-table rows (its runs of tied times that hold
     an event) are laid out left-aligned in an (R, m) array, m the most rows
     of any sample. The rest of a row is padding that no fitted value reads,
-    as the fit takes cumulative sums and products along each row. The fits
+    as the fit takes cumulative sums and products along each row. Each
+    group's CIF and variance are then read on the pooled grid, and the fits
     come back in the layout ``BlockFit`` describes.
     """
     n_rows, width = times.shape
@@ -205,16 +196,21 @@ def _block_fits(times, codes, sizes) -> BlockFit:
     np.not_equal(t[:, 1:], t[:, :-1], out=grid[:, :-1])
     grid &= np.maximum.accumulate(np.where(c > 0, t, -1.0), axis=-1) == t
     grid_at = grid.ravel().nonzero()[0]
-    grid_rows = grid_at // width
+    grid_counts = grid.sum(axis=-1)
+    # Each grid time reads each group's CIF and variance at the group's last
+    # knot at or before it, as from_arrays does, and each row's end reads
+    # its last knot's time: the last knot at or before the position asked
+    # in the sorted block, if that knot is in the same row.
+    ask = np.concatenate((grid_at, np.arange(width - 1, times.size, width)))
+    ask_start = ask - ask % width
     # the grid times, then each group's CIF, then each group's variance
     on_grid = np.empty((1 + 2 * n_groups, len(grid_at)))
     on_grid[0] = t.take(grid_at)
-    knots, knot_counts = [], []  # each group's (row, time, CIF, variance) at its knots
+    last = np.empty((n_groups, n_rows))
     for k, n in enumerate(sizes):
         # the group's sorted subjects, row after row (boolean masks are
         # slower than these takes)
-        mine = (g == k).ravel()
-        pick = mine.nonzero()[0]
+        pick = (g == k).ravel().nonzero()[0]
         tk, ck = t.take(pick), c.take(pick)
         first = np.ones(tk.size, dtype=bool)  # the first subject of each run
         np.not_equal(tk[1:], tk[:-1], out=first[1:])
@@ -229,35 +225,26 @@ def _block_fits(times, codes, sizes) -> BlockFit:
         row, before = np.divmod(starts, n)
         # at risk (everyone from the run on) and the events of each cause;
         # padding has 1 at risk and no events
-        table, cells = _left_aligned(row, np.bincount(row, minlength=n_rows),
-                                     (n - before, dj, dk), (1.0, 0.0, 0.0))
+        table, filled = _left_aligned(np.bincount(row, minlength=n_rows),
+                                      (n - before, dj, dk), (1.0, 0.0, 0.0))
         inc, var = _incidence(*table)
+        # the knots (the rows with an event of interest), each at the block
+        # position of its run's first subject
         at_knots = (dj > 0).nonzero()[0]
-        knot_starts, knot_rows = starts.take(at_knots), row.take(at_knots)
-        kv, kvar = inc.take(cells.take(at_knots)), var.take(cells.take(at_knots))
-        knots.append((knot_rows + k * n_rows, tk.take(knot_starts), kv, kvar))
-        knot_counts.append(np.bincount(knot_rows, minlength=n_rows))
-        edges = np.concatenate(([0], knot_counts[-1].cumsum()))
-        # each grid time reads the group's CIF and variance at its last knot
-        # at or before it (0 before the first), as from_arrays does: with j
-        # of the group's subjects at or before the time, that is the last
-        # knot among the row's first j subjects
-        marks = np.zeros(n_rows * (n + 1), dtype=np.int64)
-        marks[knot_starts + knot_rows + 1] = 1
-        seen = marks.cumsum().take(mine.cumsum().take(grid_at) + grid_rows)
-        at = np.where(seen > edges.take(grid_rows), seen - 1, len(kv))
-        on_grid[1 + k] = np.append(kv, 0.0).take(at)
-        on_grid[1 + n_groups + k] = np.append(kvar, 0.0).take(at)
-    # the knots of group k in row r go to row k * R + r of one table
-    rows, *columns = map(np.concatenate, zip(*knots))
-    knot_table = _left_aligned(rows, np.concatenate(knot_counts), columns,
-                               (np.inf, 0.0, 0.0))[0]
-    knot_table = knot_table.reshape(3, n_groups, n_rows, knot_table.shape[-1])
-    grid_counts = grid.sum(axis=-1)
-    grid_table = _left_aligned(grid_rows, grid_counts, on_grid,
+        knot_at = pick.take(starts.take(at_knots))
+        # entry i + 1 of each array read is knot i's, and entry 0 (0, the
+        # value before a first knot) is read where the row has none yet
+        seen = np.bincount(knot_at, minlength=t.size).cumsum().take(ask)
+        at = np.where(np.concatenate(([-1], knot_at)).take(seen) >= ask_start, seen, 0)
+        at_grid, at_end = at[:len(grid_at)], at[len(grid_at):]
+        cells = filled.ravel().nonzero()[0].take(at_knots)
+        on_grid[1 + k] = np.concatenate(([0.0], inc.take(cells))).take(at_grid)
+        on_grid[1 + n_groups + k] = np.concatenate(([0.0], var.take(cells))).take(at_grid)
+        last[k] = np.concatenate(([0.0], t.take(knot_at))).take(at_end)
+    grid_table = _left_aligned(grid_counts, on_grid,
                                (np.inf,) + (0.0,) * (2 * n_groups))[0]
-    return BlockFit(*knot_table, np.array(knot_counts), grid_table[0], grid_counts,
-                    grid_table[1:1 + n_groups], grid_table[1 + n_groups:], np.array(sizes))
+    return BlockFit(grid_table[0], grid_counts, grid_table[1:1 + n_groups],
+                    grid_table[1 + n_groups:], last, np.array(sizes))
 
 
 def _aalen_variance(n, d, dj, s_prev, inc):

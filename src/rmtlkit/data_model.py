@@ -228,7 +228,8 @@ _BLOCK_CHARS = 1 << 16  # characters a plain file is split in at a time
 def parse_dataset(text: str, reference: str | None = None) -> TwoGroupSample:
     """Parse a delimited table with columns time, status, group.
 
-    Comma is the default delimiter; tab is accepted. Column order is free
+    Comma is the default delimiter; tab is accepted (a header without the
+    three columns is an error that quotes its line). Column order is free
     and extra columns are ignored; when a name repeats, its last column is
     used. Blank lines are skipped and not counted in row numbers. ``status``
     must be 0 (censored), 1 (event of interest), or 2 (competing event). A
@@ -245,6 +246,18 @@ def parse_dataset(text: str, reference: str | None = None) -> TwoGroupSample:
     return sample if sample is not None else _parse_rows(text, reference)
 
 
+def _header_columns(header, line: str) -> list[int]:
+    """The time, status and group columns of the ``header`` fields split
+    from ``line``; a data error quoting the line if any is missing."""
+    column = {name.strip(): k for k, name in enumerate(header)}
+    missing = [c for c in _REQUIRED_COLUMNS if c not in column]
+    if missing:
+        raise DataValidationError(
+            f"missing required column(s): {', '.join(missing)} (header line read: "
+            f"{line!r}; only comma and tab are accepted as delimiters)")
+    return [column[c] for c in _REQUIRED_COLUMNS]
+
+
 def _parse_plain(text: str, reference: str | None) -> TwoGroupSample | None:
     """The sample of a plain, valid ``text`` (byte order mark removed);
     None for any other text. Only a block of lines is held as fields at a
@@ -258,10 +271,7 @@ def _parse_plain(text: str, reference: str | None) -> TwoGroupSample | None:
         return None
     delimiter = "\t" if ("\t" in head and "," not in head) else ","
     header = head[:-1].split(delimiter)
-    column = {name.strip(): k for k, name in enumerate(header)}
-    if not all(c in column for c in _REQUIRED_COLUMNS):
-        return None
-    t_col, s_col, g_col = (column[c] for c in _REQUIRED_COLUMNS)
+    t_col, s_col, g_col = _header_columns(header, head[:-1])
     stride = len(header) + 1  # a line's fields, then its line-end marker
     stop = len(text) - 1 if text.endswith("\n") else len(text)
     if stop <= start:
@@ -330,11 +340,7 @@ def _parse_rows(text: str, reference: str | None) -> TwoGroupSample:
         header = next(reader)
     except csv.Error as exc:
         raise DataValidationError(f"header: {exc}") from None
-    column = {name.strip(): k for k, name in enumerate(header)}
-    missing = [c for c in _REQUIRED_COLUMNS if c not in column]
-    if missing:
-        raise DataValidationError(f"missing required column(s): {', '.join(missing)}")
-    t_col, s_col, g_col = (column[c] for c in _REQUIRED_COLUMNS)
+    t_col, s_col, g_col = _header_columns(header, first.rstrip("\n"))
     width = max(t_col, s_col, g_col) + 1
 
     times, codes, labels = [], [], []

@@ -193,27 +193,26 @@ def _block_tests(fit: BlockFit, methods, rho: float, groups: tuple[str, str]):
     normalizer. Every row needs an event of interest in each group; a row
     whose tau is 0 raises as ``default_tau`` does.
     """
-    last = np.take_along_axis(fit.knot_times, fit.knot_counts[..., None] - 1, -1)[..., 0]
-    tau = last.min(axis=0)
+    tau = fit.last.min(axis=0)
     if not tau.all():
-        raise _tau_at_zero(groups[int((last[:, (tau == 0).argmax()] == 0).argmax())])
-    # Clipped at tau, every row's knots and grid times end at tau: each
-    # group's last knot, an event time on the grid, is at or after it, and
-    # so is the padding. Knots and grid times from tau on then start
-    # intervals of width 0.
+        raise _tau_at_zero(groups[int((fit.last[:, (tau == 0).argmax()] == 0).argmax())])
+    # Clipped at tau, every row's grid times end at tau (each group's last
+    # event of interest is a grid time at or after it), and those from tau
+    # on, padding included, start intervals of width 0. The CIFs are step
+    # functions on the grid, so Diff's areas are integrals over it.
+    clipped = np.minimum(fit.grid_times, tau[:, None])
+    starts, ends = clipped[:, :-1], clipped[:, 1:]
+    values, variances = fit.values[..., :-1], fit.variances[..., :-1]
     results = {}
     if TestMethod.DIFF in methods:
-        knots = np.minimum(fit.knot_times, tau[:, None])
-        area, area_t = _step_integrals(fit.knot_values[..., :-1], knots[..., :-1],
-                                       knots[..., 1:])
+        area, area_t = _step_integrals(values, starts, ends)
         var = _plug_in_variance(tau, area, area_t) / fit.n_total[:, None]
         se = np.sqrt(var[0] + var[1])
         ok = se > 0.0
         z = np.divide(area[1] - area[0], se, out=np.full_like(se, np.nan), where=ok)
         results[TestMethod.DIFF] = (z, _p_values(_diff_p, z, ok), ~ok)
     if TestMethod.SDIFF in methods:
-        widths = np.diff(np.minimum(fit.grid_times, tau[:, None]), axis=-1)
-        values, variances = fit.values[..., :-1], fit.variances[..., :-1]
+        widths = ends - starts
         process = ((values[1] - values[0]) * widths).cumsum(axis=-1)
         s = widths * np.sqrt(variances[0] + variances[1])
         # with no grid time below tau every width is 0, and so is sigma

@@ -10,7 +10,7 @@ bit-identical for any worker count.
 Those streams are not built as numpy objects per replication:
 ``_stream_states`` derives each one's PCG64 state in Python ints, following
 numpy's documented SeedSequence mixing and ``generate_state`` and PCG64's
-seeding step, and one generator per block is loaded with each state in turn.
+seeding step, and one generator per thread is loaded with each state in turn.
 The draws are numpy's own; a numpy release that changed that seeding would
 fail the state test in ``tests/test_simulate.py``, not only the reports.
 """
@@ -400,6 +400,11 @@ def _stream_states(seed: int):
     return states
 
 
+# Each thread's PCG64 bit generator and the Generator drawing from it, made on
+# its first draw; each draw loads its own stream's state first.
+_thread = threading.local()
+
+
 def _samples(scn, start, stop, seed, bounds):
     """Yield the replications in [start, stop) a chunk at a time, as
     (times, codes, keep): (R, N) arrays holding one replication per row,
@@ -410,10 +415,9 @@ def _samples(scn, start, stop, seed, bounds):
     (seed, r): per group in turn, n for the causes, n for the times and,
     when censored, n for the censoring times. Replications are drawn in
     chunks of at most _CHUNK_UNIFORMS uniforms (or of one replication that
-    alone needs more), each stream straight into its row of the chunk: one
-    generator, made here (so threads do not share it), is loaded with each
-    stream's state in turn. Each group is sampled once per chunk, and the
-    chunk is checked in one pass.
+    alone needs more), each stream straight into its row of the chunk: the
+    thread's generator is loaded with each stream's state in turn. Each
+    group is sampled once per chunk, and the chunk is checked in one pass.
     """
     width = 2 if bounds is None else 3
     sizes = [group.n for group in scn.groups]
@@ -421,8 +425,10 @@ def _samples(scn, start, stop, seed, bounds):
     group = np.repeat([0, 1], sizes)
     step = max(1, _CHUNK_UNIFORMS // total)
     stream_states = _stream_states(seed)
-    bit_generator = np.random.PCG64(0)  # its state is replaced before each draw
-    generator = np.random.Generator(bit_generator)
+    if not hasattr(_thread, "pair"):
+        bit_generator = np.random.PCG64(0)  # its state is replaced before each draw
+        _thread.pair = bit_generator, np.random.Generator(bit_generator)
+    bit_generator, generator = _thread.pair
     stream = {"state": 0, "inc": 0}
     loaded = {"bit_generator": "PCG64", "state": stream, "has_uint32": 0, "uinteger": 0}
     for first in range(start, stop, step):

@@ -1,10 +1,11 @@
 """The block fit of the Monte Carlo engine against PooledFit.from_arrays,
-bitwise, sign bits included: each row of the returned arrays (every
-array of a PooledFit but the groups' last observed times), on every
-replication of the shipped scenarios, an unequal split, tied and
-single-cause blocks, skipped replications, one-row blocks and blocks that
-cross chunk edges. Also the padding, the size of each kernel call, and the
-checks that run once per chunk."""
+bitwise, sign bits included: each row's pooled grid, each group's CIF and
+variance on it and the group sizes, and each group's last event-of-interest
+time against the last knot of its CIF, on every replication of the
+shipped scenarios, an unequal split, tied and single-cause blocks,
+skipped replications, one-row blocks and blocks that cross chunk edges.
+Also the padding, the size of each kernel call, and the checks that run
+once per chunk."""
 
 import dataclasses
 import math
@@ -18,7 +19,6 @@ from rmtlkit import (
     DataValidationError,
     PiecewiseWeibullCif,
     PooledFit,
-    StepFunction,
     TwoGroupSample,
     WeibullSegment,
     load_shipped_scenario,
@@ -37,38 +37,26 @@ def same_float(a, b):
     return type(a) is type(b) and a == b and math.copysign(1, a) == math.copysign(1, b)
 
 
-def assert_same_fit(got, want):
-    for name in ("times", "values", "variances", "n_total"):
-        assert same_array(getattr(got, name), getattr(want, name)), name
-    assert len(got.cifs) == len(want.cifs)
-    for a, b in zip(got.cifs, want.cifs):
-        for name in ("times", "values", "variances"):
-            assert same_array(getattr(a, name), getattr(b, name)), name
-        assert same_float(a.value_before_first, b.value_before_first)
-        assert same_float(a.last_observed, b.last_observed)
-
-
-def row_fit(fit, r, last_observed) -> PooledFit:
-    """Row r of a block fit as a PooledFit, given each group's last time
-    (the block fit keeps neither it nor the risk tables)."""
-    cifs = tuple(
-        StepFunction(fit.knot_times[k, r, :m], fit.knot_values[k, r, :m],
-                     fit.knot_variances[k, r, :m], 0.0, last)
-        for k, (m, last) in enumerate(zip(fit.knot_counts[:, r].tolist(), last_observed)))
+def assert_row_matches(fit, r, want):
+    """Row r of a block fit against the PooledFit of sample r: the grid
+    arrays bitwise, and each group's last event-of-interest time that of
+    its CIF's last knot (0 with none)."""
     m = fit.grid_counts[r]
-    return PooledFit(fit.grid_times[r, :m], fit.values[:, r, :m], fit.variances[:, r, :m],
-                     cifs, fit.n_total, tables=())
+    got = {"times": fit.grid_times[r, :m], "values": fit.values[:, r, :m],
+           "variances": fit.variances[:, r, :m], "n_total": fit.n_total}
+    for name, arr in got.items():
+        assert same_array(arr, getattr(want, name)), name
+    for k, cif in enumerate(want.cifs):
+        last = cif.times[-1] if cif.times.size else 0.0
+        assert same_float(float(fit.last[k, r]), float(last)), k
 
 
 def assert_padded(fit):
     """Past each row's count, times are +inf and values and variances 0."""
-    for times, counts, arrays in (
-            (fit.knot_times, fit.knot_counts, (fit.knot_values, fit.knot_variances)),
-            (fit.grid_times, fit.grid_counts, (fit.values, fit.variances))):
-        pad = np.arange(times.shape[-1]) >= counts[..., None]
-        assert np.all(times[pad] == np.inf)
-        for arr in arrays:
-            assert np.all(arr[..., pad] == 0.0)
+    pad = np.arange(fit.grid_times.shape[-1]) >= fit.grid_counts[:, None]
+    assert np.all(fit.grid_times[pad] == np.inf)
+    for arr in (fit.values, fit.variances):
+        assert np.all(arr[:, pad] == 0.0)
 
 
 def assert_block_matches(times, codes, sizes):
@@ -76,11 +64,10 @@ def assert_block_matches(times, codes, sizes):
     group = np.repeat(np.arange(len(sizes)), sizes)
     fit = _block_fits(times, codes, sizes)
     assert fit.grid_counts.shape == (len(times),)
+    assert fit.last.shape == (len(sizes), len(times))
     assert_padded(fit)
     for r, (t, c) in enumerate(zip(times, codes)):
-        want = PooledFit.from_arrays(t, c, group, len(sizes))
-        got = row_fit(fit, r, [cif.last_observed for cif in want.cifs])
-        assert_same_fit(got, want)
+        assert_row_matches(fit, r, PooledFit.from_arrays(t, c, group, len(sizes)))
 
 
 def assert_engine_fits_match(scn, start, stop, seed) -> int:

@@ -126,6 +126,21 @@ class TestEstimate:
         assert out == ""
         assert err == "error: row 2: field larger than field limit (131072)\n"
 
+    @pytest.mark.parametrize("header, missing, end", [
+        ("time;status;group", "time, status, group", "\n"),
+        ("Time,Status,Group", "time, status, group", "\n"),
+        ("time\tgroup", "status", "\r\n"),  # read by the csv module
+    ])
+    def test_a_header_without_the_columns_is_quoted(self, capsys, tmp_path, header,
+                                                    missing, end):
+        path = tmp_path / "data.csv"
+        path.write_text(end.join([header, "1,1,a", "2,1,b", ""]), encoding="utf-8")
+        rc, out, err = run(capsys, ["estimate", "--input", str(path)])
+        assert rc == 3
+        assert out == ""
+        assert err == (f"error: missing required column(s): {missing} (header line read: "
+                       f"{header!r}; only comma and tab are accepted as delimiters)\n")
+
     def test_reference_group_reorders(self, capsys, dataset):
         path, sample = dataset
         other = sample.groups[1]

@@ -9,6 +9,7 @@ from rmtlkit import (
     build_risk_table,
     parse_dataset,
 )
+from rmtlkit import data_model
 from helpers import random_arrays, random_records
 
 
@@ -200,6 +201,17 @@ class TestParseDataset:
     def test_missing_column(self):
         with pytest.raises(DataValidationError, match="status"):
             parse_dataset("time,group\n1,a\n")
+
+    def test_missing_columns_are_worded_alike_on_both_paths(self):
+        # a plain file's header is checked by the bulk split itself
+        text = "time;status;group\n1;1;a\n2;1;b\n"
+        messages = []
+        for parse in (data_model._parse_plain, data_model._parse_rows):
+            with pytest.raises(DataValidationError) as err:
+                parse(text, None)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert "'time;status;group'" in messages[0]
 
     def test_bad_status_names_row(self):
         text = "time,status,group\n1,1,a\n2,7,b\n"

@@ -1,0 +1,55 @@
+"""A guard on the Monte Carlo engine's fixed cost per study that needs no
+timer: the calls made from inside rmtlkit while the block of one
+replication is fitted and tested.
+
+At the few replications of a study's chunk the kernel's cost is numpy
+dispatch, paid per call whatever the block's size, so a change that adds
+passes per study adds calls here. The count is that of the profile hook:
+calls of Python functions whose caller is an rmtlkit frame, and calls of
+built-in functions and methods made from one. ufuncs and operators are not
+calls to the hook. ``CALLS`` is the count with Python 3.11 and numpy 2.4;
+another numpy may move it a little, as numpy functions move between
+Python and C.
+"""
+
+import os
+import sys
+
+import rmtlkit
+from rmtlkit import TestMethod as Method, load_shipped_scenario
+from rmtlkit.cif import _block_fits
+from rmtlkit.inference import _block_tests
+from rmtlkit.simulate import _samples
+
+PACKAGE = os.path.dirname(rmtlkit.__file__) + os.sep
+CALLS = 218
+
+
+def calls_from_the_package(fn) -> int:
+    """Calls made from rmtlkit frames while ``fn()`` runs in this thread."""
+    count = 0
+
+    def hook(frame, event, arg):
+        nonlocal count
+        if event == "call":
+            caller = frame.f_back
+            count += caller is not None and caller.f_code.co_filename.startswith(PACKAGE)
+        elif event == "c_call":
+            count += frame.f_code.co_filename.startswith(PACKAGE)
+
+    sys.setprofile(hook)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def test_one_replication_is_fitted_and_tested_in_few_calls():
+    times, codes, keep = next(_samples(load_shipped_scenario("a_null"), 0, 1, 5, None))
+    assert keep.all()
+    methods = (Method.DIFF, Method.SDIFF)
+    count = calls_from_the_package(
+        lambda: _block_tests(_block_fits(times, codes, (50, 50)), methods, 0.5, ("1", "2")))
+    # the lower bound shows that the hook saw the kernel at all
+    assert 100 < count <= 1.1 * CALLS, count

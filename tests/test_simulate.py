@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -476,6 +478,8 @@ class TestMonteCarlo:
                 return super().random(size, dtype, out)
 
         monkeypatch.setattr(simulate.np.random, "Generator", Recorded)
+        # a fresh thread cache, so this thread's pair is made with Recorded
+        monkeypatch.setattr(simulate, "_thread", threading.local())
         monkeypatch.setattr(simulate, "_CHUNK_UNIFORMS", 3 * 120)  # 3 reps a chunk
         scn = tiny_scenario(n=20, censoring=CensoringSpec(bound=3.0))
         samples = list(engine_samples(scn, 3, 10, 5, resolve_censoring(scn)))
@@ -488,6 +492,40 @@ class TestMonteCarlo:
         for rep, out in zip(range(3, 10), outs):
             stream = np.random.SeedSequence(entropy=5, spawn_key=(rep,))
             assert np.array_equal(out, np.random.default_rng(stream).random(120)), rep
+
+    def test_threads_keep_their_own_generator(self):
+        # four threads run the same studies at once and switch often: each
+        # gets the serial reports, drawn with a generator of its own
+        scenarios = [load_shipped_scenario(name) for name in ("a_null", "f_crossing")]
+
+        def reports():
+            return [json.dumps(run_monte_carlo(scn, reps=40, seed=13).to_dict())
+                    for scn in scenarios]
+
+        want = reports()
+        ready = threading.Barrier(4, timeout=60)
+        got, generators = {}, {}
+
+        def study(k):
+            ready.wait()
+            got[k] = reports()
+            generators[k] = simulate._thread.pair[1]
+
+        threads = [threading.Thread(target=study, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == dict.fromkeys(range(4), want)
+        # the objects are all alive here, so distinct ids are distinct objects
+        held = [simulate._thread.pair[1], *generators.values()]
+        assert len({id(generator) for generator in held}) == 5
 
     def test_stream_states_are_numpys(self):
         # the derived (state, inc) of PCG64(SeedSequence(seed, (rep,))) on

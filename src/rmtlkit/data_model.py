@@ -222,7 +222,8 @@ def read_text(path) -> str:
 
 _REQUIRED_COLUMNS = ("time", "status", "group")
 _STATUS_CODES = {"0": 0, "1": 1, "2": 2}
-_BLOCK_CHARS = 1 << 16  # characters a plain file is split in at a time
+_BLOCK_CHARS = 1 << 16  # bytes of a plain file read at a time
+_POW10 = np.array([10 ** k for k in range(16)], dtype=float)  # each exact
 
 
 def parse_dataset(text: str, reference: str | None = None) -> TwoGroupSample:
@@ -237,10 +238,11 @@ def parse_dataset(text: str, reference: str | None = None) -> TwoGroupSample:
     ``\r\n`` or a bare ``\r``.
 
     A plain file (no quote, carriage return or NUL, every line as many
-    fields as the header) is split in blocks of lines with string methods
-    and checked in bulk. Any other file, and any file with a value that
-    fails a check, is read row by row by the csv module, which words the
-    error; either way the result and every message are the same.
+    fields as the header) is checked in bulk as UTF-8 bytes, a block of
+    lines at a time; a time of 1-15 digits with at most one point is read
+    exactly as an integer over a power of ten, any other by ``float``. Any
+    other file, or one with a bad value, is read row by row by the csv
+    module, which words the error; the result and messages are the same.
     """
     sample = _parse_plain(text.removeprefix("\ufeff"), reference)
     return sample if sample is not None else _parse_rows(text, reference)
@@ -259,70 +261,107 @@ def _header_columns(header, line: str) -> list[int]:
 
 
 def _parse_plain(text: str, reference: str | None) -> TwoGroupSample | None:
-    """The sample of a plain, valid ``text`` (byte order mark removed);
-    None for any other text. Only a block of lines is held as fields at a
-    time."""
-    if '"' in text or "\r" in text or "\0" in text:
+    """The sample of a plain, valid ``text`` (byte order mark removed), read
+    as UTF-8 bytes a block of lines at a time; None for any other text."""
+    try:
+        data = text.encode()
+    except UnicodeEncodeError:  # a lone surrogate
         return None
-    start = text.find("\n") + 1
-    head = text[:start]
+    start = data.find(b"\n") + 1
+    head = data[:start].decode()
     limit = csv.field_size_limit()
-    if not start or not head.strip() or len(head) >= limit:
+    if (b'"' in data or b"\r" in data or b"\0" in data
+            or not start or not head.strip() or len(head) >= limit):
         return None
     delimiter = "\t" if ("\t" in head and "," not in head) else ","
     header = head[:-1].split(delimiter)
     t_col, s_col, g_col = _header_columns(header, head[:-1])
-    stride = len(header) + 1  # a line's fields, then its line-end marker
-    stop = len(text) - 1 if text.endswith("\n") else len(text)
+    stop = len(data) - 1 if data.endswith(b"\n") else len(data)
     if stop <= start:
         return None
-    n = text.count("\n", start, stop) + 1
-    times = np.empty(n)
-    codes = np.empty(n, dtype=np.int64)
-    group = np.empty(n, dtype=np.int64)
-    labels = {}  # label -> group index, in first-seen order
+    buf = np.frombuffer(data, np.uint8)
+    n = np.count_nonzero(buf[start:stop] == 10) + 1
+    times, codes, group = np.empty(n), np.empty(n, np.uint8), np.zeros(n, bool)
+    words = []  # the group labels as UTF-8, in first-seen order
     row = 0
     while start <= stop:  # a blank last line is a block of its own
-        end = text.find("\n", start + _BLOCK_CHARS, stop)
+        end = data.find(b"\n", start + _BLOCK_CHARS, stop)
         end = stop if end < 0 else end
-        block = text[start:end]
+        block = buf[start:end]
+        line_ends = np.flatnonzero(block == 10) + start
+        delims = np.flatnonzero(block == ord(delimiter)) + start
+        lines = len(line_ends) + 1
+        if len(delims) != lines * (len(header) - 1):
+            return None
+        # row i: line i's left end, delimiters and right end; with this many
+        # delimiters, every line has the header's fields exactly when rows increase
+        bounds = np.concatenate(([start - 1], line_ends, [end]))
+        cuts = np.column_stack((bounds[:-1], delims.reshape(lines, -1), bounds[1:]))
+        spans = np.diff(cuts)  # each field's length + 1
+        firsts, ends = cuts[:, :-1] + 1, cuts[:, 1:]
+        status = buf.take(firsts[:, s_col], mode="clip") - np.uint8(ord("0"))
+        if (spans.min() < 1 or len(block) >= limit and spans.max() > limit
+                or (spans[:, s_col] != 2).any() or status.max() > 2):
+            return None
         start = end + 1
-        lines = block.count("\n") + 1
-        # every line end becomes a field of its own; the fields are as
-        # many as the header's on each line exactly when the ends sit at
-        # every stride-th field
-        fields = block.replace("\n", f"{delimiter}\n{delimiter}").split(delimiter)
-        if (len(fields) != stride * lines - 1
-                or fields[stride - 1::stride].count("\n") != lines - 1
-                or len(block) >= limit and max(map(len, fields)) >= limit):
-            return None
-        status, names = fields[s_col::stride], fields[g_col::stride]
-        if not _STATUS_CODES.keys() >= set(status):
-            return None
-        for label in dict.fromkeys(names):
-            if label not in labels:
-                if not label or label != label.strip() or len(labels) == 2:
+        # each line's label against the labels seen so far, in order; a
+        # label new to the block is the one on its first line left over
+        g0, g1 = firsts[:, g_col], ends[:, g_col]
+        other, k = np.ones(lines, bool), 0
+        while other.any():
+            if k == len(words):
+                i = other.argmax()
+                label = data[g0[i]:g1[i]].decode()
+                if k == 2 or not label or label != label.strip():
                     return None
-                labels[label] = len(labels)
+                words.append(label.encode())
+            word = np.frombuffer(words[k], np.uint8)[:, None]
+            same = (g1 - g0 == len(word)) & (
+                buf.take(g0 + np.arange(len(word))[:, None], mode="clip") == word).all(axis=0)
+            other &= ~same
+            k += 1
         try:
-            times[row:row + lines] = np.fromiter(map(float, fields[t_col::stride]),
-                                                 float, lines)
-        except ValueError:
+            times[row:row + lines] = _times(data, buf, firsts[:, t_col], ends[:, t_col])
+        except ValueError:  # a time float refuses
             return None
-        codes[row:row + lines] = np.frombuffer("".join(status).encode(), np.uint8)
-        group[row:row + lines] = np.fromiter(map(labels.__getitem__, names),
-                                             np.int64, lines)
+        codes[row:row + lines] = status
+        group[row:row + lines] = same if k == 2 else False  # same: the last label tried
         row += lines
     # min/max checks: a NaN fails the first comparison
-    if not (times.min() >= 0 and times.max() < math.inf) or len(labels) != 2:
+    if not (times.min() >= 0 and times.max() < math.inf) or len(words) != 2:
         return None
-    groups = tuple(labels)
+    groups = tuple(word.decode() for word in words)
     if reference is not None and reference != groups[0]:
         if reference != groups[1]:
             return None
-        groups, group = groups[::-1], 1 - group
-    codes -= ord("0")
+        groups, group = groups[::-1], ~group
     return TwoGroupSample(times, codes, group, groups)
+
+
+def _times(data: bytes, buf, firsts, ends) -> np.ndarray | list[float]:
+    """The values of the tokens ``data[firsts[i]:ends[i]]``. If each is 1-15
+    ASCII digits with at most one point, M / 10**k (M the digits, k of them
+    after the point) is exact: correctly rounded, as ``float`` rounds, since
+    M < 2**53 and 10**k is exact (Clinger 1990). Otherwise every token is
+    read by ``float``, whose ValueError passes on."""
+    size = ends - firsts
+    if size.max() <= 16:
+        columns = np.arange(size.max(), dtype=np.uint8)[:, None]  # a row per character
+        chars = buf.take(firsts + columns, mode="clip")
+        inside = columns < size
+        digits = chars - np.uint8(ord("0"))
+        digit, point = inside & (digits < 10), inside & (chars == ord("."))
+        has_point = point.any(axis=0)
+        count = size - has_point  # each token's digits
+        if (np.count_nonzero(digit) + np.count_nonzero(point) == size.sum()
+                and np.count_nonzero(point) == np.count_nonzero(has_point)
+                and count.min() >= 1 and count.max() <= 15):
+            mantissa = np.zeros(len(size))
+            for row, mask in zip(digits, digit):  # exact: each partial M is below 2**53
+                mantissa = np.where(mask, mantissa * 10 + row, mantissa)
+            at = (point * columns).sum(axis=0, dtype=np.uint8)  # the point's column
+            return mantissa / _POW10[has_point * (size - 1 - at)]
+    return [float(data[a:b]) for a, b in zip(firsts.tolist(), ends.tolist())]
 
 
 def _parse_rows(text: str, reference: str | None) -> TwoGroupSample:

@@ -234,3 +234,93 @@ def test_a_bad_line_in_a_late_block_names_its_row(line, message):
     assert len(text) > 2 * data_model._BLOCK_CHARS
     with pytest.raises(DataValidationError, match=f"^{re.escape(message)}$"):
         parse_dataset(text + line + "\n4,1,b\n")
+
+
+# ---------------------------------------------------------------------------
+# The byte path: exact decimals, the float fallback and multibyte labels
+
+# time tokens off the exact decimal path (1-15 digits, at most one point),
+# which a block reads through float, or which float refuses
+ODD_TIMES = st.one_of(
+    st.sampled_from(["1e3", "2.5E-2", "1e999", "0.5e-1", "0001.50", "00000000000000000007",
+                     "5.", ".5", ".", "+1", " 2", "3 ", "1_0", "-0", "-0.0", "١", "٢.٥",
+                     "1234567890123456", "9.999999999999999", "0x1", "1.2.3", "1..2",
+                     "1/2", "3:4", "nan"]),
+    st.floats(0.0, 1e6).map(repr),  # up to 17 significant digits
+    st.floats(1.0, 10.0).map(lambda x: f"{x:.15f}"),  # 16 digits
+)
+# a third label next to two that share bytes: a bulk reader that took the
+# two for one would return a sample where the row reader finds three groups
+WORDS = st.sampled_from([("contrôle", "治疗"), ("a", "治疗"), ("contrôle", "b"),
+                         ("治疗", "治愈"), ("治疗", "治疗x"), ("ab", "ac"), ("ab", "a"),
+                         ("治疗", "治愈", "b"), ("ab", "ac", "治疗")])
+
+
+@st.composite
+def byte_tables(draw):
+    """A plain table of two (or three) multibyte or prefix-sharing labels,
+    with exact decimal times or (half the tables) a mix with tokens off
+    that path; and a reference label."""
+    labels = draw(WORDS)
+    times = draw(st.sampled_from([TIMES, st.one_of(TIMES, ODD_TIMES)]))
+    rows = draw(st.lists(st.tuples(times, st.sampled_from("012"), st.sampled_from(labels)),
+                         min_size=1, max_size=12))
+    return to_csv(rows), draw(st.sampled_from([None, *labels]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(byte_tables(), st.integers(1, 40))
+def test_odd_times_and_multibyte_labels_equal_the_row_reader(table, block_chars):
+    text, reference = table
+    expected = outcome(data_model._parse_rows, text, reference)
+    assert outcome(data_model.parse_dataset, text, reference) == expected
+    with mock.patch.object(data_model, "_BLOCK_CHARS", block_chars):
+        assert outcome(data_model.parse_dataset, text, reference) == expected
+
+
+def refuse_rows(text, reference):
+    raise AssertionError("a plain file went to the row reader")
+
+
+def test_short_decimals_are_read_exactly(monkeypatch):
+    # 1-15 digits with the point anywhere, or none: M / 10**k is float's value
+    rng = np.random.default_rng(22)
+    sizes = rng.integers(1, 16, 100_000)
+    digits = "".join(map(str, rng.integers(0, 10, sizes.sum())))
+    ends = np.cumsum(sizes)
+    points = rng.integers(0, sizes + 2)  # past the last digit: no point
+    tokens = ["0", "000.5", "999999999999999"] + [
+        digits[e - s:e - s + p] + "." + digits[e - s + p:e] if p <= s else digits[e - s:e]
+        for s, e, p in zip(sizes.tolist(), ends.tolist(), points.tolist())]
+    expected = np.array([float(t) for t in tokens])
+
+    def read(tokens):  # _times on the tokens joined by line ends
+        data = b"\n".join(tokens)
+        lengths = np.array([len(t) for t in tokens])
+        firsts = np.cumsum(lengths + 1) - lengths - 1
+        return data_model._times(data, np.frombuffer(data, np.uint8), firsts, firsts + lengths)
+
+    exact = read([t.encode() for t in tokens])
+    assert isinstance(exact, np.ndarray)  # not the float fallback
+    assert exact.tobytes() == expected.tobytes()
+    # 16 digits and a point: M can pass 2**53, so float reads the token
+    assert read([b"9.999999999999999"]) == [9.999999999999998]
+    for token in (b"1/2", b"3:4"):  # the bytes either side of 0-9 go to float
+        with pytest.raises(ValueError):
+            read([token])
+    # and through the parser, in blocks, never the row reader
+    monkeypatch.setattr(data_model, "_parse_rows", refuse_rows)
+    sample = parse_dataset(to_csv([(t, "1", "ab"[k % 2]) for k, t in enumerate(tokens)]))
+    assert sample.times.tobytes() == expected.tobytes()
+
+
+def test_full_precision_times_stay_in_bulk(monkeypatch):
+    # 17-digit repr exports miss the exact path and are read by float
+    values = np.random.default_rng(5).exponential(3.0, 30_000)
+    text = to_csv([(repr(v), str(k % 3), "ab"[k % 2]) for k, v in enumerate(values.tolist())])
+    assert len(text) > 4 * data_model._BLOCK_CHARS
+    expected = outcome(data_model._parse_rows, text, None)
+    monkeypatch.setattr(data_model, "_parse_rows", refuse_rows)
+    sample = parse_dataset(text)
+    assert sample.times.tobytes() == values.tobytes()
+    assert outcome(parse_dataset, text, None) == expected

@@ -17,8 +17,6 @@ from rmtlkit import (
     CensoringSpec,
     EventCode,
     TwoGroupSample,
-    build_risk_table,
-    cif_estimate,
     km_overall,
     load_shipped_scenario,
     partial_process,
@@ -53,6 +51,22 @@ def samples(draw):
     return times, codes, group
 
 
+def assert_matches_reference(table, cif, times, codes):
+    """One group's risk table and interest CIF against plain loops."""
+    ref = reference_fit(times, codes)
+    assert table.times.tolist() == ref["times"]
+    assert table.at_risk.tolist() == ref["at_risk"]
+    assert table.events_interest.tolist() == ref["d1"]
+    assert table.events_competing.tolist() == ref["d2"]
+    assert table.last_observed == cif.last_observed == times.max()
+    knots = [i for i, d in enumerate(ref["d1"]) if d > 0]
+    assert cif.times.tolist() == [ref["times"][i] for i in knots]
+    np.testing.assert_allclose(cif.values, [ref["cif"][i] for i in knots],
+                               rtol=0, atol=TOL)
+    np.testing.assert_allclose(cif.variances,
+                               [ref["variance"][i] for i in knots], rtol=0, atol=TOL)
+
+
 @settings(max_examples=150, deadline=None)
 @given(samples())
 def test_pooled_fit_matches_per_group_reference(data):
@@ -60,19 +74,8 @@ def test_pooled_fit_matches_per_group_reference(data):
     sample = TwoGroupSample(times, codes, group, ("a", "b"))
     for g, (table, cif) in enumerate(zip(sample.pooled.tables, sample.pooled.cifs)):
         # the risk table and CIF the pooled fit holds against plain loops
-        ref = reference_fit(times[group == g], codes[group == g])
-        assert table.times.tolist() == ref["times"]
-        assert table.at_risk.tolist() == ref["at_risk"]
-        assert table.events_interest.tolist() == ref["d1"]
-        assert table.events_competing.tolist() == ref["d2"]
+        assert_matches_reference(table, cif, times[group == g], codes[group == g])
         assert table.n_total == sample.pooled.n_total[g] == int((group == g).sum())
-        assert table.last_observed == cif.last_observed == times[group == g].max()
-        knots = [i for i, d in enumerate(ref["d1"]) if d > 0]
-        assert cif.times.tolist() == [ref["times"][i] for i in knots]
-        np.testing.assert_allclose(cif.values, [ref["cif"][i] for i in knots],
-                                   rtol=0, atol=TOL)
-        np.testing.assert_allclose(cif.variances,
-                                   [ref["variance"][i] for i in knots], rtol=0, atol=TOL)
         if not (codes[group == g] == EventCode.COMPETING).any() and len(table):
             # single cause: CIF = 1 - KM bitwise, also in the pooled fit
             km = km_overall(table)
@@ -125,12 +128,10 @@ def test_large_censored_replication_matches_one_group_fits():
     )
     sample = next(engine_samples(scn, 0, 1, 11, resolve_censoring(scn)))
     pooled = sample.pooled
-    for g, cif in enumerate(pooled.cifs):
+    for g, (table, cif) in enumerate(zip(pooled.tables, pooled.cifs)):
         times, codes = sample.times[sample.group == g], sample.codes[sample.group == g]
-        one = cif_estimate(build_risk_table(times, codes), EventCode.INTEREST)
-        for field in ("times", "values", "variances", "last_observed"):
-            assert np.array_equal(getattr(cif, field), getattr(one, field))
-        assert pooled.n_total[g] == 1000
+        assert_matches_reference(table, cif, times, codes)
+        assert table.n_total == pooled.n_total[g] == 1000
         # the pooled rows read the group's own fit by right-continuity
-        assert np.array_equal(pooled.values[g], value_at(one, pooled.times))
-        assert np.array_equal(pooled.variances[g], variance_at(one, pooled.times))
+        assert np.array_equal(pooled.values[g], value_at(cif, pooled.times))
+        assert np.array_equal(pooled.variances[g], variance_at(cif, pooled.times))

@@ -227,26 +227,55 @@ class SimulationReport:
         }
 
 
-def sample_events(group: GroupSpec, u):
-    """Draw (times, codes) for one group from uniforms ``u`` of shape
-    (2, ..., n): ``u[0]`` picks the cause by the interest mass, ``u[1]`` the
-    time by inverse transform from that cause's conditional CDF. Each has
-    the shape ``u[0]`` has, so ``u`` of shape (2, R, n) draws R samples."""
-    is_interest = u[0] < group.interest.mass
-    is_competing = ~is_interest
-    times = np.empty(is_interest.shape, dtype=float)
-    if is_interest.any():
-        times[is_interest] = group.interest.inverse_cdf(u[1][is_interest])
-    if is_competing.any():
-        times[is_competing] = group.competing.inverse_cdf(u[1][is_competing])
+@functools.lru_cache(maxsize=64)
+def _law_table(groups):
+    """The laws of ``groups`` as one table: per column (a single entry for
+    one group), the interest mass and each cause's first piece; the most
+    pieces a law has after its first; and each piece's scale, offset, edge,
+    1/shape and next offset in its law."""
+    laws = [law for g in groups for law in (g.interest, g.competing)]
+    _, _, scales, edges, offsets, powers = map(
+        np.concatenate, zip(*(law._pieces for law in laws)))
+    counts = np.array([len(law.segments) for law in laws])
+    first = np.cumsum(counts) - counts
+    following = np.append(offsets[1:], np.inf)  # +inf after a law's last piece
+    following[first[1:] - 1] = np.inf
+    sizes = [g.n for g in groups] if len(groups) > 1 else 1
+    return (np.repeat([g.interest.mass for g in groups], sizes),
+            np.repeat(first.reshape(-1, 2).T, sizes, axis=1), counts.max() - 1,
+            scales, offsets, edges, powers, following)
+
+
+def sample_events(groups, u):
+    """Draw (times, codes) for a GroupSpec or a tuple of them from uniforms
+    ``u`` of shape (2, ..., N), each group's subjects in turn along the last
+    axis (any N for one group): ``u[0]`` picks the cause by the group's
+    interest mass, ``u[1]`` the time by inverting that cause's conditional
+    CDF, all subjects at once. So ``u`` of shape (2, R, N) draws R samples."""
+    if isinstance(groups, GroupSpec):
+        groups = (groups,)
+    mass, first, steps, scales, offsets, edges, powers, following = _law_table(groups)
+    if mass.size not in (1, u.shape[-1]):
+        raise DataValidationError(f"u has {u.shape[-1]} columns for {mass.size} subjects")
+    # min/max checks: a NaN fails the first comparison
+    if u[1].size and not (u[1].min() >= 0.0 and u[1].max() < 1.0):
+        raise DataValidationError("uniform draws must lie in [0, 1)")
+    is_interest = u[0] < mass
+    h = -np.log1p(-u[1])
+    piece = np.where(is_interest, *first)
+    for _ in range(steps):  # on to the next piece while its offset <= h
+        piece += following.take(piece) <= h
+    times = (scales.take(piece) * (h - offsets.take(piece) + edges.take(piece))
+             ** powers.take(piece))
     codes = np.where(is_interest, int(EventCode.INTEREST), int(EventCode.COMPETING))
     return times, codes
 
 
-def apply_censoring(times, codes, bound: float, u):
+def apply_censoring(times, codes, bound, u):
     """Censor with C = bound * u, u uniform on [0, 1), so C ~ Uniform(0, bound);
-    a tie T == C stays an event."""
-    if not bound > 0:
+    a tie T == C stays an event. ``bound`` is a number or an array of bounds
+    that broadcasts to ``times``, one per subject."""
+    if not np.min(bound) > 0:  # a NaN fails too
         raise DataValidationError(f"censoring bound must be > 0, got {bound!r}")
     c = bound * u
     censored = c < times
@@ -416,13 +445,15 @@ def _samples(scn, start, stop, seed, bounds):
     when censored, n for the censoring times. Replications are drawn in
     chunks of at most _CHUNK_UNIFORMS uniforms (or of one replication that
     alone needs more), each stream straight into its row of the chunk: the
-    thread's generator is loaded with each stream's state in turn. Each
-    group is sampled once per chunk, and the chunk is checked in one pass.
+    thread's generator is loaded with each stream's state in turn. A chunk
+    is copied into cause, time and censoring planes of both groups at once,
+    then sampled, censored and checked in one pass each.
     """
     width = 2 if bounds is None else 3
     sizes = [group.n for group in scn.groups]
-    total = width * sum(sizes)
+    total, cut = width * sum(sizes), width * sizes[0]
     group = np.repeat([0, 1], sizes)
+    bound = None if bounds is None else np.repeat(bounds, sizes)
     step = max(1, _CHUNK_UNIFORMS // total)
     stream_states = _stream_states(seed)
     if not hasattr(_thread, "pair"):
@@ -438,17 +469,13 @@ def _samples(scn, start, stop, seed, bounds):
             stream["state"], stream["inc"] = state, inc
             bit_generator.state = loaded
             generator.random(out=row)
-        times, codes = [], []
-        parts = np.split(u, [width * sizes[0]], axis=1)
-        for k, (spec, n, part) in enumerate(zip(scn.groups, sizes, parts)):
-            rows = part.reshape(len(u), width, n).swapaxes(0, 1)
-            t, c = sample_events(spec, rows[:2])
-            if bounds is not None:
-                t, c = apply_censoring(t, c, bounds[k], rows[2])
-            times.append(t)
-            codes.append(c)
-        keep = np.all([(c == int(EventCode.INTEREST)).any(axis=-1) for c in codes], axis=0)
-        times, codes = np.concatenate(times, axis=1), np.concatenate(codes, axis=1)
+        planes = np.concatenate([part.reshape(len(u), width, -1).swapaxes(0, 1)
+                                 for part in (u[:, :cut], u[:, cut:])], axis=2)
+        times, codes = sample_events(scn.groups, planes[:2])
+        if bounds is not None:
+            times, codes = apply_censoring(times, codes, bound, planes[2])
+        interest = codes == int(EventCode.INTEREST)
+        keep = np.logical_or.reduceat(interest, [0, sizes[0]], axis=1).all(axis=1)
         _check_columns(times, codes, group, _GROUPS)
         yield times, codes, keep
 

@@ -17,6 +17,20 @@ def engine_samples(scn, start, stop, seed, bounds):
             yield TwoGroupSample(t, c, group, ("1", "2")) if kept else None
 
 
+def sample_by_cause(group, u):
+    """The engine's draw of one group, cause by cause: the reference for
+    ``sample_events``. Each cause's subjects (``u[0]`` below the interest
+    mass, or not) are gathered, their ``u[1]`` inverted by that cause's own
+    ``inverse_cdf``, and the times scattered back by the same mask."""
+    is_interest = u[0] < group.interest.mass
+    times = np.empty(is_interest.shape)
+    for law, mask in ((group.interest, is_interest), (group.competing, ~is_interest)):
+        if mask.any():
+            times[mask] = law.inverse_cdf(u[1][mask])
+    codes = np.where(is_interest, int(EventCode.INTEREST), int(EventCode.COMPETING))
+    return times, codes
+
+
 def random_arrays(rng, n, p_interest=0.5, p_competing=0.3, tie_grid=None):
     """(times, codes) with a controllable mix of causes and optional tied times."""
     times = rng.exponential(2.0, n)

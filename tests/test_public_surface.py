@@ -23,6 +23,8 @@ UNUSED_BY_DESIGN = {
 METHODS_UNUSED_BY_DESIGN = {
     "TwoGroupSample.from_records": "a span target of the benchmark's trace",
     "PiecewiseWeibullCif.cdf": "a scenario's true event-time law, the oracle of tests",
+    "PiecewiseWeibullCif.inverse_cdf": (
+        "one law's exact inverse, the oracle of tests for the engine's one-table sampler"),
 }
 
 

@@ -34,7 +34,7 @@ from rmtlkit.simulate import (
     resolve_censoring,
 )
 
-from helpers import engine_samples, true_cif
+from helpers import engine_samples, sample_by_cause, true_cif
 
 
 def exponential_cif(mass=0.7, scale=2.0):
@@ -53,9 +53,10 @@ def tiny_scenario(n=30, censoring=CensoringSpec(), mass=0.7):
 
 
 def replicate_one(scn, rep, seed, bounds):
-    """One replication drawn on its own, group by group: the reference for
-    the block drawer. Its stream is (seed, rep), drawn in one call: per
-    group in turn, n causes, n times and, when censored, n censoring times.
+    """One replication drawn on its own, group by group and cause by cause:
+    the reference for the block drawer. Its stream is (seed, rep), drawn in
+    one call: per group in turn, n causes, n times and, when censored, n
+    censoring times.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
     width = 2 if bounds is None else 3
@@ -66,7 +67,7 @@ def replicate_one(scn, rep, seed, bounds):
     for k, (group, n) in enumerate(zip(scn.groups, sizes)):
         rows = u[start:start + width * n].reshape(width, n)
         start += width * n
-        t, c = sample_events(group, rows[:2])
+        t, c = sample_by_cause(group, rows[:2])
         if bounds is not None:
             t, c = apply_censoring(t, c, bounds[k], rows[2])
         if not (c == 1).any():
@@ -138,21 +139,54 @@ class TestBlockDrawer:
         seen = []
         original = simulate.sample_events
 
-        def counted(group, u):
+        def counted(groups, u):
             seen.append(u.shape)
-            return original(group, u)
+            return original(groups, u)
 
         monkeypatch.setattr(simulate, "sample_events", counted)
-        # 100 reps of 500 + 500 subjects: drawn unchunked, one group's
-        # causes and times alone would be 10^5 uniforms
+        # 100 reps of 500 + 500 subjects: drawn unchunked, the causes and
+        # times alone would be 2 * 10^5 uniforms
         scn = tiny_scenario(n=500)
         rep = run_monte_carlo(scn, ["diff"], reps=100, seed=23, workers=1)
         assert rep.reps == 100
         assert max(math.prod(shape) for shape in seen) <= simulate._CHUNK_UNIFORMS
-        # each chunk samples group 1 then group 2, and the chunks cover every rep
-        assert [shape[2] for shape in seen] == [500, 500] * (len(seen) // 2)
-        assert sum(shape[1] for shape in seen[::2]) == 100
-        assert len(seen) > 2
+        # one call per chunk over both groups' 1000 subjects, and the chunks
+        # cover every rep
+        assert [shape[2] for shape in seen] == [1000] * len(seen)
+        assert sum(shape[1] for shape in seen) == 100
+        assert len(seen) > 1
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    @pytest.mark.parametrize("censoring", [CensoringSpec(), CensoringSpec(bound=2.0),
+                                           CensoringSpec(target=0.3)])
+    def test_three_segment_laws_match(self, mixed, censoring):
+        # every law piecewise (or one single-segment law beside them), so
+        # each law's later pieces are stepped through on its own offsets
+        scn = dataclasses.replace(three_segment_scenario(mixed), censoring=censoring)
+        assert assert_block_matches_one_replication_draws(scn, 2, 30, 17) == 0
+
+    def test_an_unequal_split_with_a_censoring_bound_matches(self):
+        # d_early's group 2 has a two-segment law of interest
+        scn = resized(load_shipped_scenario("d_early"), 30, 70)
+        scn = dataclasses.replace(scn, censoring=CensoringSpec(bound=4.0))
+        assert assert_block_matches_one_replication_draws(scn, 0, 40, 29) == 0
+
+
+def scaled(law, mass, factor):
+    """``law`` with another mass and every segment's scale times ``factor``
+    (which moves the offsets at which its later segments start)."""
+    segments = tuple(dataclasses.replace(s, scale=s.scale * factor) for s in law.segments)
+    return PiecewiseWeibullCif(mass=mass, segments=segments)
+
+
+def three_segment_scenario(mixed=False):
+    """Groups of 40 and 60 whose four laws are three_segment_law() at
+    different scales, or with group 2's competing law a single segment."""
+    law = three_segment_law()
+    g1 = GroupSpec(scaled(law, 0.6, 1.0), scaled(law, 0.4, 1.7), n=40)
+    competing = exponential_cif(mass=0.45) if mixed else scaled(law, 0.45, 0.6)
+    g2 = GroupSpec(scaled(law, 0.55, 1.3), competing, n=60)
+    return ScenarioSpec(groups=(g1, g2), label="three segments")
 
 
 class TestEventLaw:
@@ -291,6 +325,58 @@ class TestSampling:
             got = np.quantile(interest, q)
             assert got == pytest.approx(expected, rel=0.02)
 
+    def test_groups_side_by_side_match_each_group_by_cause(self):
+        g1, g2 = three_segment_scenario().groups
+        u = np.random.default_rng(12).random((2, 7, g1.n + g2.n))
+        times, codes = sample_events((g1, g2), u)
+        assert times.shape == codes.shape == (7, 100)
+        for g, cols in ((g1, slice(0, g1.n)), (g2, slice(g1.n, None))):
+            want_t, want_c = sample_by_cause(g, u[..., cols])
+            assert np.array_equal(times[:, cols], want_t)
+            assert codes.dtype == want_c.dtype and np.array_equal(codes[:, cols], want_c)
+
+    def test_one_group_or_a_tuple_of_it_draw_the_same(self):
+        g = three_segment_scenario().groups[0]
+        for shape in ((2, 1000), (2, 5, 40)):
+            u = np.random.default_rng(13).random(shape)
+            one, pair = sample_events(g, u), sample_events((g,), u)
+            assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(one, pair))
+            assert all(np.array_equal(a, b) for a, b in zip(one, sample_by_cause(g, u)))
+
+    def test_columns_must_match_the_groups_subjects(self):
+        g1, g2 = three_segment_scenario().groups
+        u = np.random.default_rng(16).random((2, 3, g1.n + g2.n - 1))
+        with pytest.raises(DataValidationError, match="99 columns for 100 subjects"):
+            sample_events((g1, g2), u)
+
+    @pytest.mark.parametrize("bad", [1.0, float("nan"), -0.5])
+    def test_time_uniforms_outside_the_unit_interval_raise(self, bad):
+        g = tiny_scenario().groups[0]
+        u = np.random.default_rng(14).random((2, 2, 60))
+        u[1, 1, 7] = bad
+        with pytest.raises(DataValidationError, match=r"\[0, 1\)"):
+            sample_events((g, g), u)
+
+    def test_censoring_bound_per_subject(self):
+        rng = np.random.default_rng(15)
+        times = rng.exponential(2.0, (4, 30))
+        codes = np.where(rng.random((4, 30)) < 0.6, 1, 2)
+        bound = np.repeat([1.5, 4.0], 15)
+        u = rng.random((4, 30))
+        observed, new_codes = apply_censoring(times, codes, bound, u)
+        assert 0 < np.count_nonzero(new_codes == 0) < times.size
+        for j in range(30):
+            want = apply_censoring(times[:, j], codes[:, j], float(bound[j]), u[:, j])
+            assert np.array_equal(observed[:, j], want[0])
+            assert np.array_equal(new_codes[:, j], want[1])
+
+    @pytest.mark.parametrize("bad", [0.0, float("nan")])
+    def test_censoring_bounds_not_positive_raise(self, bad):
+        times, codes, u = np.ones(3), np.ones(3, dtype=int), np.full(3, 0.5)
+        for bound in (bad, np.array([2.0, bad, 1.0])):
+            with pytest.raises(DataValidationError, match="censoring bound must be > 0"):
+                apply_censoring(times, codes, bound, u)
+
     def test_censoring_strictly_before_event(self):
         rng = np.random.default_rng(8)
         times = np.full(1000, 1.0)
@@ -322,7 +408,7 @@ class TestCalibration:
                 rng = np.random.default_rng(
                     np.random.SeedSequence(entropy=_CALIBRATION_SEED, spawn_key=(g,))
                 )
-                t, _ = sample_events(group, rng.random((2, _CALIBRATION_DRAWS)))
+                t, _ = sample_by_cause(group, rng.random((2, _CALIBRATION_DRAWS)))
 
                 def rate(c):
                     return float(np.mean(np.minimum(t, c)) / c)

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data_model import EventCode, RiskTable, build_risk_table
+from .data_model import EventCode, RiskTable, _tabulate, build_risk_table
 from .errors import DataValidationError
 
 
@@ -177,12 +177,12 @@ def _block_fits(times, codes, sizes) -> BlockFit:
 
     ``times`` and ``codes`` are (R, N) arrays, one sample per row: its
     first ``sizes[0]`` subjects are group 0, the next ``sizes[1]`` group 1,
-    and so on. A group's risk-table rows (its runs of tied times that hold
-    an event) are laid out left-aligned in an (R, m) array, m the most rows
-    of any sample. The rest of a row is padding that no fitted value reads,
-    as the fit takes cumulative sums and products along each row. Each
-    group's CIF and variance are then read on the pooled grid, and the fits
-    come back in the layout ``BlockFit`` describes.
+    and so on. A group's risk-table rows, from ``_tabulate``, are laid out
+    left-aligned in an (R, m) array, m the most rows of any sample. The
+    rest of a row is padding that no fitted value reads, as the fit takes
+    cumulative sums and products along each row. Each group's CIF and
+    variance are then read on the pooled grid, and the fits come back in
+    the layout ``BlockFit`` describes.
     """
     n_rows, width = times.shape
     n_groups = len(sizes)
@@ -211,22 +211,10 @@ def _block_fits(times, codes, sizes) -> BlockFit:
         # the group's sorted subjects, row after row (boolean masks are
         # slower than these takes)
         pick = (g == k).ravel().nonzero()[0]
-        tk, ck = t.take(pick), c.take(pick)
-        first = np.ones(tk.size, dtype=bool)  # the first subject of each run
-        np.not_equal(tk[1:], tk[:-1], out=first[1:])
-        first[::n] = True  # and of each row
-        starts = first.nonzero()[0]
-        # censored, interest and competing counts of each run
-        runs = len(starts)
-        counts = np.bincount(ck * runs + first.cumsum() - 1, minlength=3 * runs)
-        keep = counts[runs:].reshape(2, runs).any(axis=0).nonzero()[0]
-        starts = starts.take(keep)
-        dj, dk = counts.reshape(3, runs)[1:].take(keep, axis=1)
-        row, before = np.divmod(starts, n)
-        # at risk (everyone from the run on) and the events of each cause;
+        starts, at_risk, dj, dk = _tabulate(t.take(pick), c.take(pick), n)
         # padding has 1 at risk and no events
-        table, filled = _left_aligned(np.bincount(row, minlength=n_rows),
-                                      (n - before, dj, dk), (1.0, 0.0, 0.0))
+        table, filled = _left_aligned(np.bincount(starts // n, minlength=n_rows),
+                                      (at_risk, dj, dk), (1.0, 0.0, 0.0))
         inc, var = _incidence(*table)
         # the knots (the rows with an event of interest), each at the block
         # position of its run's first subject

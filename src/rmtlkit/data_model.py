@@ -1,10 +1,10 @@
 """Observation records, two-group samples, and risk tables.
 
 The risk table is the single input consumed by every estimator: ordered
-distinct event times with at-risk counts and per-cause event counts. Each
-group of a sample is tabulated once, by its pooled fit, and every
-statistic of the sample reads that group's table or the CIFs fitted from
-it.
+distinct event times with at-risk and per-cause event counts, tabulated
+by ``_tabulate`` for a sample and the Monte Carlo engine alike. Each group
+of a sample is tabulated once, by its pooled fit, and every statistic of
+the sample reads that group's table or the CIFs fitted from it.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class TwoGroupSample:
     ``group`` the index (0 or 1) into ``groups``. ``groups`` fixes the group
     order: differences are always computed as group 2 minus group 1, so the
     order determines the sign of the effect. The arrays are copied and made
-    read-only, so the cached ``pooled`` fit cannot go stale.
+    read-only, so the cached ``pooled`` fit (all a sample keeps) cannot go stale.
     """
 
     times: np.ndarray
@@ -102,11 +102,6 @@ class TwoGroupSample:
         from .cif import PooledFit  # cif imports this module
 
         return PooledFit.from_arrays(self.times, self.codes, self.group, 2)
-
-    @cached_property
-    def _differences(self) -> dict:
-        """RMTL differences by tau, filled by ``rmtl.rmtl_difference``."""
-        return {}
 
 
 def _check_columns(times, codes, group, groups):
@@ -183,28 +178,32 @@ def build_risk_table(times, codes) -> RiskTable:
         raise DataValidationError("status codes must be 0, 1 or 2")
     # counts are summed by bincount, so the order within tied times is free
     order = times.argsort()
-    t = times[order]
-    first = np.empty(len(t), dtype=bool)  # each distinct time's first row
-    first[0] = True
+    t = times.take(order)
+    # the sorted ends are the extremes, and a NaN sorts last
+    if not (t[0] >= 0 and t[-1] < math.inf):
+        raise DataValidationError("times must be finite and nonnegative")
+    starts, at_risk, dj, dk = _tabulate(t, codes.take(order), len(t))
+    return RiskTable(times=t.take(starts), at_risk=at_risk, events_interest=dj,
+                     events_competing=dk, n_total=len(t), last_observed=float(t[-1]))
+
+
+def _tabulate(t, c, n):
+    """Risk-table rows of samples of ``n`` subjects each, back to back in
+    ``t`` (times, sorted within each sample) and ``c`` (status codes): for
+    each run of tied times that holds an event (a subject censored at t is
+    at risk at t), its first subject's position, its at-risk count and its
+    events of interest and competing events."""
+    first = np.ones(t.size, dtype=bool)  # the first subject of each run
     np.not_equal(t[1:], t[:-1], out=first[1:])
-    k = first.cumsum() - 1  # each row's distinct-time index
-    n_times = int(k[-1]) + 1
-    # censored, interest and competing counts at each distinct time
-    counts = np.bincount(codes[order] * n_times + k, minlength=3 * n_times)
-    counts = counts.reshape(3, n_times)
-    total = counts.sum(axis=0)
-    # the times with an event (takes are faster than boolean masks here)
-    rows = counts[1:].any(axis=0).nonzero()[0]
-    # at risk at t = everyone not seen before t (censored-at-t included)
-    seen_before = total.cumsum() - total
-    return RiskTable(
-        times=t[first].take(rows),
-        at_risk=len(t) - seen_before.take(rows),
-        events_interest=counts[1].take(rows),
-        events_competing=counts[2].take(rows),
-        n_total=len(t),
-        last_observed=float(t[-1]),
-    )
+    first[::n] = True  # and of each sample
+    starts = first.nonzero()[0]
+    # censored, interest and competing counts of each run
+    runs = len(starts)
+    counts = np.bincount(c * runs + first.cumsum() - 1, minlength=3 * runs)
+    keep = counts[runs:].reshape(2, runs).any(axis=0).nonzero()[0]
+    starts = starts.take(keep)
+    dj, dk = counts.reshape(3, runs)[1:].take(keep, axis=1)
+    return starts, n - starts % n, dj, dk
 
 
 def read_text(path) -> str:

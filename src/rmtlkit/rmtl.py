@@ -138,36 +138,22 @@ def rmtl_difference(
 ) -> RmtlDifference:
     """RMTL difference (group 2 minus group 1) with its delta-method SE.
 
-    Integrated once per sample and tau: a repeated call (the Diff and sDiff
-    tests of one sample) checks tau against each group again and returns
-    the same object. ``require_events``: a group with no event of interest
-    before tau is degenerate.
+    Each call integrates both groups' CIFs from the sample's one pooled fit
+    on [0, tau], checking tau against each group. ``require_events``: a
+    group with no event of interest before tau is degenerate.
     """
     cifs = sample.pooled.cifs
-    known = isinstance(tau, (int, float))  # a hashable key; _check_tau rejects the rest
-    diff = sample._differences.get(tau) if known else None
-    if diff is None:
-        first, second = (rmtl_estimate(cif, n, tau)
-                         for cif, n in zip(cifs, sample.pooled.n_total))
-        diff = RmtlDifference(
-            delta=second.value - first.value,
-            se=math.sqrt(first.variance / first.n + second.variance / second.n),
-            tau=first.tau,
-            groups=sample.groups,
-            per_group=(first, second),
-        )
-        if known:
-            sample._differences[tau] = diff
-    else:
-        for cif in cifs:
-            _check_tau(cif, tau)
+    first, second = (rmtl_estimate(cif, n, tau) for cif, n in zip(cifs, sample.pooled.n_total))
     if require_events:
         for label, cif in zip(sample.groups, cifs):
-            if not (cif.times.size and cif.times[0] < diff.tau):
+            if not (cif.times.size and cif.times[0] < first.tau):
                 raise DegenerateDataError(
                     f"group {label!r} has no events of interest before tau"
                 )
-    return diff
+    return RmtlDifference(
+        delta=second.value - first.value,
+        se=math.sqrt(first.variance / first.n + second.variance / second.n),
+        tau=first.tau, groups=sample.groups, per_group=(first, second))
 
 
 def default_tau(sample: TwoGroupSample) -> float:

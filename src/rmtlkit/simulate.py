@@ -254,6 +254,8 @@ def sample_events(groups, u):
     CDF, all subjects at once. So ``u`` of shape (2, R, N) draws R samples."""
     if isinstance(groups, GroupSpec):
         groups = (groups,)
+    if u.shape[0] != 2:
+        raise DataValidationError(f"u must hold 2 planes (cause, time), got {u.shape[0]}")
     mass, first, steps, scales, offsets, edges, powers, following = _law_table(groups)
     if mass.size not in (1, u.shape[-1]):
         raise DataValidationError(f"u has {u.shape[-1]} columns for {mass.size} subjects")
@@ -277,7 +279,12 @@ def apply_censoring(times, codes, bound, u):
     that broadcasts to ``times``, one per subject."""
     if not np.min(bound) > 0:  # a NaN fails too
         raise DataValidationError(f"censoring bound must be > 0, got {bound!r}")
-    c = bound * u
+    try:
+        c = np.broadcast_to(bound * u, np.shape(times))
+    except ValueError:
+        raise DataValidationError(
+            f"censoring bound of shape {np.shape(bound)} and uniforms of shape "
+            f"{np.shape(u)} do not broadcast to times of shape {np.shape(times)}") from None
     censored = c < times
     observed = np.where(censored, c, times)
     new_codes = np.where(censored, int(EventCode.CENSORED), codes)

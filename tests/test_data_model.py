@@ -104,6 +104,13 @@ class TestRiskTable:
         with pytest.raises(DataValidationError):
             build_risk_table([], [])
 
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0, float("inf")])
+    def test_times_not_finite_and_nonnegative_rejected(self, bad):
+        # a NaN row would leave last_observed NaN, which no tau check can warn on
+        for times in ([bad, 1.0], [1.0, bad]):
+            with pytest.raises(DataValidationError, match="finite and nonnegative"):
+                build_risk_table(times, [1, 1])
+
 
 class TestTwoGroupSample:
     def test_first_seen_order(self):

@@ -1,11 +1,12 @@
 """One fit per sample: every statistic of a sample reads the same pooled
 fit of both groups, which builds exactly one risk table per group, however
 many statistics or truncation times it is asked for; ``estimate`` reads its
-competing-cause CIF and Kaplan-Meier curve off those tables too. The two
-tests share one difference, so a sample integrates once per group (and
-checks tau once per group per test). The Monte Carlo engine fits and tests
-a chunk of replications at a time, with no per-replication risk table,
-fit, integral or difference."""
+competing-cause CIF and Kaplan-Meier curve off those tables too. Each test
+takes its own difference, so it integrates each group once (and checks tau
+once per group). The Monte Carlo engine fits and tests a chunk of
+replications at a time, with no per-replication risk table, fit, integral
+or difference. Both fit paths tabulate through ``data_model._tabulate``,
+once per group."""
 
 import json
 import sys
@@ -25,6 +26,7 @@ from rmtlkit import (
     run_monte_carlo,
     sdiff_test,
 )
+from rmtlkit import data_model
 from rmtlkit.cli import main
 from rmtlkit.simulate import _CHUNK_UNIFORMS
 
@@ -44,6 +46,23 @@ def risk_table_calls(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("rmtlkit.") and vars(module).get("build_risk_table") is original:
             monkeypatch.setattr(module, "build_risk_table", counted)
+    return calls
+
+
+@pytest.fixture
+def tabulate_calls(monkeypatch):
+    """Record the sample size of each data_model._tabulate call, patched
+    wherever a module refers to it."""
+    original = data_model._tabulate
+    calls = []
+
+    def counted(t, c, n):
+        calls.append(n)
+        return original(t, c, n)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("rmtlkit.") and vars(module).get("_tabulate") is original:
+            monkeypatch.setattr(module, "_tabulate", counted)
     return calls
 
 
@@ -145,7 +164,23 @@ def test_one_replication_integrates_each_group_once_per_test(monkeypatch):
     tau = default_tau(sample)
     diff_test(sample, tau)
     sdiff_test(sample, tau)
-    assert calls == {"_areas": 2, "_check_tau": 4}
+    assert calls == {"_areas": 4, "_check_tau": 4}
+
+
+def test_both_fit_paths_tabulate_through_one_function(tabulate_calls, risk_table_calls,
+                                                      block_fit_shapes):
+    # a per-sample fit: one call per group, through build_risk_table
+    sample = next(engine_samples(load_shipped_scenario("a_null"), 0, 1, 5, None))
+    assert sample.pooled.n_total.tolist() == [50, 50]
+    assert tabulate_calls == [50, 50]
+    assert len(risk_table_calls) == 2
+    # one Monte Carlo chunk: one call per group, from the block fit itself
+    tabulate_calls.clear()
+    risk_table_calls.clear()
+    run_monte_carlo(load_shipped_scenario("a_null"), reps=5, seed=5)
+    assert block_fit_shapes == [(5, 100)]
+    assert tabulate_calls == [50, 50]
+    assert len(risk_table_calls) == 0
 
 
 def test_one_replication_builds_no_risk_table(risk_table_calls, tables_built):

@@ -121,8 +121,8 @@ class TestTauHandling:
             rmtl(cif_of(three_subject_records()), 3.0)
 
     def test_repeated_statistic_checks_tau_again(self):
-        # the second and third statistics reuse the first one's integrals,
-        # but a filter turned to "error" in between must still raise
+        # each statistic checks tau again, so a filter turned to "error"
+        # after the first one must make every later one raise
         sample = sample_with_events(45)
         with pytest.warns(ExtrapolationWarning):
             diff_test(sample, 1e6)
@@ -136,7 +136,7 @@ class TestTauHandling:
                                        "diff_test", "sdiff_test", "pilot_parameters"])
     def test_extrapolation_warning_names_the_callers_file(self, entry):
         # each entry point reaches the tau check through its own depth of
-        # package frames, and a repeated statistic through a kept difference
+        # package frames, on a first call and on a repeated one
         sample = sample_with_events(46)
         cif = sample.pooled.cifs[0]
         calls = {

@@ -349,6 +349,13 @@ class TestSampling:
         with pytest.raises(DataValidationError, match="99 columns for 100 subjects"):
             sample_events((g1, g2), u)
 
+    @pytest.mark.parametrize("planes", [1, 3])
+    def test_u_must_hold_a_cause_and_a_time_plane(self, planes):
+        g = tiny_scenario().groups[0]
+        u = np.random.default_rng(17).random((planes, g.n))
+        with pytest.raises(DataValidationError, match=f"2 planes.*got {planes}"):
+            sample_events(g, u)
+
     @pytest.mark.parametrize("bad", [1.0, float("nan"), -0.5])
     def test_time_uniforms_outside_the_unit_interval_raise(self, bad):
         g = tiny_scenario().groups[0]
@@ -376,6 +383,17 @@ class TestSampling:
         for bound in (bad, np.array([2.0, bad, 1.0])):
             with pytest.raises(DataValidationError, match="censoring bound must be > 0"):
                 apply_censoring(times, codes, bound, u)
+
+    @pytest.mark.parametrize("bound_shape, u_shape", [((3,), (3, 4)), ((4,), (3,)),
+                                                      ((), (2, 3))])
+    def test_censoring_inputs_that_do_not_broadcast_to_times_raise(self, bound_shape,
+                                                                   u_shape):
+        # the last pair broadcasts with times, but to a larger shape than times
+        times, codes = np.ones(3), np.ones(3, dtype=int)
+        bound, u = np.full(bound_shape, 2.0), np.full(u_shape, 0.5)
+        with pytest.raises(DataValidationError, match=r"to times of shape \(3,\)") as exc:
+            apply_censoring(times, codes, bound, u)
+        assert f"bound of shape {bound_shape} and uniforms of shape {u_shape}" in str(exc.value)
 
     def test_censoring_strictly_before_event(self):
         rng = np.random.default_rng(8)

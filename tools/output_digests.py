@@ -1,0 +1,95 @@
+"""Print a SHA-256 digest of each of a fixed set of rmtlkit outputs.
+
+    python3 tools/output_digests.py
+
+imports rmtlkit from this checkout's ``src/`` and prints one
+``<case> <sha256>`` line per case. Two checkouts whose printouts are equal
+produce byte-identical outputs on every case, so a refactor claimed to
+change no output is checked by running this before and after and
+comparing. The cases:
+
+- ``run_monte_carlo`` reports (JSON of ``to_dict``) on the six shipped
+  scenarios, as shipped and at 45% calibrated censoring, 300 reps, seed 5,
+  with 1 and 2 workers;
+- ``observed_power_at_n`` at n_total 2000 with 30% calibrated censoring on
+  ``a_null`` and ``f_crossing``, 100 reps, seed 5, 2 workers;
+- the CLI's ``estimate`` JSON and table, ``test`` JSON and
+  ``samplesize --pilot --sweep 0.25:3.0:0.25`` JSON on the benchmark's
+  seed-5 CSV of 10^5 rows, written by ``bench/inputs.py``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import dataclasses
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import rmtlkit  # noqa: E402
+from inputs import write_csv  # noqa: E402
+from rmtlkit.cli import main as cli_main  # noqa: E402
+
+CSV_SEED, CSV_ROWS = 5, 100_000
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def report_digest(report) -> str:
+    return digest(json.dumps(report.to_dict(), sort_keys=True))
+
+
+def monte_carlo_cases():
+    for name in rmtlkit.SHIPPED_SCENARIOS:
+        shipped = rmtlkit.load_shipped_scenario(name)
+        censored = dataclasses.replace(shipped,
+                                       censoring=rmtlkit.CensoringSpec(target=0.45))
+        for label, scn in (("shipped", shipped), ("cens45", censored)):
+            for workers in (1, 2):
+                report = rmtlkit.run_monte_carlo(scn, reps=300, seed=5, workers=workers)
+                yield f"mc/{name}/{label}/w{workers}", report_digest(report)
+    for name in ("a_null", "f_crossing"):
+        scn = dataclasses.replace(rmtlkit.load_shipped_scenario(name),
+                                  censoring=rmtlkit.CensoringSpec(target=0.3))
+        report = rmtlkit.observed_power_at_n(scn, 2000, reps=100, seed=5, workers=2)
+        yield f"power/{name}/n2000/cens30/w2", report_digest(report)
+
+
+def cli_cases(path: Path):
+    commands = {
+        "estimate.json": ["estimate", "--input", str(path), "--format", "json"],
+        "estimate.table": ["estimate", "--input", str(path), "--format", "table"],
+        "test.json": ["test", "--input", str(path), "--format", "json"],
+        "sweep.json": ["samplesize", "--pilot", str(path), "--sweep", "0.25:3.0:0.25",
+                       "--format", "json"],
+    }
+    for label, argv in commands.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli_main(argv)
+        if code:
+            raise SystemExit(f"{label}: exit code {code}")
+        yield f"cli/{label}", digest(out.getvalue())
+
+
+def main() -> int:
+    for case, sha in monte_carlo_cases():
+        print(case, sha, flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        write_csv(path, CSV_SEED, CSV_ROWS)
+        for case, sha in cli_cases(path):
+            print(case, sha, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

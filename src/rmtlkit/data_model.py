@@ -172,6 +172,9 @@ def build_risk_table(times, codes) -> RiskTable:
     """
     times = np.asarray(times, dtype=float)
     codes = np.asarray(codes, dtype=np.int64)
+    if times.ndim != 1 or codes.shape != times.shape:
+        raise DataValidationError(f"times and codes must be 1-d and of one length, "
+                                  f"got shapes {times.shape} and {codes.shape}")
     if len(times) == 0:
         raise DataValidationError("cannot build a risk table from no observations")
     if not ((codes >= 0) & (codes <= 2)).all():

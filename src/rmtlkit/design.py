@@ -18,7 +18,7 @@ from .brownian import solve_crossing_drift, sup_abs_bm_quantile
 from .data_model import TwoGroupSample
 from .errors import DataValidationError, DegenerateDesignWarning
 from .inference import TestMethod
-from .rmtl import rmtl_difference
+from .rmtl import _check_alpha, rmtl_difference
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,7 @@ class DesignInput:
                 raise DataValidationError(f"{name} must be >= 0, got {value!r}")
         if not (math.isfinite(self.ratio) and self.ratio > 0.0):
             raise DataValidationError(f"ratio must be > 0, got {self.ratio!r}")
-        if not 0.0 < self.alpha < 1.0:
-            raise DataValidationError(f"alpha must be in (0, 1), got {self.alpha!r}")
+        _check_alpha(self.alpha)
         if not 0.0 < self.power < 1.0:
             raise DataValidationError(f"power must be in (0, 1), got {self.power!r}")
 

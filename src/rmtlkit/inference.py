@@ -20,6 +20,7 @@ from .data_model import TwoGroupSample
 from .errors import DataValidationError, DegenerateDataError
 from .rmtl import (
     RmtlDifference,
+    _check_alpha,
     _plug_in_variance,
     _step_integrals,
     _tau_at_zero,
@@ -62,12 +63,6 @@ class PartialDifferenceProcess:
     rho: float
     sigma_tau: float
     delta: RmtlDifference
-
-
-def _check_alpha(alpha: float) -> float:
-    if not 0.0 < alpha < 1.0:
-        raise DataValidationError(f"alpha must be in (0, 1), got {alpha!r}")
-    return float(alpha)
 
 
 def _check_rho(rho: float) -> float:

@@ -104,10 +104,15 @@ def rmstc(km: StepFunction, tau: float) -> float:
     return _areas(km, tau)[1]
 
 
-def rmtl_ci(est: RmtlEstimate, alpha: float = 0.05) -> tuple[float, float]:
-    """Normal-approximation confidence interval, clipped to [0, tau]."""
+def _check_alpha(alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
         raise DataValidationError(f"alpha must be in (0, 1), got {alpha!r}")
+    return float(alpha)
+
+
+def rmtl_ci(est: RmtlEstimate, alpha: float = 0.05) -> tuple[float, float]:
+    """Normal-approximation confidence interval, clipped to [0, tau]."""
+    _check_alpha(alpha)
     if est.n < 2:
         raise DataValidationError("confidence interval needs group size n >= 2")
     half = ndtri(1.0 - alpha / 2.0) * math.sqrt(est.variance / est.n)

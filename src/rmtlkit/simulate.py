@@ -8,11 +8,12 @@ PCG64 stream seeded by ``SeedSequence(seed, (r,))``, so reports are
 bit-identical for any worker count.
 
 Those streams are not built as numpy objects per replication:
-``_stream_states`` derives each one's PCG64 state in Python ints, following
-numpy's documented SeedSequence mixing and ``generate_state`` and PCG64's
-seeding step, and one generator per thread is loaded with each state in turn.
-The draws are numpy's own; a numpy release that changed that seeding would
-fail the state test in ``tests/test_simulate.py``, not only the reports.
+``_stream_states`` takes the seed's entropy pool from numpy's SeedSequence and
+mixes in only the replication's word in Python ints, following numpy's
+documented mixing and ``generate_state`` and PCG64's seeding step, and one
+generator per thread is loaded with each state in turn. The draws are numpy's
+own; a numpy release that changed that seeding would fail the state test in
+``tests/test_simulate.py``, not only the reports.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ import numpy as np
 from .cif import _block_fits
 from .data_model import EventCode, _check_columns, read_text
 from .errors import DataValidationError, SmallSampleWarning
-from .inference import TestMethod, _block_tests, _check_alpha, _check_rho
+from .inference import TestMethod, _block_tests, _check_rho
+from .rmtl import _check_alpha
 
 _CALIBRATION_SEED = 1_000_003
 _CALIBRATION_DRAWS = 100_000
@@ -347,90 +349,53 @@ def _hash_constants(const, mult, count):
     return [(const, const := const * mult & _MASK32) for _ in range(count)]
 
 
-def _uint32_words(value):
-    """SeedSequence's uint32 words of an int >= 0, least significant first
-    (one word, 0, for 0)."""
-    words = [value & _MASK32]
-    while value := value >> 32:
-        words.append(value & _MASK32)
-    return words
-
-
-def _mix_in(pool, word, constants, skip=None):
-    """Mix ``word`` into each of the four pool words but ``skip``, in turn,
-    as SeedSequence does: hashmix under the next pair of hash constants
-    from the iterator ``constants``, then mix."""
-    for dst in range(4):
-        if dst != skip:
-            xor, mult = next(constants)
-            hashed = (word ^ xor) * mult & _MASK32
-            hashed ^= hashed >> 16
-            mixed = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashed) & _MASK32
-            pool[dst] = mixed ^ mixed >> 16
-
-
 def _stream_states(seed: int):
     """A function taking reps and yielding, for each, the (state, inc)
     that ``PCG64(SeedSequence(seed, spawn_key=(rep,)))`` starts from.
 
-    SeedSequence hashes its entropy into a pool of four uint32 words: first
-    the seed's words (padded with zeros to four), then the rep's (one below
-    2^32, more from there on). The hash constants it steps through depend
-    only on how many words came before, so the seed's part is done here,
-    once. Per rep, its words are mixed in, the pool is expanded by
-    ``generate_state(4, uint64)`` into (initstate, initseq), and PCG64's
-    seeding step gives inc = 2·initseq + 1 and
-    state = ((inc + initstate)·MULT + inc) mod 2^128.
+    SeedSequence hashes the seed's uint32 words (padded with zeros to four),
+    then the rep's, into a pool of four words; the pool after the seed's is
+    numpy's ``SeedSequence(seed).pool``. A rep below 2^32 is one word, mixed
+    in here under the hash constants that follow the seed's words; the pool
+    is then expanded by ``generate_state(4, uint64)`` into (initstate,
+    initseq), and PCG64's seeding step gives inc = 2·initseq + 1 and
+    state = ((inc + initstate)·MULT + inc) mod 2^128. A longer rep takes
+    (initstate, initseq) from numpy's own SeedSequence.
     """
-    words = _uint32_words(seed)
-    words += [0] * (4 - len(words))
-    # the pool's first four words, the other words of each mixed into it,
-    # the seed's words beyond four, then the rep's first word
-    constants = iter(_hash_constants(_INIT_A, _MULT_A, 4 * len(words) + 4))
-    pool = []
-    for word, (xor, mult) in zip(words[:4], constants):
-        hashed = (word ^ xor) * mult & _MASK32
-        pool.append(hashed ^ hashed >> 16)
-    for src in range(4):
-        _mix_in(pool, pool[src], constants, skip=src)
-    for word in words[4:]:
-        _mix_in(pool, word, constants)
-    # the rep's first word is mixed in unrolled below, from these products
-    # and hash constants; any further word goes through _mix_in
-    l0, l1, l2, l3 = (_MIX_MULT_L * p for p in pool)
-    (a0, b0), (a1, b1), (a2, b2), (a3, b3) = constants
+    (a0, b0), (a1, b1), (a2, b2), (a3, b3) = _hash_constants(
+        _INIT_A, _MULT_A, 4 * max(4, -(-seed.bit_length() // 32)) + 4)[-4:]
+    l0, l1, l2, l3 = (_MIX_MULT_L * p for p in np.random.SeedSequence(seed).pool.tolist())
     (c0, d0), (c1, d1), (c2, d2), (c3, d3), (c4, d4), (c5, d5), (c6, d6), (c7, d7) = (
         _hash_constants(_INIT_B, _MULT_B, 8))
 
     def states(reps):
         mask, mult_r, low_halves = _MASK32, _MIX_MULT_R, _LOW_HALVES
         for rep in reps:
-            word = rep & mask
-            h = (word ^ a0) * b0 & mask
-            q0 = (l0 - mult_r * (h ^ h >> 16)) & mask
-            h = (word ^ a1) * b1 & mask
-            q1 = (l1 - mult_r * (h ^ h >> 16)) & mask
-            h = (word ^ a2) * b2 & mask
-            q2 = (l2 - mult_r * (h ^ h >> 16)) & mask
-            h = (word ^ a3) * b3 & mask
-            q3 = (l3 - mult_r * (h ^ h >> 16)) & mask
-            q0, q1, q2, q3 = q0 ^ q0 >> 16, q1 ^ q1 >> 16, q2 ^ q2 >> 16, q3 ^ q3 >> 16
             if rep > mask:
-                q, high = [q0, q1, q2, q3], _uint32_words(rep >> 32)
-                more = iter(_hash_constants(b3, _MULT_A, 4 * len(high)))
-                for word in high:
-                    _mix_in(q, word, more)
-                q0, q1, q2, q3 = q
-            # generate_state hashes the pool words in turn into eight words
-            # o0..o7 (o ^= o >> 16 last, done here on all four words of a
-            # 128-bit value at once); uint64 k is o[2k] | o[2k+1] << 32, and
-            # initstate and initseq are uint64 0, 1 and 2, 3, high word first
-            x = (((q0 ^ c0) * d0 & mask) << 64 | ((q1 ^ c1) * d1 & mask) << 96
-                 | (q2 ^ c2) * d2 & mask | ((q3 ^ c3) * d3 & mask) << 32)
-            y = (((q0 ^ c4) * d4 & mask) << 64 | ((q1 ^ c5) * d5 & mask) << 96
-                 | (q2 ^ c6) * d6 & mask | ((q3 ^ c7) * d7 & mask) << 32)
-            initstate = x ^ x >> 16 & low_halves
-            inc = ((y ^ y >> 16 & low_halves) << 1 | 1) & _MASK128
+                s0, s1, s2, s3 = np.random.SeedSequence(
+                    seed, spawn_key=(rep,)).generate_state(4, np.uint64).tolist()
+                initstate, initseq = s0 << 64 | s1, s2 << 64 | s3
+            else:
+                # the rep's word mixed into each pool word, unrolled
+                h = (rep ^ a0) * b0 & mask
+                q0 = (l0 - mult_r * (h ^ h >> 16)) & mask
+                h = (rep ^ a1) * b1 & mask
+                q1 = (l1 - mult_r * (h ^ h >> 16)) & mask
+                h = (rep ^ a2) * b2 & mask
+                q2 = (l2 - mult_r * (h ^ h >> 16)) & mask
+                h = (rep ^ a3) * b3 & mask
+                q3 = (l3 - mult_r * (h ^ h >> 16)) & mask
+                q0, q1, q2, q3 = q0 ^ q0 >> 16, q1 ^ q1 >> 16, q2 ^ q2 >> 16, q3 ^ q3 >> 16
+                # generate_state hashes the pool words in turn into eight words
+                # o0..o7 (o ^= o >> 16 last, done here on all four words of a
+                # 128-bit value at once); uint64 k is o[2k] | o[2k+1] << 32, and
+                # initstate and initseq are uint64 0, 1 and 2, 3, high word first
+                x = (((q0 ^ c0) * d0 & mask) << 64 | ((q1 ^ c1) * d1 & mask) << 96
+                     | (q2 ^ c2) * d2 & mask | ((q3 ^ c3) * d3 & mask) << 32)
+                y = (((q0 ^ c4) * d4 & mask) << 64 | ((q1 ^ c5) * d5 & mask) << 96
+                     | (q2 ^ c6) * d6 & mask | ((q3 ^ c7) * d7 & mask) << 32)
+                initstate, initseq = x ^ x >> 16 & low_halves, y ^ y >> 16 & low_halves
+            inc = (initseq << 1 | 1) & _MASK128
             yield ((inc + initstate) * _PCG64_MULT + inc) & _MASK128, inc
 
     return states

@@ -104,6 +104,14 @@ class TestRiskTable:
         with pytest.raises(DataValidationError):
             build_risk_table([], [])
 
+    @pytest.mark.parametrize("times,codes", [
+        ([1.0], [1, 2]), ([1.0, 2.0], [1]), ([[1.0, 2.0]], [[1, 1]]), (1.0, 1)],
+        ids=["more-codes", "fewer-codes", "2-d", "0-d"])
+    def test_times_and_codes_of_other_shapes_rejected(self, times, codes):
+        # neither a subject tabulated silently nor a bare numpy error
+        with pytest.raises(DataValidationError, match="1-d and of one length"):
+            build_risk_table(times, codes)
+
     @pytest.mark.parametrize("bad", [float("nan"), -1.0, float("inf")])
     def test_times_not_finite_and_nonnegative_rejected(self, bad):
         # a NaN row would leave last_observed NaN, which no tau check can warn on

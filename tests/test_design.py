@@ -43,9 +43,10 @@ class TestDesignInput:
         with pytest.raises(DataValidationError):
             DesignInput(delta=1.0, var1=1.0, var2=1.0, ratio=ratio)
 
-    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, float("nan")])
     def test_alpha_domain(self, alpha):
-        with pytest.raises(DataValidationError):
+        with pytest.raises(DataValidationError,
+                           match=rf"^alpha must be in \(0, 1\), got {alpha!r}$"):
             DesignInput(delta=1.0, var1=1.0, var2=1.0, alpha=alpha)
 
     @pytest.mark.parametrize("power", [0.0, 1.0])

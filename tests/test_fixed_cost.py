@@ -28,7 +28,7 @@ PACKAGE = os.path.dirname(rmtlkit.__file__) + os.sep
 CALLS = 218
 # one 16-replication chunk of a_null drawn, sampled and checked, without
 # and with a censoring bound
-SAMPLING_CALLS = {None: 99, (2.0, 2.0): 106}
+SAMPLING_CALLS = {None: 79, (2.0, 2.0): 90}
 
 
 def calls_from_the_package(fn) -> int:

@@ -174,10 +174,11 @@ class TestConfidenceInterval:
         half = 1.6448536269514722 * math.sqrt(est.variance / est.n)
         assert hi == pytest.approx(min(est.value + half, 3.0), abs=1e-12)
 
-    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 2.0])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 2.0, float("nan")])
     def test_alpha_validated(self, alpha):
         est = estimate_of(three_subject_records(), 3.0)
-        with pytest.raises(DataValidationError):
+        with pytest.raises(DataValidationError,
+                           match=rf"^alpha must be in \(0, 1\), got {alpha!r}$"):
             rmtl_ci(est, alpha=alpha)
 
 

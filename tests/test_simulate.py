@@ -171,6 +171,13 @@ class TestBlockDrawer:
         scn = dataclasses.replace(scn, censoring=CensoringSpec(bound=4.0))
         assert assert_block_matches_one_replication_draws(scn, 0, 40, 29) == 0
 
+    def test_reps_past_two_to_the_32_at_a_wide_seed_match(self):
+        # a seed of five uint32 words; reps from 2^32 on are two words, and
+        # their states come from numpy's own SeedSequence
+        scn = load_shipped_scenario("a_null")
+        assert assert_block_matches_one_replication_draws(
+            scn, 2**32 - 3, 2**32 + 4, 2**130 + 7) == 0
+
 
 def scaled(law, mass, factor):
     """``law`` with another mass and every segment's scale times ``factor``

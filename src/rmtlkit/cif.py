@@ -142,20 +142,16 @@ class BlockFit(NamedTuple):
     """The pooled fits of a block of samples with equal groups, row r that
     of sample r, in arrays whose leading index is the group.
 
-    The pooled grid of row r is the first ``grid_counts[r]`` entries of
-    ``grid_times[r]``, with each group's CIF and Aalen variance there in
-    ``values[k, r]`` and ``variances[k, r]``: bitwise the arrays of
-    ``PooledFit.from_arrays`` of sample r. Padding times are +inf, and
-    padding values and variances 0. ``last[k, r]`` is group k's last time
-    with an event of interest in row r (0 with none), and ``n_total``
-    holds the group sizes.
+    Row r's pooled grid is ``grid_times[r]`` up to its first +inf, with
+    each group's CIF and Aalen variance there in ``values[k, r]`` and
+    ``variances[k, r]``: bitwise the arrays of ``PooledFit.from_arrays`` of
+    sample r. Padding times are +inf, and padding values and variances 0.
+    ``n_total`` holds the group sizes.
     """
 
     grid_times: np.ndarray
-    grid_counts: np.ndarray
     values: np.ndarray
     variances: np.ndarray
-    last: np.ndarray
     n_total: np.ndarray
 
 
@@ -182,7 +178,8 @@ def _block_fits(times, codes, sizes) -> BlockFit:
     rest of a row is padding that no fitted value reads, as the fit takes
     cumulative sums and products along each row. Each group's CIF and
     variance are then read on the pooled grid, and the fits come back in
-    the layout ``BlockFit`` describes.
+    the layout ``BlockFit`` describes. No tau is read here: the engine
+    takes each row's from its draws with ``rmtl._block_taus``.
     """
     n_rows, width = times.shape
     n_groups = len(sizes)
@@ -196,17 +193,13 @@ def _block_fits(times, codes, sizes) -> BlockFit:
     np.not_equal(t[:, 1:], t[:, :-1], out=grid[:, :-1])
     grid &= np.maximum.accumulate(np.where(c > 0, t, -1.0), axis=-1) == t
     grid_at = grid.ravel().nonzero()[0]
-    grid_counts = grid.sum(axis=-1)
     # Each grid time reads each group's CIF and variance at the group's last
-    # knot at or before it, as from_arrays does, and each row's end reads
-    # its last knot's time: the last knot at or before the position asked
-    # in the sorted block, if that knot is in the same row.
-    ask = np.concatenate((grid_at, np.arange(width - 1, times.size, width)))
-    ask_start = ask - ask % width
+    # knot at or before it, as from_arrays does: the last knot at or before
+    # its position in the sorted block, if that knot is in the same row.
+    grid_start = grid_at - grid_at % width
     # the grid times, then each group's CIF, then each group's variance
     on_grid = np.empty((1 + 2 * n_groups, len(grid_at)))
     on_grid[0] = t.take(grid_at)
-    last = np.empty((n_groups, n_rows))
     for k, n in enumerate(sizes):
         # the group's sorted subjects, row after row (boolean masks are
         # slower than these takes)
@@ -222,17 +215,15 @@ def _block_fits(times, codes, sizes) -> BlockFit:
         knot_at = pick.take(starts.take(at_knots))
         # entry i + 1 of each array read is knot i's, and entry 0 (0, the
         # value before a first knot) is read where the row has none yet
-        seen = np.bincount(knot_at, minlength=t.size).cumsum().take(ask)
-        at = np.where(np.concatenate(([-1], knot_at)).take(seen) >= ask_start, seen, 0)
-        at_grid, at_end = at[:len(grid_at)], at[len(grid_at):]
+        seen = np.bincount(knot_at, minlength=t.size).cumsum().take(grid_at)
+        at = np.where(np.concatenate(([-1], knot_at)).take(seen) >= grid_start, seen, 0)
         cells = filled.ravel().nonzero()[0].take(at_knots)
-        on_grid[1 + k] = np.concatenate(([0.0], inc.take(cells))).take(at_grid)
-        on_grid[1 + n_groups + k] = np.concatenate(([0.0], var.take(cells))).take(at_grid)
-        last[k] = np.concatenate(([0.0], t.take(knot_at))).take(at_end)
-    grid_table = _left_aligned(grid_counts, on_grid,
+        on_grid[1 + k] = np.concatenate(([0.0], inc.take(cells))).take(at)
+        on_grid[1 + n_groups + k] = np.concatenate(([0.0], var.take(cells))).take(at)
+    grid_table = _left_aligned(grid.sum(axis=-1), on_grid,
                                (np.inf,) + (0.0,) * (2 * n_groups))[0]
-    return BlockFit(grid_table[0], grid_counts, grid_table[1:1 + n_groups],
-                    grid_table[1 + n_groups:], last, np.array(sizes))
+    return BlockFit(grid_table[0], grid_table[1:1 + n_groups],
+                    grid_table[1 + n_groups:], np.array(sizes))
 
 
 def _aalen_variance(n, d, dj, s_prev, inc):

@@ -24,39 +24,24 @@ _MAX_SWEEP_TAUS = 10_000
 _ARRAY = "\0array\0"  # stands for a spliced float array in the encoded payload
 
 
-def _probability(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not in (0, 1)")
-    return value
+def _number(name: str, cast, ok, what: str):
+    """An argparse type: ``cast(text)``, refused as "'text' is not <what>"
+    unless ``ok``. argparse names it ``name`` when ``cast`` fails."""
+    def parse(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+    parse.__name__ = name
+    return parse
 
 
-def _unit_interval(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not in [0, 1]")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive number")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
-    return value
-
-
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative integer")
-    return value
+_probability = _number("_probability", float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
+_unit_interval = _number("_unit_interval", float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+_positive_float = _number("_positive_float", float, lambda v: math.isfinite(v) and v > 0.0,
+                          "a positive number")
+_positive_int = _number("_positive_int", int, lambda v: v >= 1, "a positive integer")
+_nonneg_int = _number("_nonneg_int", int, lambda v: v >= 0, "a nonnegative integer")
 
 
 def _sweep_range(text: str) -> np.ndarray:

@@ -69,7 +69,7 @@ class TwoGroupSample:
 
     def __post_init__(self):
         times = np.array(self.times, dtype=float)
-        codes = np.array(self.codes, dtype=np.int64)
+        codes = _status_codes(self.codes, copy=True)
         group = np.array(self.group, dtype=np.int64)
         if times.ndim != 1 or codes.shape != times.shape or group.shape != times.shape:
             raise DataValidationError("times, codes and group must be 1-d, one length")
@@ -102,6 +102,16 @@ class TwoGroupSample:
         from .cif import PooledFit  # cif imports this module
 
         return PooledFit.from_arrays(self.times, self.codes, self.group, 2)
+
+
+def _status_codes(codes, copy: bool) -> np.ndarray:
+    """``codes`` as int64, a copy if ``copy``. Codes not held as integers
+    or bools must each equal 0, 1 or 2: numpy's cast would truncate 1.7 to
+    1, and raise its own error on 'x' or None."""
+    codes = np.asarray(codes)
+    if codes.dtype.kind not in "biu" and not np.isin(codes, (0, 1, 2)).all():
+        raise DataValidationError("status codes must be 0, 1 or 2")
+    return np.array(codes, dtype=np.int64, copy=copy or None)
 
 
 def _check_columns(times, codes, group, groups):
@@ -171,7 +181,7 @@ def build_risk_table(times, codes) -> RiskTable:
     at t.
     """
     times = np.asarray(times, dtype=float)
-    codes = np.asarray(codes, dtype=np.int64)
+    codes = _status_codes(codes, copy=False)
     if times.ndim != 1 or codes.shape != times.shape:
         raise DataValidationError(f"times and codes must be 1-d and of one length, "
                                   f"got shapes {times.shape} and {codes.shape}")

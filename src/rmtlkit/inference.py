@@ -23,7 +23,6 @@ from .rmtl import (
     _check_alpha,
     _plug_in_variance,
     _step_integrals,
-    _tau_at_zero,
     rmtl_difference,
 )
 
@@ -176,25 +175,22 @@ def sdiff_test(
     )
 
 
-def _block_tests(fit: BlockFit, methods, rho: float, groups: tuple[str, str]):
-    """tau by the default rule and the selected tests on every row of a
-    two-group block fit, as arrays over the rows.
+def _block_tests(fit: BlockFit, tau, methods, rho: float):
+    """The selected tests at ``tau[r]`` on every row r of a two-group block
+    fit, as arrays over the rows.
 
-    Returns tau and, for each method, (statistic, p-value, degenerate),
-    the first two NaN where degenerate. Row r gets what ``default_tau``,
-    ``diff_test`` and ``sdiff_test`` give sample r, up to the order in
-    which sums are taken, and is degenerate where they raise: Diff at a
-    zero standard error, sDiff with no grid time below tau or a zero
-    normalizer. Every row needs an event of interest in each group; a row
-    whose tau is 0 raises as ``default_tau`` does.
+    Returns, for each method, (statistic, p-value, degenerate), the first
+    two NaN where degenerate. Row r gets what ``diff_test`` and
+    ``sdiff_test`` give sample r at ``tau[r]``, up to the order in which
+    sums are taken, and is degenerate where they raise: Diff at a zero
+    standard error, sDiff with no grid time below tau or a zero
+    normalizer. Each ``tau[r]`` must be at or before one of row r's grid
+    times, as ``rmtl._block_taus`` is.
     """
-    tau = fit.last.min(axis=0)
-    if not tau.all():
-        raise _tau_at_zero(groups[int((fit.last[:, (tau == 0).argmax()] == 0).argmax())])
-    # Clipped at tau, every row's grid times end at tau (each group's last
-    # event of interest is a grid time at or after it), and those from tau
-    # on, padding included, start intervals of width 0. The CIFs are step
-    # functions on the grid, so Diff's areas are integrals over it.
+    # Clipped at tau, every row's grid times end at tau (a grid time is at
+    # or after it), and those from tau on, padding included, start
+    # intervals of width 0. The CIFs are step functions on the grid, so
+    # Diff's areas are integrals over it.
     clipped = np.minimum(fit.grid_times, tau[:, None])
     starts, ends = clipped[:, :-1], clipped[:, 1:]
     values, variances = fit.values[..., :-1], fit.variances[..., :-1]
@@ -216,7 +212,7 @@ def _block_tests(fit: BlockFit, methods, rho: float, groups: tuple[str, str]):
         statistic = np.divide(np.abs(process).max(axis=-1, initial=0.0), sigma,
                               out=np.full_like(sigma, np.nan), where=ok)
         results[TestMethod.SDIFF] = (statistic, _p_values(_sdiff_p, statistic, ok), ~ok)
-    return tau, results
+    return results
 
 
 def _p_values(p_value, statistics, ok):

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._normal import ndtri
 from .cif import StepFunction
-from .data_model import TwoGroupSample
+from .data_model import EventCode, TwoGroupSample
 from .errors import DataValidationError, DegenerateDataError, ExtrapolationWarning
 
 _PACKAGE = os.path.dirname(__file__) + os.sep
@@ -173,6 +173,20 @@ def default_tau(sample: TwoGroupSample) -> float:
     if min(last) == 0.0:
         raise _tau_at_zero(sample.groups[last.index(0.0)])
     return min(last)
+
+
+def _block_taus(times, codes, sizes, groups) -> np.ndarray:
+    """``default_tau`` of every row of (R, N) two-group draws whose first
+    ``sizes[0]`` subjects are group 0. Each row needs an event of interest
+    in each group; a row whose tau is 0 raises as ``default_tau`` does."""
+    # times are nonnegative, so this is np.where(interest, times, 0),
+    # without its slow branch on a mask that is true at random
+    interest = times * (codes == int(EventCode.INTEREST))
+    last = np.maximum.reduceat(interest, [0, sizes[0]], axis=1)
+    tau = last.min(axis=1)
+    if not tau.all():
+        raise _tau_at_zero(groups[int((last[(tau == 0).argmax()] == 0).argmax())])
+    return tau
 
 
 def _tau_at_zero(label: str) -> DegenerateDataError:

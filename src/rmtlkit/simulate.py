@@ -38,7 +38,7 @@ from .cif import _block_fits
 from .data_model import EventCode, _check_columns, read_text
 from .errors import DataValidationError, SmallSampleWarning
 from .inference import TestMethod, _block_tests, _check_rho
-from .rmtl import _check_alpha
+from .rmtl import _block_taus, _check_alpha
 
 _CALIBRATION_SEED = 1_000_003
 _CALIBRATION_DRAWS = 100_000
@@ -463,8 +463,9 @@ def _run_block(scn, methods, start, stop, seed, alpha, rho, bounds):
         skipped += len(keep) - kept
         if kept == 0:
             continue
-        fit = _block_fits(times[keep], codes[keep], sizes)
-        _, results = _block_tests(fit, methods, rho, _GROUPS)
+        t, c = times[keep], codes[keep]
+        results = _block_tests(_block_fits(t, c, sizes), _block_taus(t, c, sizes, _GROUPS),
+                               methods, rho)
         for method, (_, p, degenerate) in results.items():
             failed = int(np.count_nonzero(degenerate))
             tallies[method][0] += int(np.count_nonzero(p < alpha))

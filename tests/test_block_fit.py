@@ -1,14 +1,12 @@
 """The block fit of the Monte Carlo engine against PooledFit.from_arrays,
 bitwise, sign bits included: each row's pooled grid, each group's CIF and
-variance on it and the group sizes, and each group's last event-of-interest
-time against the last knot of its CIF, on every replication of the
-shipped scenarios, an unequal split, tied and single-cause blocks,
+variance on it and the group sizes, on every replication of the shipped
+scenarios, an unequal split, tied and single-cause blocks,
 skipped replications, one-row blocks and blocks that cross chunk edges.
 Also the padding, the size of each kernel call, and the checks that run
 once per chunk."""
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -33,27 +31,21 @@ def same_array(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def same_float(a, b):
-    return type(a) is type(b) and a == b and math.copysign(1, a) == math.copysign(1, b)
-
-
 def assert_row_matches(fit, r, want):
     """Row r of a block fit against the PooledFit of sample r: the grid
-    arrays bitwise, and each group's last event-of-interest time that of
-    its CIF's last knot (0 with none)."""
-    m = fit.grid_counts[r]
+    arrays bitwise, the grid read up to the row's first +inf."""
+    m = int(np.isfinite(fit.grid_times[r]).sum())
     got = {"times": fit.grid_times[r, :m], "values": fit.values[:, r, :m],
            "variances": fit.variances[:, r, :m], "n_total": fit.n_total}
     for name, arr in got.items():
         assert same_array(arr, getattr(want, name)), name
-    for k, cif in enumerate(want.cifs):
-        last = cif.times[-1] if cif.times.size else 0.0
-        assert same_float(float(fit.last[k, r]), float(last)), k
 
 
 def assert_padded(fit):
-    """Past each row's count, times are +inf and values and variances 0."""
-    pad = np.arange(fit.grid_times.shape[-1]) >= fit.grid_counts[:, None]
+    """Past each row's finite grid times, times are +inf and values and
+    variances 0."""
+    counts = np.isfinite(fit.grid_times).sum(axis=-1)
+    pad = np.arange(fit.grid_times.shape[-1]) >= counts[:, None]
     assert np.all(fit.grid_times[pad] == np.inf)
     for arr in (fit.values, fit.variances):
         assert np.all(arr[:, pad] == 0.0)
@@ -63,8 +55,7 @@ def assert_block_matches(times, codes, sizes):
     """The kernel on an (R, N) block against from_arrays row by row."""
     group = np.repeat(np.arange(len(sizes)), sizes)
     fit = _block_fits(times, codes, sizes)
-    assert fit.grid_counts.shape == (len(times),)
-    assert fit.last.shape == (len(sizes), len(times))
+    assert fit.grid_times.shape[0] == len(times)
     assert_padded(fit)
     for r, (t, c) in enumerate(zip(times, codes)):
         assert_row_matches(fit, r, PooledFit.from_arrays(t, c, group, len(sizes)))

@@ -1,10 +1,10 @@
-"""The Monte Carlo engine's block kernel against the per-sample API: tau,
-Diff and sDiff on every row of a block fit, compared with ``default_tau``,
-``diff_test`` and ``sdiff_test`` on that row's sample. tau and every
-rejection and degenerate flag agree exactly; the statistics and p-values
-agree to rounding, as the kernel sums along padded rows in another order.
-Diff's z is compared in absolute terms: near 0 it is cancellation noise of
-about 1e-15."""
+"""The Monte Carlo engine's block kernel against the per-sample API: tau
+from ``_block_taus`` and Diff and sDiff on every row of a block fit,
+compared with ``default_tau``, ``diff_test`` and ``sdiff_test`` on that
+row's sample. tau and every rejection and degenerate flag agree exactly;
+the statistics and p-values agree to rounding, as the kernel sums along
+padded rows in another order. Diff's z is compared in absolute terms:
+near 0 it is cancellation noise of about 1e-15."""
 
 import dataclasses
 import math
@@ -25,6 +25,7 @@ from rmtlkit import (
 )
 from rmtlkit.cif import _block_fits
 from rmtlkit.inference import _block_tests
+from rmtlkit.rmtl import _block_taus
 from rmtlkit.simulate import _samples, resolve_censoring
 
 GROUPS = ("1", "2")
@@ -42,7 +43,8 @@ def assert_kernel_matches(times, codes, sizes) -> dict:
     """The kernel on an (R, N) block against the per-sample API row by
     row; return each method's count of degenerate rows."""
     group = np.repeat([0, 1], sizes)
-    tau, results = _block_tests(_block_fits(times, codes, sizes), METHODS, RHO, GROUPS)
+    tau = _block_taus(times, codes, sizes, GROUPS)
+    results = _block_tests(_block_fits(times, codes, sizes), tau, METHODS, RHO)
     assert tau.shape == (len(times),) and set(results) == set(METHODS)
     degenerate = dict.fromkeys(METHODS, 0)
     for r, (t, c) in enumerate(zip(times, codes)):
@@ -125,7 +127,8 @@ def test_constructed_degenerate_rows():
                        "zero standard error", "no event times before tau=2"]
     assert assert_kernel_matches(times, codes, (3, 3)) == {
         Method.DIFF: 2, Method.SDIFF: 2}
-    _, results = _block_tests(_block_fits(times, codes, (3, 3)), METHODS, RHO, GROUPS)
+    results = _block_tests(_block_fits(times, codes, (3, 3)),
+                           _block_taus(times, codes, (3, 3), GROUPS), METHODS, RHO)
     for method in METHODS:
         statistic, p, _ = (a[2] for a in results[method])
         assert abs(statistic) < 1e-15 and p == 1.0
@@ -143,22 +146,24 @@ def test_a_one_row_chunk():
 
 
 def test_tau_at_zero_raises_as_default_tau_does():
-    times = np.array([[1.0, 2.0, 3.0, 1.0, 2.0, 3.0],
-                      [1.0, 2.0, 3.0, 0.0, 2.0, 3.0]])
-    codes = np.array([[1, 1, 0, 1, 0, 1],
-                      [1, 1, 0, 1, 2, 0]])
-    sample = TwoGroupSample(times[1], codes[1], np.repeat([0, 1], 3), GROUPS)
-    with pytest.raises(DegenerateDataError) as want:
-        default_tau(sample)
-    with pytest.raises(DegenerateDataError) as got:
-        _block_tests(_block_fits(times, codes, (3, 3)), METHODS, RHO, GROUPS)
-    assert str(got.value) == str(want.value)
-    assert "group '2'" in str(got.value)
+    # in the second row, group `label` has its only event of interest at 0
+    for label, row in (("1", [0.0, 2.0, 3.0, 1.0, 2.0, 3.0]),
+                       ("2", [1.0, 2.0, 3.0, 0.0, 2.0, 3.0])):
+        times = np.array([[1.0, 2.0, 3.0, 1.0, 2.0, 3.0], row])
+        codes = np.array([[1, 1, 0, 1, 0, 1],
+                          [1, 2, 0, 1, 2, 0]])
+        sample = TwoGroupSample(times[1], codes[1], np.repeat([0, 1], 3), GROUPS)
+        with pytest.raises(DegenerateDataError) as want:
+            default_tau(sample)
+        with pytest.raises(DegenerateDataError) as got:
+            _block_taus(times, codes, (3, 3), GROUPS)
+        assert str(got.value) == str(want.value)
+        assert f"group {label!r}" in str(got.value)
 
 
 def test_only_the_selected_methods_run():
     times, codes = engine_block(load_shipped_scenario("a_null"), 10, 29)
     for method in METHODS:
-        _, results = _block_tests(_block_fits(times, codes, (50, 50)), (method,), RHO,
-                                  GROUPS)
+        results = _block_tests(_block_fits(times, codes, (50, 50)),
+                               _block_taus(times, codes, (50, 50), GROUPS), (method,), RHO)
         assert set(results) == {method}

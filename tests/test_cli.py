@@ -481,6 +481,24 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command, option, value, message", [
+        ("test", "--alpha", "abc", "invalid _probability value: 'abc'"),
+        ("test", "--alpha", "1", "'1' is not in (0, 1)"),
+        ("test", "--rho", "nan", "'nan' is not in [0, 1]"),
+        ("test", "--tau", "inf", "'inf' is not a positive number"),
+        ("samplesize", "--ratio", "x", "invalid _positive_float value: 'x'"),
+        ("samplesize", "--power", "0", "'0' is not in (0, 1)"),
+        ("simulate", "--reps", "1.5", "invalid _positive_int value: '1.5'"),
+        ("simulate", "--workers", "0", "'0' is not a positive integer"),
+        ("simulate", "--seed", "-1", "'-1' is not a nonnegative integer"),
+    ])
+    def test_bad_numbers_are_worded(self, capsys, command, option, value, message):
+        with pytest.raises(SystemExit) as exc:
+            main([command, option, value])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"rmtlkit {command}: error: argument {option}: {message}")
+
     @pytest.mark.parametrize(
         "argv",
         [

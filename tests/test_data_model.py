@@ -120,6 +120,24 @@ class TestRiskTable:
                 build_risk_table(times, [1, 1])
 
 
+@pytest.mark.parametrize("bad", [1.7, 0.5, float("nan"), float("inf"), "x", None])
+@pytest.mark.parametrize("build", [
+    lambda codes: build_risk_table([1.0, 2.0, 3.0], codes),
+    lambda codes: TwoGroupSample([1.0, 2.0, 3.0], codes, [0, 1, 1], ("a", "b")),
+], ids=["build_risk_table", "TwoGroupSample"])
+def test_codes_that_are_not_0_1_or_2_rejected(bad, build):
+    # neither truncated to a valid code nor a bare numpy ValueError/TypeError
+    with pytest.raises(DataValidationError, match="status codes must be 0, 1 or 2"):
+        build([1, bad, 2])
+
+
+def test_codes_held_as_whole_floats_accepted():
+    codes = [1.0, 0.0, 2.0]
+    assert build_risk_table([1.0, 2.0, 3.0], codes).events_competing.tolist() == [0, 1]
+    sample = TwoGroupSample([1.0, 2.0, 3.0], codes, [0, 1, 1], ("a", "b"))
+    assert sample.codes.dtype == np.int64 and sample.codes.tolist() == [1, 0, 2]
+
+
 class TestTwoGroupSample:
     def test_first_seen_order(self):
         recs = make_records([(1.0, 1)], "b") + make_records([(2.0, 1)], "a")

@@ -1,7 +1,7 @@
 """A guard on the Monte Carlo engine's fixed cost per study that needs no
 timer: the calls made from inside rmtlkit while the block of one
-replication is fitted and tested, and while a chunk of replications is
-drawn.
+replication is fitted, given its tau and tested, and while a chunk of
+replications is drawn.
 
 At the few replications of a study's chunk the kernel's cost is numpy
 dispatch, paid per call whatever the block's size, so a change that adds
@@ -22,10 +22,11 @@ import rmtlkit
 from rmtlkit import TestMethod as Method, load_shipped_scenario
 from rmtlkit.cif import _block_fits
 from rmtlkit.inference import _block_tests
+from rmtlkit.rmtl import _block_taus
 from rmtlkit.simulate import _samples
 
 PACKAGE = os.path.dirname(rmtlkit.__file__) + os.sep
-CALLS = 218
+CALLS = 208
 # one 16-replication chunk of a_null drawn, sampled and checked, without
 # and with a censoring bound
 SAMPLING_CALLS = {None: 79, (2.0, 2.0): 90}
@@ -56,7 +57,8 @@ def test_one_replication_is_fitted_and_tested_in_few_calls():
     assert keep.all()
     methods = (Method.DIFF, Method.SDIFF)
     count = calls_from_the_package(
-        lambda: _block_tests(_block_fits(times, codes, (50, 50)), methods, 0.5, ("1", "2")))
+        lambda: _block_tests(_block_fits(times, codes, (50, 50)),
+                             _block_taus(times, codes, (50, 50), ("1", "2")), methods, 0.5))
     # the lower bound shows that the hook saw the kernel at all
     assert 100 < count <= 1.1 * CALLS, count
 

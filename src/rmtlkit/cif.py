@@ -178,8 +178,7 @@ def _block_fits(times, codes, sizes) -> BlockFit:
     rest of a row is padding that no fitted value reads, as the fit takes
     cumulative sums and products along each row. Each group's CIF and
     variance are then read on the pooled grid, and the fits come back in
-    the layout ``BlockFit`` describes. No tau is read here: the engine
-    takes each row's from its draws with ``rmtl._block_taus``.
+    the layout ``BlockFit`` describes. Tau comes from ``rmtl._block_taus``.
     """
     n_rows, width = times.shape
     n_groups = len(sizes)

@@ -105,13 +105,17 @@ class TwoGroupSample:
 
 
 def _status_codes(codes, copy: bool) -> np.ndarray:
-    """``codes`` as int64, a copy if ``copy``. Codes not held as integers
-    or bools must each equal 0, 1 or 2: numpy's cast would truncate 1.7 to
-    1, and raise its own error on 'x' or None."""
+    """``codes`` as int64, a copy if ``copy``. Codes not held as integers or
+    bools are read as floats (so '1' is 1, and 1.7 is not truncated to 1)."""
     codes = np.asarray(codes)
-    if codes.dtype.kind not in "biu" and not np.isin(codes, (0, 1, 2)).all():
-        raise DataValidationError("status codes must be 0, 1 or 2")
-    return np.array(codes, dtype=np.int64, copy=copy or None)
+    if codes.dtype.kind not in "biu":
+        try:
+            codes = codes.astype(float)
+        except (TypeError, ValueError):
+            codes = None
+        if codes is None or not np.isin(codes, (0, 1, 2)).all():
+            raise DataValidationError("status codes must be 0, 1 or 2")
+    return codes.astype(np.int64, copy=copy)
 
 
 def _check_columns(times, codes, group, groups):

@@ -179,8 +179,7 @@ def _block_taus(times, codes, sizes, groups) -> np.ndarray:
     """``default_tau`` of every row of (R, N) two-group draws whose first
     ``sizes[0]`` subjects are group 0. Each row needs an event of interest
     in each group; a row whose tau is 0 raises as ``default_tau`` does."""
-    # times are nonnegative, so this is np.where(interest, times, 0),
-    # without its slow branch on a mask that is true at random
+    # np.where(interest, times, 0) for nonnegative times, without its slow branch
     interest = times * (codes == int(EventCode.INTEREST))
     last = np.maximum.reduceat(interest, [0, sizes[0]], axis=1)
     tau = last.min(axis=1)
@@ -190,6 +189,5 @@ def _block_taus(times, codes, sizes, groups) -> np.ndarray:
 
 
 def _tau_at_zero(label: str) -> DegenerateDataError:
-    return DegenerateDataError(
-        f"group {label!r} has its last event of interest at time 0; tau rule undefined"
-    )
+    return DegenerateDataError(f"group {label!r} has its last event of interest at time 0; "
+                               "tau rule undefined")

@@ -95,6 +95,18 @@ def test_a_tied_block():
     assert_kernel_matches(times, codes, [g.n for g in scn.groups])
 
 
+@pytest.mark.parametrize("target, decimals, sizes", [
+    (None, None, (30, 70)), (0.45, None, (30, 70)), (0.3, 2, (40, 60))])
+def test_unequal_splits(target, decimals, sizes):
+    # each group's last event of interest is taken over its own subjects,
+    # so the row splits at sizes[0], not at its middle
+    scn = load_shipped_scenario("c_nonproportional")
+    groups = tuple(dataclasses.replace(g, n=n) for g, n in zip(scn.groups, sizes))
+    scn = dataclasses.replace(scn, groups=groups, censoring=CensoringSpec(target=target))
+    transform = None if decimals is None else (lambda t: np.round(t, decimals))
+    assert_kernel_matches(*engine_block(scn, 40, 31, transform), sizes)
+
+
 def test_constructed_degenerate_rows():
     times = np.array([
         # both groups' only event of interest at time 2, after competing

@@ -120,7 +120,7 @@ class TestRiskTable:
                 build_risk_table(times, [1, 1])
 
 
-@pytest.mark.parametrize("bad", [1.7, 0.5, float("nan"), float("inf"), "x", None])
+@pytest.mark.parametrize("bad", [1.7, 0.5, float("nan"), float("inf"), "x", "1.7", None])
 @pytest.mark.parametrize("build", [
     lambda codes: build_risk_table([1.0, 2.0, 3.0], codes),
     lambda codes: TwoGroupSample([1.0, 2.0, 3.0], codes, [0, 1, 1], ("a", "b")),
@@ -131,8 +131,8 @@ def test_codes_that_are_not_0_1_or_2_rejected(bad, build):
         build([1, bad, 2])
 
 
-def test_codes_held_as_whole_floats_accepted():
-    codes = [1.0, 0.0, 2.0]
+@pytest.mark.parametrize("codes", [[1.0, 0.0, 2.0], ["1", "0", "2"], ["1.0", "0", "2.0"]])
+def test_codes_held_as_whole_floats_or_numeric_strings_accepted(codes):
     assert build_risk_table([1.0, 2.0, 3.0], codes).events_competing.tolist() == [0, 1]
     sample = TwoGroupSample([1.0, 2.0, 3.0], codes, [0, 1, 1], ("a", "b"))
     assert sample.codes.dtype == np.int64 and sample.codes.tolist() == [1, 0, 2]

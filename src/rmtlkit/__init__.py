@@ -13,7 +13,6 @@ from .cif import PooledFit, StepFunction, cif_estimate, km_overall
 from .data_model import (
     EventCode,
     RiskTable,
-    SubjectRecord,
     TwoGroupSample,
     build_risk_table,
     parse_dataset,

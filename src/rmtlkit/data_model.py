@@ -34,23 +34,6 @@ class EventCode(IntEnum):
     COMPETING = 2
 
 
-@dataclass(frozen=True)
-class SubjectRecord:
-    """One observation: time on study, status code, and group label."""
-
-    time: float
-    event: EventCode
-    group: str
-
-    def __post_init__(self):
-        if not (isinstance(self.time, (int, float)) and math.isfinite(self.time)):
-            raise DataValidationError(f"time must be finite, got {self.time!r}")
-        if self.time < 0:
-            raise DataValidationError(f"time must be nonnegative, got {self.time}")
-        if not isinstance(self.event, EventCode):
-            object.__setattr__(self, "event", EventCode(self.event))
-
-
 @dataclass(frozen=True, eq=False)
 class TwoGroupSample:
     """Two nonempty groups held as parallel arrays, one entry per subject.
@@ -68,9 +51,9 @@ class TwoGroupSample:
     groups: tuple[str, str]
 
     def __post_init__(self):
-        times = np.array(self.times, dtype=float)
-        codes = _status_codes(self.codes, copy=True)
-        group = np.array(self.group, dtype=np.int64)
+        times = _floats(self.times)
+        codes = _indices(self.codes, (0, 1, 2), "status codes must be 0, 1 or 2")
+        group = _indices(self.group, (0, 1), "group indices must be 0/1, both groups nonempty")
         if times.ndim != 1 or codes.shape != times.shape or group.shape != times.shape:
             raise DataValidationError("times, codes and group must be 1-d, one length")
         if not times.size:
@@ -82,17 +65,31 @@ class TwoGroupSample:
 
     @classmethod
     def from_records(cls, records, reference: str | None = None) -> "TwoGroupSample":
-        """Build a sample with group order taken as first seen in ``records``.
+        """Build a sample from ``(time, status, group label)`` rows, with group
+        order taken as first seen in ``records``.
 
         ``reference`` forces that label into the group-1 (reference) slot.
         """
-        records = tuple(records)
-        return _from_columns(
-            [r.time for r in records],
-            [int(r.event) for r in records],
-            [r.group for r in records],
-            reference,
-        )
+        times, codes, labels = [], [], []
+        for i, record in enumerate(records):
+            try:
+                time, code, label = record
+            except (TypeError, ValueError):
+                raise DataValidationError(
+                    f"record {i}: expected (time, status, group), got {record!r}") from None
+            times.append(time)
+            codes.append(code)
+            labels.append(label)
+        seen = list(dict.fromkeys(labels))
+        if len(seen) != 2:
+            raise DataValidationError(
+                f"exactly two groups required, found {len(seen)}: {seen}")
+        if reference is not None:
+            if reference not in seen:
+                raise DataValidationError(
+                    f"reference group {reference!r} not present in data")
+            seen.sort(key=lambda g: g != reference)
+        return cls(times, codes, [label == seen[1] for label in labels], tuple(seen))
 
     @cached_property
     def pooled(self) -> PooledFit:
@@ -104,18 +101,27 @@ class TwoGroupSample:
         return PooledFit.from_arrays(self.times, self.codes, self.group, 2)
 
 
-def _status_codes(codes, copy: bool) -> np.ndarray:
-    """``codes`` as int64, a copy if ``copy``. Codes not held as integers or
-    bools are read as floats (so '1' is 1, and 1.7 is not truncated to 1)."""
-    codes = np.asarray(codes)
-    if codes.dtype.kind not in "biu":
+def _floats(times) -> np.ndarray:
+    """``times`` as a new float array; a time ``float`` refuses is a data error."""
+    try:
+        return np.array(times, dtype=float)
+    except (TypeError, ValueError):
+        raise DataValidationError("times must be finite and nonnegative") from None
+
+
+def _indices(values, allowed: tuple, message: str) -> np.ndarray:
+    """``values`` as a new int64 array. Values not held as integers or bools
+    are read as floats and must be in ``allowed`` (so '1' is 1, and 1.7 is
+    not truncated to 1), else a data error worded by ``message``."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "biu":
         try:
-            codes = codes.astype(float)
+            values = values.astype(float)
         except (TypeError, ValueError):
-            codes = None
-        if codes is None or not np.isin(codes, (0, 1, 2)).all():
-            raise DataValidationError("status codes must be 0, 1 or 2")
-    return codes.astype(np.int64, copy=copy)
+            values = None
+        if values is None or not np.isin(values, allowed).all():
+            raise DataValidationError(message)
+    return values.astype(np.int64)
 
 
 def _check_columns(times, codes, group, groups):
@@ -130,24 +136,6 @@ def _check_columns(times, codes, group, groups):
         raise DataValidationError("exactly two distinct group labels required")
     if not (group.min() == 0 and group.max() == 1):
         raise DataValidationError("group indices must be 0/1, both groups nonempty")
-
-
-def _from_columns(times, codes, labels, reference) -> TwoGroupSample:
-    """Sample from per-row columns, groups in first-seen label order."""
-    seen = list(dict.fromkeys(labels))
-    if len(seen) != 2:
-        raise DataValidationError(
-            f"exactly two groups required, found {len(seen)}: {seen}"
-        )
-    if reference is not None:
-        if reference not in seen:
-            raise DataValidationError(
-                f"reference group {reference!r} not present in data"
-            )
-        seen.sort(key=lambda g: g != reference)
-    second = seen[1]
-    group = [label == second for label in labels]
-    return TwoGroupSample(times, codes, group, (seen[0], second))
 
 
 @dataclass(frozen=True)
@@ -184,8 +172,8 @@ def build_risk_table(times, codes) -> RiskTable:
     with events first: a subject censored at t is still at risk for events
     at t.
     """
-    times = np.asarray(times, dtype=float)
-    codes = _status_codes(codes, copy=False)
+    times = _floats(times)
+    codes = _indices(codes, (0, 1, 2), "status codes must be 0, 1 or 2")
     if times.ndim != 1 or codes.shape != times.shape:
         raise DataValidationError(f"times and codes must be 1-d and of one length, "
                                   f"got shapes {times.shape} and {codes.shape}")
@@ -398,7 +386,7 @@ def _parse_rows(text: str, reference: str | None) -> TwoGroupSample:
     t_col, s_col, g_col = _header_columns(header, first.rstrip("\n"))
     width = max(t_col, s_col, g_col) + 1
 
-    times, codes, labels = [], [], []
+    rows = []
     i = 0
     try:
         for i, row in enumerate(filter(None, reader), start=1):
@@ -420,11 +408,9 @@ def _parse_rows(text: str, reference: str | None) -> TwoGroupSample:
             group = row[g_col].strip()
             if not group:
                 raise DataValidationError(f"row {i}: empty group label")
-            times.append(time)
-            codes.append(code)
-            labels.append(group)
+            rows.append((time, code, group))
     except csv.Error as exc:  # reading the row after row i
         raise DataValidationError(f"row {i + 1}: {exc}") from None
-    if not times:
+    if not rows:
         raise DataValidationError("no data rows found")
-    return _from_columns(times, codes, labels, reference)
+    return TwoGroupSample.from_records(rows, reference)

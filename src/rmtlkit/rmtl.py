@@ -8,6 +8,7 @@ step-function integrals, never quadrature, so results are bit-stable.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import sys
 import warnings
@@ -45,7 +46,8 @@ class RmtlDifference:
 
 
 def _check_tau(fn: StepFunction, tau: float) -> float:
-    if not (isinstance(tau, (int, float)) and math.isfinite(tau)) or tau <= 0:
+    if (isinstance(tau, bool) or not isinstance(tau, numbers.Real)
+            or not math.isfinite(tau) or tau <= 0):
         raise DataValidationError(f"tau must be a positive finite number, got {tau!r}")
     if tau > fn.last_observed:
         warnings.warn(

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from rmtlkit import EventCode, SubjectRecord, TwoGroupSample
+from rmtlkit import EventCode, TwoGroupSample
 
 
 def engine_samples(scn, start, stop, seed, bounds):
@@ -47,18 +47,15 @@ def random_arrays(rng, n, p_interest=0.5, p_competing=0.3, tie_grid=None):
 
 
 def random_records(rng, n, group, **kw):
-    """The draws of ``random_arrays`` as records of one group."""
+    """The draws of ``random_arrays`` as (time, status, group) records of one group."""
     times, codes = random_arrays(rng, n, **kw)
-    return [
-        SubjectRecord(float(t), EventCode(int(e)), group)
-        for t, e in zip(times, codes)
-    ]
+    return [(float(t), int(e), group) for t, e in zip(times, codes)]
 
 
 def columns(records):
     """(times, codes) arrays of a list of records."""
-    return (np.array([r.time for r in records], dtype=float),
-            np.array([int(r.event) for r in records]))
+    return (np.array([t for t, _, _ in records], dtype=float),
+            np.array([e for _, e, _ in records]))
 
 
 def swap_groups(sample) -> TwoGroupSample:

@@ -4,7 +4,6 @@ import pytest
 from rmtlkit import (
     DataValidationError,
     EventCode,
-    SubjectRecord,
     TwoGroupSample,
     build_risk_table,
     parse_dataset,
@@ -14,7 +13,7 @@ from helpers import random_arrays, random_records
 
 
 def make_records(spec, group="g"):
-    return [SubjectRecord(t, EventCode(e), group) for t, e in spec]
+    return [(t, e, group) for t, e in spec]
 
 
 def table(spec):
@@ -22,27 +21,10 @@ def table(spec):
     return build_risk_table(times, codes)
 
 
-class TestSubjectRecord:
-    def test_codes(self):
-        assert EventCode.CENSORED == 0
-        assert EventCode.INTEREST == 1
-        assert EventCode.COMPETING == 2
-
-    def test_event_coerced_from_int(self):
-        rec = SubjectRecord(1.0, 2, "g")
-        assert rec.event is EventCode.COMPETING
-
-    @pytest.mark.parametrize("time", [-1.0, float("nan"), float("inf")])
-    def test_bad_time_rejected(self, time):
-        with pytest.raises(DataValidationError):
-            SubjectRecord(time, EventCode.INTEREST, "g")
-
-    def test_bad_code_rejected(self):
-        with pytest.raises((DataValidationError, ValueError)):
-            SubjectRecord(1.0, 3, "g")
-
-    def test_zero_time_allowed(self):
-        assert SubjectRecord(0.0, EventCode.CENSORED, "g").time == 0.0
+def test_codes():
+    assert EventCode.CENSORED == 0
+    assert EventCode.INTEREST == 1
+    assert EventCode.COMPETING == 2
 
 
 class TestRiskTable:
@@ -131,6 +113,20 @@ def test_codes_that_are_not_0_1_or_2_rejected(bad, build):
         build([1, bad, 2])
 
 
+@pytest.mark.parametrize("build, match", [
+    (lambda: TwoGroupSample([1.0, 2.0], [1, 1], [0, 1.5], ("a", "b")), "group indices"),
+    (lambda: TwoGroupSample([1.0, 2.0], [1, 1], [0, "b"], ("a", "b")), "group indices"),
+    (lambda: TwoGroupSample(["x", 2.0], [1, 1], [0, 1], ("a", "b")), "times"),
+    (lambda: build_risk_table(["x", 2.0], [1, 1]), "times"),
+    (lambda: TwoGroupSample.from_records([("x", 1, "a"), (2.0, 1, "b")]), "times"),
+], ids=["fractional-group", "text-group", "text-time", "text-time-risk-table",
+        "text-time-record"])
+def test_times_and_group_indices_converted_like_codes(build, match):
+    # neither truncated (group 1.5 read as 1) nor a bare numpy ValueError
+    with pytest.raises(DataValidationError, match=match):
+        build()
+
+
 @pytest.mark.parametrize("codes", [[1.0, 0.0, 2.0], ["1", "0", "2"], ["1.0", "0", "2.0"]])
 def test_codes_held_as_whole_floats_or_numeric_strings_accepted(codes):
     assert build_risk_table([1.0, 2.0, 3.0], codes).events_competing.tolist() == [0, 1]
@@ -158,7 +154,7 @@ class TestTwoGroupSample:
 
     @pytest.mark.parametrize("labels", [["a"], ["a", "b", "c"]])
     def test_group_count_enforced(self, labels):
-        recs = [SubjectRecord(1.0, EventCode.INTEREST, g) for g in labels]
+        recs = [(1.0, EventCode.INTEREST, g) for g in labels]
         with pytest.raises(DataValidationError):
             TwoGroupSample.from_records(recs)
 
@@ -168,8 +164,8 @@ class TestTwoGroupSample:
         sample = TwoGroupSample.from_records(recs)
         assert sample.groups == ("x", "y")
         assert sample.group.tolist() == [0] * 20 + [1] * 30
-        assert sample.times.tolist() == [r.time for r in recs]
-        assert sample.codes.tolist() == [int(r.event) for r in recs]
+        assert sample.times.tolist() == [t for t, _, _ in recs]
+        assert sample.codes.tolist() == [e for _, e, _ in recs]
         assert sample.pooled.n_total.tolist() == [20, 30]
 
     @pytest.mark.parametrize(
@@ -204,6 +200,32 @@ class TestTwoGroupSample:
         assert sample.pooled is sample.pooled
         assert sample.pooled.n_total[1] == 2
         assert sample.pooled.cifs[1].times.tolist() == [3.0]
+
+
+class TestFromRecords:
+    @pytest.mark.parametrize("bad", [(1.0, 1), (1.0, 1, "b", "x"), 1.0],
+                             ids=["two-fields", "four-fields", "not-a-sequence"])
+    def test_record_not_three_fields_names_its_index(self, bad):
+        with pytest.raises(DataValidationError, match=r"^record 1: expected \(time"):
+            TwoGroupSample.from_records([(1.0, 1, "a"), bad, (2.0, 1, "b")])
+
+    def test_empty_input(self):
+        with pytest.raises(DataValidationError,
+                           match=r"^exactly two groups required, found 0: \[\]$"):
+            TwoGroupSample.from_records([])
+
+    def test_bad_code_rejected(self):
+        with pytest.raises(DataValidationError, match="status codes must be 0, 1 or 2"):
+            TwoGroupSample.from_records([(1.0, 3, "a"), (2.0, 1, "b")])
+
+    def test_zero_time_allowed(self):
+        sample = TwoGroupSample.from_records([(0.0, 0, "a"), (2.0, 1, "b")])
+        assert sample.times.tolist() == [0.0, 2.0]
+
+    @pytest.mark.parametrize("time", [-1.0, float("nan"), float("inf")])
+    def test_bad_time_rejected(self, time):
+        with pytest.raises(DataValidationError, match="finite and nonnegative"):
+            TwoGroupSample.from_records([(1.0, 1, "a"), (time, 1, "b")])
 
 
 class TestParseDataset:

@@ -8,8 +8,6 @@ from rmtlkit import (
     DegenerateDataError,
     DegenerateDesignWarning,
     DesignInput,
-    EventCode,
-    SubjectRecord,
     TwoGroupSample,
     default_tau,
     drift_crossing_prob,
@@ -175,7 +173,7 @@ class TestPilotParameters:
     def test_group_without_events_before_tau_is_degenerate(self, tau):
         spec = {"a": [(0.5, 1), (1.5, 1), (4.0, 0)], "b": [(0.5, 2), (3.0, 1), (4.0, 0)]}
         sample = TwoGroupSample.from_records([
-            SubjectRecord(t, EventCode(e), g) for g, rows in spec.items() for t, e in rows
+            (t, e, g) for g, rows in spec.items() for t, e in rows
         ])
         with pytest.raises(DegenerateDataError,
                            match="group 'b' has no events of interest before tau"):

@@ -8,9 +8,7 @@ from scipy.special import ndtr
 from rmtlkit import (
     DataValidationError,
     DegenerateDataError,
-    EventCode,
     ExtrapolationWarning,
-    SubjectRecord,
     TwoGroupSample,
     default_tau,
     diff_test,
@@ -23,8 +21,8 @@ from helpers import engine_samples, sample_with_events, swap_groups
 
 
 def two_group(spec1, spec2):
-    recs = [SubjectRecord(t, EventCode(e), "1") for t, e in spec1]
-    recs += [SubjectRecord(t, EventCode(e), "2") for t, e in spec2]
+    recs = [(t, e, "1") for t, e in spec1]
+    recs += [(t, e, "2") for t, e in spec2]
     return TwoGroupSample.from_records(recs)
 
 

@@ -17,11 +17,9 @@ import rmtlkit
 PACKAGE = Path(rmtlkit.__file__).parent
 
 UNUSED_BY_DESIGN = {
-    "SubjectRecord": "the benchmark's trace wraps TwoGroupSample.from_records",
     "load_shipped_scenario": "documented entry point for the packaged scenarios",
 }
 METHODS_UNUSED_BY_DESIGN = {
-    "TwoGroupSample.from_records": "a span target of the benchmark's trace",
     "PiecewiseWeibullCif.cdf": "a scenario's true event-time law, the oracle of tests",
     "PiecewiseWeibullCif.inverse_cdf": (
         "one law's exact inverse, the oracle of tests for the engine's one-table sampler"),

@@ -10,7 +10,6 @@ from rmtlkit import (
     DegenerateDataError,
     EventCode,
     ExtrapolationWarning,
-    SubjectRecord,
     TwoGroupSample,
     build_risk_table,
     cif_estimate,
@@ -30,7 +29,7 @@ from helpers import columns, random_records, sample_with_events, swap_groups, va
 
 def three_subject_records(group="g"):
     spec = [(1.0, 1), (2.0, 2), (3.0, 0)]
-    return [SubjectRecord(t, EventCode(e), group) for t, e in spec]
+    return [(t, e, group) for t, e in spec]
 
 
 def table_of(records):
@@ -87,7 +86,7 @@ class TestPointEstimates:
 
     def test_scale_equivariance(self):
         recs = three_subject_records()
-        scaled = [SubjectRecord(r.time * 10.0, r.event, r.group) for r in recs]
+        scaled = [(t * 10.0, e, g) for t, e, g in recs]
         assert rmtl(cif_of(scaled), 30.0) == pytest.approx(
             10.0 * rmtl(cif_of(recs), 3.0), rel=1e-14
         )
@@ -104,6 +103,16 @@ class TestTauHandling:
     def test_bad_tau_rejected(self, tau):
         with pytest.raises(DataValidationError):
             rmtl(cif_of(three_subject_records()), tau)
+
+    @pytest.mark.parametrize("tau", [np.int64(2), np.float32(2.0), np.float64(2.0)],
+                             ids=["int64", "float32", "float64"])
+    def test_numpy_tau_accepted(self, tau):
+        sample = sample_with_events(46)
+        assert rmtl_difference(sample, tau) == rmtl_difference(sample, 2.0)
+
+    def test_bool_tau_rejected(self):
+        with pytest.raises(DataValidationError, match="tau must be a positive finite number"):
+            rmtl(cif_of(three_subject_records()), True)
 
     def test_extrapolation_warns(self):
         with pytest.warns(ExtrapolationWarning):
@@ -206,8 +215,8 @@ class TestDifference:
 
     def test_group_without_events_is_degenerate(self):
         recs = three_subject_records("a") + [
-            SubjectRecord(1.0, EventCode.CENSORED, "b"),
-            SubjectRecord(2.0, EventCode.COMPETING, "b"),
+            (1.0, EventCode.CENSORED, "b"),
+            (2.0, EventCode.COMPETING, "b"),
         ]
         sample = TwoGroupSample.from_records(recs)
         with pytest.raises(DegenerateDataError, match="'b'"):
@@ -215,8 +224,8 @@ class TestDifference:
 
     def test_require_events_false_allows_it(self):
         recs = three_subject_records("a") + [
-            SubjectRecord(1.0, EventCode.CENSORED, "b"),
-            SubjectRecord(2.0, EventCode.COMPETING, "b"),
+            (1.0, EventCode.CENSORED, "b"),
+            (2.0, EventCode.COMPETING, "b"),
         ]
         sample = TwoGroupSample.from_records(recs)
         d = rmtl_difference(sample, 2.0, require_events=False)
@@ -227,32 +236,32 @@ class TestDefaultTau:
     def test_min_of_last_interest_events(self):
         recs = (
             three_subject_records("a")  # last interest event at 1.0
-            + [SubjectRecord(0.5, EventCode.INTEREST, "b"),
-               SubjectRecord(4.0, EventCode.INTEREST, "b")]
+            + [(0.5, EventCode.INTEREST, "b"),
+               (4.0, EventCode.INTEREST, "b")]
         )
         assert default_tau(TwoGroupSample.from_records(recs)) == 1.0
 
     def test_censoring_does_not_extend(self):
         recs = [
-            SubjectRecord(1.0, EventCode.INTEREST, "a"),
-            SubjectRecord(9.0, EventCode.CENSORED, "a"),
-            SubjectRecord(2.0, EventCode.INTEREST, "b"),
+            (1.0, EventCode.INTEREST, "a"),
+            (9.0, EventCode.CENSORED, "a"),
+            (2.0, EventCode.INTEREST, "b"),
         ]
         assert default_tau(TwoGroupSample.from_records(recs)) == 1.0
 
     def test_degenerate_without_interest_events(self):
         recs = [
-            SubjectRecord(1.0, EventCode.COMPETING, "a"),
-            SubjectRecord(2.0, EventCode.INTEREST, "b"),
+            (1.0, EventCode.COMPETING, "a"),
+            (2.0, EventCode.INTEREST, "b"),
         ]
         with pytest.raises(DegenerateDataError, match="'a'"):
             default_tau(TwoGroupSample.from_records(recs))
 
     def test_last_interest_event_at_time_zero_is_degenerate(self):
         recs = [
-            SubjectRecord(0.0, EventCode.INTEREST, "a"),
-            SubjectRecord(2.0, EventCode.CENSORED, "a"),
-            SubjectRecord(1.0, EventCode.INTEREST, "b"),
+            (0.0, EventCode.INTEREST, "a"),
+            (2.0, EventCode.CENSORED, "a"),
+            (1.0, EventCode.INTEREST, "b"),
         ]
         with pytest.raises(DegenerateDataError, match="group 'a'.*time 0"):
             default_tau(TwoGroupSample.from_records(recs))

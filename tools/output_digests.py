@@ -15,7 +15,11 @@ comparing. The cases:
   ``a_null`` and ``f_crossing``, 100 reps, seed 5, 2 workers;
 - the CLI's ``estimate`` JSON and table, ``test`` JSON and
   ``samplesize --pilot --sweep 0.25:3.0:0.25`` JSON on the benchmark's
-  seed-5 CSV of 10^5 rows, written by ``bench/inputs.py``.
+  seed-5 CSV of 10^5 rows, written by ``bench/inputs.py``;
+- the CLI's ``estimate`` JSON on the same rows with the header's first
+  field quoted (``"time",status,group``). A quote sends the file through
+  the csv module's row reader rather than the bulk parser, so this digest
+  equals ``cli/estimate.json``'s exactly when both readers agree.
 """
 
 from __future__ import annotations
@@ -63,13 +67,14 @@ def monte_carlo_cases():
         yield f"power/{name}/n2000/cens30/w2", report_digest(report)
 
 
-def cli_cases(path: Path):
+def cli_cases(path: Path, quoted: Path):
     commands = {
         "estimate.json": ["estimate", "--input", str(path), "--format", "json"],
         "estimate.table": ["estimate", "--input", str(path), "--format", "table"],
         "test.json": ["test", "--input", str(path), "--format", "json"],
         "sweep.json": ["samplesize", "--pilot", str(path), "--sweep", "0.25:3.0:0.25",
                        "--format", "json"],
+        "estimate.rows.json": ["estimate", "--input", str(quoted), "--format", "json"],
     }
     for label, argv in commands.items():
         out = io.StringIO()
@@ -86,7 +91,10 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "data.csv"
         write_csv(path, CSV_SEED, CSV_ROWS)
-        for case, sha in cli_cases(path):
+        quoted = Path(tmp) / "quoted.csv"
+        quoted.write_text('"time"' + path.read_text(encoding="utf-8").removeprefix("time"),
+                          encoding="utf-8")
+        for case, sha in cli_cases(path, quoted):
             print(case, sha, flush=True)
     return 0
 

@@ -23,17 +23,18 @@ from .errors import DataValidationError
 
 @dataclass(frozen=True)
 class StepFunction:
-    """Right-continuous step function with pointwise variances.
+    """Right-continuous step function.
 
     ``values[i]`` holds on [times[i], times[i+1]); before ``times[0]`` the
     function equals ``value_before_first`` (0 for a CIF, 1 for survival).
+    A CIF carries its Aalen ``variances``; the Kaplan-Meier curve has None.
     """
 
     times: np.ndarray
     values: np.ndarray
-    variances: np.ndarray
     value_before_first: float
     last_observed: float
+    variances: np.ndarray | None = None
 
 
 def _survival(n, d):
@@ -60,20 +61,10 @@ def _incidence(n, dj, dk):
 
 
 def km_overall(rt: RiskTable) -> StepFunction:
-    """All-cause Kaplan-Meier survival curve with Greenwood variances."""
-    n = rt.at_risk.astype(float)
+    """All-cause Kaplan-Meier survival curve (values only, no variances)."""
     d = (rt.events_interest + rt.events_competing).astype(float)
-    surv = _survival(n, d)
-    term = np.zeros_like(n)
-    np.divide(d, n * (n - d), out=term, where=(n - d) > 0)
-    var = surv**2 * np.cumsum(term)
-    return StepFunction(
-        times=rt.times.copy(),
-        values=surv,
-        variances=var,
-        value_before_first=1.0,
-        last_observed=rt.last_observed,
-    )
+    return StepFunction(times=rt.times.copy(), values=_survival(rt.at_risk.astype(float), d),
+                        value_before_first=1.0, last_observed=rt.last_observed)
 
 
 def cif_estimate(rt: RiskTable, cause: EventCode) -> StepFunction:
@@ -85,17 +76,12 @@ def cif_estimate(rt: RiskTable, cause: EventCode) -> StepFunction:
     """
     if cause not in (EventCode.INTEREST, EventCode.COMPETING):
         raise DataValidationError("cause must be Interest or Competing")
-    other = EventCode.COMPETING if cause == EventCode.INTEREST else EventCode.INTEREST
-    dj = rt.events(cause).astype(float)
-    inc, var = _incidence(rt.at_risk.astype(float), dj, rt.events(other).astype(float))
+    dj, dk = ((rt.events_interest, rt.events_competing) if cause == EventCode.INTEREST
+              else (rt.events_competing, rt.events_interest))
+    inc, var = _incidence(rt.at_risk.astype(float), dj.astype(float), dk.astype(float))
     mask = dj > 0
-    return StepFunction(
-        times=rt.times[mask],
-        values=inc[mask],
-        variances=var[mask],
-        value_before_first=0.0,
-        last_observed=rt.last_observed,
-    )
+    return StepFunction(times=rt.times[mask], values=inc[mask], variances=var[mask],
+                        value_before_first=0.0, last_observed=rt.last_observed)
 
 
 @dataclass(frozen=True)

@@ -58,10 +58,14 @@ class TwoGroupSample:
             raise DataValidationError("times, codes and group must be 1-d, one length")
         if not times.size:
             raise DataValidationError("both groups must be nonempty")
-        _check_columns(times, codes, group, self.groups)
+        if isinstance(self.groups, str) or not all(isinstance(g, str) for g in self.groups):
+            raise DataValidationError(f"group labels must be strings, got {self.groups!r}")
+        groups = tuple(self.groups)
+        _check_columns(times, codes, group, groups)
         for name, arr in (("times", times), ("codes", codes), ("group", group)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "groups", groups)
 
     @classmethod
     def from_records(cls, records, reference: str | None = None) -> "TwoGroupSample":
@@ -77,6 +81,8 @@ class TwoGroupSample:
             except (TypeError, ValueError):
                 raise DataValidationError(
                     f"record {i}: expected (time, status, group), got {record!r}") from None
+            if not isinstance(label, str):
+                raise DataValidationError(f"record {i}: group label {label!r} is not a string")
             times.append(time)
             codes.append(code)
             labels.append(label)
@@ -101,10 +107,18 @@ class TwoGroupSample:
         return PooledFit.from_arrays(self.times, self.codes, self.group, 2)
 
 
+def _array(values) -> np.ndarray:
+    """``values`` as an array; ragged nesting, which numpy refuses, is a data error."""
+    try:
+        return np.asarray(values)
+    except ValueError:
+        raise DataValidationError("ragged input: nested sequences of unequal length") from None
+
+
 def _floats(times) -> np.ndarray:
     """``times`` as a new float array; a time ``float`` refuses is a data error."""
     try:
-        return np.array(times, dtype=float)
+        return _array(times).astype(float)
     except (TypeError, ValueError):
         raise DataValidationError("times must be finite and nonnegative") from None
 
@@ -113,7 +127,7 @@ def _indices(values, allowed: tuple, message: str) -> np.ndarray:
     """``values`` as a new int64 array. Values not held as integers or bools
     are read as floats and must be in ``allowed`` (so '1' is 1, and 1.7 is
     not truncated to 1), else a data error worded by ``message``."""
-    values = np.asarray(values)
+    values = _array(values)
     if values.dtype.kind not in "biu":
         try:
             values = values.astype(float)
@@ -152,16 +166,6 @@ class RiskTable:
     events_competing: np.ndarray
     n_total: int
     last_observed: float
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def events(self, cause: EventCode) -> np.ndarray:
-        if cause == EventCode.INTEREST:
-            return self.events_interest
-        if cause == EventCode.COMPETING:
-            return self.events_competing
-        raise DataValidationError(f"cause must be Interest or Competing, got {cause}")
 
 
 def build_risk_table(times, codes) -> RiskTable:

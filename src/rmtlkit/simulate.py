@@ -166,10 +166,6 @@ class CensoringSpec:
                 f"censoring bound must be finite and > 0, got {self.bound!r}"
             )
 
-    @property
-    def none_requested(self) -> bool:
-        return self.bound is None and (self.target is None or self.target == 0.0)
-
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -205,28 +201,12 @@ class SimulationReport:
     censoring_bounds: tuple[float, float] | None
 
     def to_dict(self) -> dict:
-        return {
-            "scenario_label": self.scenario_label,
-            "reps": self.reps,
-            "degenerate_reps": self.degenerate_reps,
-            "seed": self.seed,
-            "alpha": self.alpha,
-            "rho": self.rho,
-            "tau_rule": self.tau_rule,
-            "censoring_bounds": (
-                list(self.censoring_bounds) if self.censoring_bounds else None
-            ),
-            "methods": {
-                m.method.value: {
-                    "rejections": m.rejections,
-                    "valid_reps": m.valid_reps,
-                    "degenerate_reps": m.degenerate_reps,
-                    "rate": m.rate,
-                    "mc_se": m.mc_se,
-                }
-                for m in self.methods
-            },
-        }
+        out = dataclasses.asdict(self)
+        if self.censoring_bounds:
+            out["censoring_bounds"] = list(self.censoring_bounds)
+        # popped before it is set again, so "methods" comes last
+        out["methods"] = {m.pop("method").value: m for m in out.pop("methods")}
+        return out
 
 
 @functools.lru_cache(maxsize=64)
@@ -336,11 +316,9 @@ def _calibrated_bounds(laws, target: float) -> tuple[float, float]:
 def resolve_censoring(scn: ScenarioSpec) -> tuple[float, float] | None:
     """Turn a scenario's censoring spec into per-group uniform bounds."""
     cen = scn.censoring
-    if cen.none_requested:
-        return None
     if cen.bound is not None:
         return cen.bound, cen.bound
-    return calibrate_censoring(scn, cen.target)
+    return calibrate_censoring(scn, cen.target or 0.0)
 
 
 def _hash_constants(const, mult, count):

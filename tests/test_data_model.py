@@ -74,13 +74,7 @@ class TestRiskTable:
         rt = build_risk_table(*random_arrays(rng, 120, tie_grid=2))
         assert np.all(np.diff(rt.at_risk) < 0)
         assert rt.at_risk[0] <= rt.n_total
-        assert np.all(rt.events(EventCode.INTEREST) + rt.events(EventCode.COMPETING)
-                      <= rt.at_risk)
-
-    def test_events_accessor_rejects_censoring_code(self):
-        rt = table([(1.0, 1)])
-        with pytest.raises(DataValidationError):
-            rt.events(EventCode.CENSORED)
+        assert np.all(rt.events_interest + rt.events_competing <= rt.at_risk)
 
     def test_empty_records_rejected(self):
         with pytest.raises(DataValidationError):
@@ -124,6 +118,20 @@ def test_codes_that_are_not_0_1_or_2_rejected(bad, build):
 def test_times_and_group_indices_converted_like_codes(build, match):
     # neither truncated (group 1.5 read as 1) nor a bare numpy ValueError
     with pytest.raises(DataValidationError, match=match):
+        build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: TwoGroupSample([1.0, 2.0], [[1], [1, 2]], [0, 1], ("a", "b")),
+    lambda: TwoGroupSample([1.0, 2.0], [1, 1], [[0], [0, 1]], ("a", "b")),
+    lambda: TwoGroupSample([[1.0], [1.0, 2.0]], [1, 1], [0, 1], ("a", "b")),
+    lambda: build_risk_table([[1.0], [1.0, 2.0]], [1, 1]),
+    lambda: build_risk_table([1.0, 2.0], [[1], [1, 2]]),
+    lambda: TwoGroupSample.from_records([([1.0], 1, "a"), ([1.0, 2.0], 1, "b")]),
+], ids=["codes", "group", "times", "times-risk-table", "codes-risk-table", "times-record"])
+def test_ragged_input_named_as_a_shape_fault(build):
+    # neither numpy's bare ValueError nor a time read as not finite
+    with pytest.raises(DataValidationError, match="^ragged input"):
         build()
 
 
@@ -185,6 +193,15 @@ class TestTwoGroupSample:
         with pytest.raises(DataValidationError):
             TwoGroupSample(times, codes, group, groups)
 
+    @pytest.mark.parametrize("groups", [(1, 2), ("a", 2), "ab"])
+    def test_labels_that_are_not_strings_rejected(self, groups):
+        with pytest.raises(DataValidationError, match="group labels must be strings"):
+            TwoGroupSample([1.0, 2.0], [1, 1], [0, 1], groups)
+
+    def test_labels_held_as_a_tuple(self):
+        sample = TwoGroupSample([1.0, 2.0], [1, 1], [0, 1], ["a", "b"])
+        assert type(sample.groups) is tuple and sample.groups == ("a", "b")
+
     def test_arrays_are_read_only_copies(self):
         times = np.array([1.0, 2.0, 3.0])
         sample = TwoGroupSample(times, [1, 0, 1], [0, 1, 1], ("a", "b"))
@@ -208,6 +225,13 @@ class TestFromRecords:
     def test_record_not_three_fields_names_its_index(self, bad):
         with pytest.raises(DataValidationError, match=r"^record 1: expected \(time"):
             TwoGroupSample.from_records([(1.0, 1, "a"), bad, (2.0, 1, "b")])
+
+    @pytest.mark.parametrize("label, shown", [(["b"], r"\['b'\]"), (2, "2")],
+                             ids=["unhashable", "not-a-string"])
+    def test_label_not_a_string_names_its_record(self, label, shown):
+        with pytest.raises(DataValidationError,
+                           match=rf"^record 1: group label {shown} is not a string$"):
+            TwoGroupSample.from_records([(1.0, 1, "a"), (2.0, 1, label)])
 
     def test_empty_input(self):
         with pytest.raises(DataValidationError,

@@ -76,7 +76,7 @@ def test_pooled_fit_matches_per_group_reference(data):
         # the risk table and CIF the pooled fit holds against plain loops
         assert_matches_reference(table, cif, times[group == g], codes[group == g])
         assert table.n_total == sample.pooled.n_total[g] == int((group == g).sum())
-        if not (codes[group == g] == EventCode.COMPETING).any() and len(table):
+        if not (codes[group == g] == EventCode.COMPETING).any() and len(table.times):
             # single cause: CIF = 1 - KM bitwise, also in the pooled fit
             km = km_overall(table)
             assert np.array_equal(cif.values, 1.0 - km.values[table.events_interest > 0])

@@ -513,6 +513,17 @@ class TestMonteCarlo:
                                 workers=3)
         assert json.dumps(one.to_dict()) == json.dumps(three.to_dict())
 
+    def test_to_dict_key_order(self):
+        # the frozen tests compare dicts, which ignore order; the simulate
+        # command's JSON bytes do not
+        d = run_monte_carlo(tiny_scenario(), reps=5, seed=3).to_dict()
+        assert list(d) == ["scenario_label", "reps", "degenerate_reps", "seed", "alpha",
+                           "rho", "tau_rule", "censoring_bounds", "methods"]
+        assert list(d["methods"]) == ["diff", "sdiff"]
+        for entry in d["methods"].values():
+            assert list(entry) == ["rejections", "valid_reps", "degenerate_reps", "rate",
+                                   "mc_se"]
+
     def test_frozen_regression(self):
         rep = run_monte_carlo(load_shipped_scenario("f_crossing"), reps=200, seed=7)
         assert rep.to_dict() == {

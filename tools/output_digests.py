@@ -19,7 +19,10 @@ comparing. The cases:
 - the CLI's ``estimate`` JSON on the same rows with the header's first
   field quoted (``"time",status,group``). A quote sends the file through
   the csv module's row reader rather than the bulk parser, so this digest
-  equals ``cli/estimate.json``'s exactly when both readers agree.
+  equals ``cli/estimate.json``'s exactly when both readers agree;
+- the CLI's ``simulate`` JSON on the shipped ``a_null`` scenario, 200 reps,
+  seed 5. The Monte Carlo digests above hash ``json.dumps(...,
+  sort_keys=True)``, so only this case sees the report's key order.
 """
 
 from __future__ import annotations
@@ -75,6 +78,8 @@ def cli_cases(path: Path, quoted: Path):
         "sweep.json": ["samplesize", "--pilot", str(path), "--sweep", "0.25:3.0:0.25",
                        "--format", "json"],
         "estimate.rows.json": ["estimate", "--input", str(quoted), "--format", "json"],
+        "simulate.json": ["simulate", "--input", str(rmtlkit.shipped_scenario_path("a_null")),
+                          "--reps", "200", "--seed", "5", "--format", "json"],
     }
     for label, argv in commands.items():
         out = io.StringIO()

@@ -58,10 +58,17 @@ class TwoGroupSample:
             raise DataValidationError("times, codes and group must be 1-d, one length")
         if not times.size:
             raise DataValidationError("both groups must be nonempty")
-        if isinstance(self.groups, str) or not all(isinstance(g, str) for g in self.groups):
+        try:
+            groups = tuple(self.groups)
+        except TypeError:  # not iterable: one label, and not a string
+            groups = (self.groups,)
+        if isinstance(self.groups, str) or not all(isinstance(g, str) for g in groups):
             raise DataValidationError(f"group labels must be strings, got {self.groups!r}")
-        groups = tuple(self.groups)
-        _check_columns(times, codes, group, groups)
+        _check_columns(times, codes)
+        if len(groups) != 2 or groups[0] == groups[1]:
+            raise DataValidationError("exactly two distinct group labels required")
+        if not (group.min() == 0 and group.max() == 1):
+            raise DataValidationError("group indices must be 0/1, both groups nonempty")
         for name, arr in (("times", times), ("codes", codes), ("group", group)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -138,18 +145,14 @@ def _indices(values, allowed: tuple, message: str) -> np.ndarray:
     return values.astype(np.int64)
 
 
-def _check_columns(times, codes, group, groups):
+def _check_columns(times, codes):
     """The value checks of a sample: ``times`` and ``codes`` may hold one
-    sample or a block of them (one per row) that share ``group``."""
+    sample or a block of them, one per row."""
     # min/max checks: a NaN fails the first comparison
     if not (times.min() >= 0 and times.max() < math.inf):
         raise DataValidationError("times must be finite and nonnegative")
     if not (codes.min() >= 0 and codes.max() <= 2):
         raise DataValidationError("status codes must be 0, 1 or 2")
-    if len(groups) != 2 or groups[0] == groups[1]:
-        raise DataValidationError("exactly two distinct group labels required")
-    if not (group.min() == 0 and group.max() == 1):
-        raise DataValidationError("group indices must be 0/1, both groups nonempty")
 
 
 @dataclass(frozen=True)

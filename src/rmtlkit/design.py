@@ -16,7 +16,7 @@ from functools import lru_cache
 from ._normal import ndtri
 from .brownian import solve_crossing_drift, sup_abs_bm_quantile
 from .data_model import TwoGroupSample
-from .errors import DataValidationError, DegenerateDesignWarning
+from .errors import DataValidationError, DegenerateDesignWarning, NumericError
 from .inference import TestMethod
 from .rmtl import _check_alpha, rmtl_difference
 
@@ -72,14 +72,20 @@ class PilotParameters:
 def _raw_diff_n(inp: DesignInput) -> float:
     z = ndtri(1.0 - inp.alpha / 2.0) + ndtri(inp.power)
     r = inp.ratio
-    return (1.0 + r) * z * z * (inp.var1 + inp.var2 / r) / (inp.delta * inp.delta)
+    spread, d2 = (1.0 + r) * z * z * (inp.var1 + inp.var2 / r), inp.delta * inp.delta
+    if not d2:  # delta**2 underflows: the size is 0 only with no spread
+        return math.inf if spread else 0.0
+    return spread / d2
 
 
-def _split(raw: float, ratio: float) -> tuple[int, int]:
+def _split(raw: float, inp: DesignInput) -> tuple[int, int]:
     # ceil per group, floored at 1 subject so a degenerate raw size of 0
     # still yields a reportable (flagged) design
-    n1 = max(math.ceil(raw / (1.0 + ratio)), 1)
-    n2 = max(math.ceil(ratio * raw / (1.0 + ratio)), 1)
+    sizes = raw / (1.0 + inp.ratio), inp.ratio * raw / (1.0 + inp.ratio)
+    if not all(map(math.isfinite, sizes)):
+        raise NumericError(f"design size is not finite at delta={inp.delta!r}, "
+                           f"var1={inp.var1!r}, var2={inp.var2!r}, ratio={inp.ratio!r}")
+    n1, n2 = (max(math.ceil(size), 1) for size in sizes)
     return n1, n2
 
 
@@ -96,7 +102,7 @@ def _check_degenerate(inp: DesignInput):
 def sample_size_diff(inp: DesignInput) -> SampleSizeResult:
     """Total and per-group sizes for the basic difference test."""
     _check_degenerate(inp)
-    n1, n2 = _split(_raw_diff_n(inp), inp.ratio)
+    n1, n2 = _split(_raw_diff_n(inp), inp)
     return SampleSizeResult(
         method=TestMethod.DIFF, n_total=n1 + n2, n1=n1, n2=n2, inflation=1.0
     )
@@ -115,7 +121,7 @@ def sample_size_sdiff(inp: DesignInput) -> SampleSizeResult:
     """Sizes for the supremum test via the drift-ratio inflation factor."""
     _check_degenerate(inp)
     drift, drift_normal, inflation = _sdiff_drifts(inp.alpha, inp.power)
-    n1, n2 = _split(inflation * _raw_diff_n(inp), inp.ratio)
+    n1, n2 = _split(inflation * _raw_diff_n(inp), inp)
     return SampleSizeResult(
         method=TestMethod.SDIFF,
         n_total=n1 + n2,

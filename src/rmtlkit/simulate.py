@@ -273,10 +273,12 @@ def apply_censoring(times, codes, bound, u):
     return observed, new_codes
 
 
-def calibrate_censoring(scn: ScenarioSpec, target: float) -> tuple[float, float] | None:
-    """Per-group uniform bounds that hit the target censoring rate.
+def calibrate_censoring(scn: ScenarioSpec) -> tuple[float, float] | None:
+    """Per-group uniform bounds of the scenario's censoring: the pair
+    (c, c) for a bound c, the calibrated bounds for a nonzero target, and
+    None for no censoring.
 
-    Both groups are set to the same rate (so a scenario with different
+    A target sets both groups to the same rate (so a scenario with different
     event-time laws gets different bounds). The rate of C ~ U(0, c) on
     event times T is mean(min(T, c))/c, taken over 10^5 event-time draws
     per group from a fixed calibration seed. With the draws sorted and S_k
@@ -287,12 +289,13 @@ def calibrate_censoring(scn: ScenarioSpec, target: float) -> tuple[float, float]
     on the groups' event-time laws and the target, not on the group sizes,
     and are kept for the life of the process.
     """
-    if not 0.0 <= target <= 0.9:
-        raise DataValidationError(f"target rate must be in [0, 0.9], got {target!r}")
-    if target == 0.0:
+    cen = scn.censoring
+    if cen.bound is not None:
+        return cen.bound, cen.bound
+    if not cen.target:
         return None
     return _calibrated_bounds(tuple((g.interest, g.competing) for g in scn.groups),
-                              target)
+                              cen.target)
 
 
 @functools.lru_cache(maxsize=64)
@@ -311,14 +314,6 @@ def _calibrated_bounds(laws, target: float) -> tuple[float, float]:
         k_last = np.flatnonzero(sums + (n - k) * t >= target * n * t)[-1] + 1
         bounds.append(float(sums[k_last - 1] / (n * target - (n - k_last))))
     return bounds[0], bounds[1]
-
-
-def resolve_censoring(scn: ScenarioSpec) -> tuple[float, float] | None:
-    """Turn a scenario's censoring spec into per-group uniform bounds."""
-    cen = scn.censoring
-    if cen.bound is not None:
-        return cen.bound, cen.bound
-    return calibrate_censoring(scn, cen.target or 0.0)
 
 
 def _hash_constants(const, mult, count):
@@ -402,7 +397,6 @@ def _samples(scn, start, stop, seed, bounds):
     width = 2 if bounds is None else 3
     sizes = [group.n for group in scn.groups]
     total, cut = width * sum(sizes), width * sizes[0]
-    group = np.repeat([0, 1], sizes)
     bound = None if bounds is None else np.repeat(bounds, sizes)
     step = max(1, _CHUNK_UNIFORMS // total)
     stream_states = _stream_states(seed)
@@ -426,30 +420,29 @@ def _samples(scn, start, stop, seed, bounds):
             times, codes = apply_censoring(times, codes, bound, planes[2])
         interest = codes == int(EventCode.INTEREST)
         keep = np.logical_or.reduceat(interest, [0, sizes[0]], axis=1).all(axis=1)
-        _check_columns(times, codes, group, _GROUPS)
+        _check_columns(times, codes)
         yield times, codes, keep
 
 
 def _run_block(scn, methods, start, stop, seed, alpha, rho, bounds):
-    """Skipped replications and each method's tallies over [start, stop):
-    each chunk's kept replications are fitted and tested in one pass."""
+    """Counts over [start, stop): the skipped replications, then each
+    method's rejections, valid and degenerate replications, in ``methods``
+    order. Each chunk's kept replications are fitted and tested in one pass."""
     sizes = [group.n for group in scn.groups]
-    skipped = 0
-    tallies = {m: [0, 0, 0] for m in methods}  # rejections, valid, degenerate
+    counts = np.zeros(1 + 3 * len(methods), dtype=np.int64)
     for times, codes, keep in _samples(scn, start, stop, seed, bounds):
-        kept = int(np.count_nonzero(keep))
-        skipped += len(keep) - kept
+        kept = np.count_nonzero(keep)
+        counts[0] += len(keep) - kept
         if kept == 0:
             continue
         t, c = times[keep], codes[keep]
         results = _block_tests(_block_fits(t, c, sizes), _block_taus(t, c, sizes, _GROUPS),
                                methods, rho)
-        for method, (_, p, degenerate) in results.items():
-            failed = int(np.count_nonzero(degenerate))
-            tallies[method][0] += int(np.count_nonzero(p < alpha))
-            tallies[method][1] += kept - failed
-            tallies[method][2] += failed
-    return skipped, tallies
+        for k, method in enumerate(methods):
+            _, p, degenerate = results[method]
+            failed = np.count_nonzero(degenerate)
+            counts[3 * k + 1:3 * k + 4] += np.count_nonzero(p < alpha), kept - failed, failed
+    return counts
 
 
 # The pool kept between studies: (id of the process that made it, worker
@@ -536,52 +529,30 @@ def run_monte_carlo(
     _check_alpha(alpha)
     _check_rho(rho)
     methods = _normalize_methods(methods)
-    bounds = resolve_censoring(scn)
+    bounds = calibrate_censoring(scn)
 
+    run = functools.partial(_run_block, scn, methods, seed=seed, alpha=alpha, rho=rho,
+                            bounds=bounds)
     if workers == 1:
-        blocks = [_run_block(scn, methods, 0, reps, seed, alpha, rho, bounds)]
+        counts = run(0, reps)
     else:
-        n_blocks = min(workers * 4, reps)
-        edges = np.linspace(0, reps, n_blocks + 1, dtype=int)
-        futures = []
-        try:
-            with _pool_lock:
-                pool = _worker_pool(workers)
-                for a, b in zip(edges[:-1], edges[1:]):
-                    if b > a:
-                        futures.append(pool.submit(
-                            _run_block, scn, methods, int(a), int(b), seed, alpha, rho,
-                            bounds))
-            blocks = [f.result() for f in futures]
-        finally:
-            # after an error or an interrupt, the blocks not yet started are
-            # dropped, so the next study does not wait behind them
-            for f in futures:
-                f.cancel()
+        edges = np.linspace(0, reps, min(4 * workers, reps) + 1, dtype=int).tolist()
+        with _pool_lock:
+            blocks = _worker_pool(workers).map(run, edges[:-1], edges[1:])
+        # map cancels the blocks not yet started when a block raises or the
+        # wait is interrupted, so the next study does not wait behind them
+        counts = sum(blocks)
 
-    skipped = sum(b[0] for b in blocks)
     summaries = []
-    for method in methods:
-        rej = sum(b[1][method][0] for b in blocks)
-        valid = sum(b[1][method][1] for b in blocks)
-        degen = sum(b[1][method][2] for b in blocks)
+    for method, (rej, valid, degen) in zip(methods, counts[1:].reshape(-1, 3).tolist()):
         rate = rej / valid if valid else float("nan")
         mc_se = math.sqrt(rate * (1.0 - rate) / valid) if valid else float("nan")
-        summaries.append(
-            MethodSummary(
-                method=method,
-                rejections=rej,
-                valid_reps=valid,
-                degenerate_reps=degen,
-                rate=rate,
-                mc_se=mc_se,
-            )
-        )
+        summaries.append(MethodSummary(method, rej, valid, degen, rate, mc_se))
     return SimulationReport(
         scenario_label=scn.label,
         methods=tuple(summaries),
         reps=reps,
-        degenerate_reps=skipped,
+        degenerate_reps=int(counts[0]),
         seed=seed,
         alpha=alpha,
         rho=rho,

@@ -41,7 +41,7 @@ from rmtlkit.brownian import (
     solve_crossing_drift,
 )
 from rmtlkit.cli import main as cli_main
-from rmtlkit.simulate import resolve_censoring
+from rmtlkit.simulate import calibrate_censoring
 
 from helpers import engine_samples, random_arrays, true_cif, value_at, variance_at
 
@@ -157,7 +157,7 @@ def test_06_variance_oracle_ratios(null_scenario):
         groups=tuple(dataclasses.replace(gg, n=100) for gg in null_scenario.groups),
         censoring=CensoringSpec(target=0.15),
     )
-    bounds = resolve_censoring(scn)
+    bounds = calibrate_censoring(scn)
     deltas, plugin, cif_vals, cif_vars = [], [], [], []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", rk.ExtrapolationWarning)
@@ -278,7 +278,7 @@ def test_09_design_self_consistency():
             scn, groups=tuple(dataclasses.replace(g, n=n_per_group)
                               for g in scn.groups)
         )
-        bounds = resolve_censoring(probe)
+        bounds = calibrate_censoring(probe)
         taus = [rk.default_tau(s) for s in engine_samples(probe, 0, reps, 977001, bounds)
                 if s is not None]
         # upper quartile: a deliberately long horizon, so the designed n

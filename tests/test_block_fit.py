@@ -24,7 +24,7 @@ from rmtlkit import (
 )
 from rmtlkit import simulate
 from rmtlkit.cif import _block_fits
-from rmtlkit.simulate import _CHUNK_UNIFORMS, _samples, resolve_censoring
+from rmtlkit.simulate import _CHUNK_UNIFORMS, _samples, calibrate_censoring
 
 
 def same_array(a, b):
@@ -65,7 +65,7 @@ def assert_engine_fits_match(scn, start, stop, seed) -> int:
     """The block fit of the replications the engine keeps from each chunk
     it draws, against from_arrays of each; return the number kept."""
     count = 0
-    for times, codes, keep in _samples(scn, start, stop, seed, resolve_censoring(scn)):
+    for times, codes, keep in _samples(scn, start, stop, seed, calibrate_censoring(scn)):
         assert_block_matches(times[keep], codes[keep], [g.n for g in scn.groups])
         count += int(keep.sum())
     return count

@@ -26,7 +26,7 @@ from rmtlkit import (
 from rmtlkit.cif import _block_fits
 from rmtlkit.inference import _block_tests
 from rmtlkit.rmtl import _block_taus
-from rmtlkit.simulate import _samples, resolve_censoring
+from rmtlkit.simulate import _samples, calibrate_censoring
 
 GROUPS = ("1", "2")
 METHODS = (Method.DIFF, Method.SDIFF)
@@ -74,7 +74,7 @@ def engine_block(scn, reps, seed, transform=None):
     """The kept rows of the engine's draws of the first ``reps``
     replications, as one block."""
     kept = [(t[keep], c[keep])
-            for t, c, keep in _samples(scn, 0, reps, seed, resolve_censoring(scn))]
+            for t, c, keep in _samples(scn, 0, reps, seed, calibrate_censoring(scn))]
     times, codes = (np.concatenate(x) for x in zip(*kept))
     return (times if transform is None else transform(times)), codes
 

@@ -266,6 +266,15 @@ class TestSampleSize:
             inp = DesignInput(delta=pp.delta, var1=pp.var1, var2=pp.var2, alpha=0.03)
             assert row["sdiff"] == sample_size_sdiff(inp).n_total
 
+    @pytest.mark.parametrize("delta, ratio", [("1e-200", "1"), ("1", "1e-320")])
+    def test_a_size_that_is_not_finite_exits_4(self, capsys, delta, ratio):
+        rc, out, err = run(capsys, ["samplesize", "--delta", delta, "--var1", "1",
+                                    "--var2", "1", "--ratio", ratio])
+        assert rc == 4 and out == ""
+        assert err.splitlines() == [
+            f"error: design size is not finite at delta={float(delta)!r}, var1=1.0, "
+            f"var2=1.0, ratio={float(ratio)!r}"]
+
     def test_missing_variances_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["samplesize", "--delta", "1"])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -193,9 +195,10 @@ class TestTwoGroupSample:
         with pytest.raises(DataValidationError):
             TwoGroupSample(times, codes, group, groups)
 
-    @pytest.mark.parametrize("groups", [(1, 2), ("a", 2), "ab"])
+    @pytest.mark.parametrize("groups", [(1, 2), ("a", 2), "ab", None, 5])
     def test_labels_that_are_not_strings_rejected(self, groups):
-        with pytest.raises(DataValidationError, match="group labels must be strings"):
+        with pytest.raises(DataValidationError,
+                           match=f"^{re.escape(f'group labels must be strings, got {groups!r}')}$"):
             TwoGroupSample([1.0, 2.0], [1, 1], [0, 1], groups)
 
     def test_labels_held_as_a_tuple(self):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from scipy.special import ndtri
@@ -8,6 +9,7 @@ from rmtlkit import (
     DegenerateDataError,
     DegenerateDesignWarning,
     DesignInput,
+    NumericError,
     TwoGroupSample,
     default_tau,
     drift_crossing_prob,
@@ -93,6 +95,26 @@ class TestDiffSize:
         with pytest.warns(DegenerateDesignWarning):
             res = sample_size_diff(DesignInput(delta=1.0, var1=0.0, var2=0.0))
         assert res.n1 == 1 and res.n2 == 1
+
+    def test_degenerate_variances_with_an_underflowing_delta_warn(self):
+        # delta**2 is 0, yet with no spread the size is still 0
+        with pytest.warns(DegenerateDesignWarning):
+            res = sample_size_diff(DesignInput(delta=1e-200, var1=0.0, var2=0.0))
+        assert res.n1 == 1 and res.n2 == 1
+
+    @pytest.mark.parametrize("size", [sample_size_diff, sample_size_sdiff])
+    @pytest.mark.parametrize("inputs", [
+        {"delta": 1e-200},
+        {"ratio": 1e-320},
+        {"delta": 1e-150, "ratio": 1e300},
+        {"var1": 1e308, "var2": 1e308},
+    ], ids=["delta-squared-underflows", "tiny-ratio", "huge-ratio", "huge-variances"])
+    def test_a_size_that_is_not_finite_is_a_numeric_error(self, size, inputs):
+        inp = DesignInput(**{"delta": 1.0, "var1": 1.0, "var2": 1.0, **inputs})
+        message = (f"design size is not finite at delta={inp.delta!r}, var1={inp.var1!r}, "
+                   f"var2={inp.var2!r}, ratio={inp.ratio!r}")
+        with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
+            size(inp)
 
 
 class TestSdiffSize:

@@ -21,7 +21,7 @@ from rmtlkit import (
     load_shipped_scenario,
     partial_process,
 )
-from rmtlkit.simulate import resolve_censoring
+from rmtlkit.simulate import calibrate_censoring
 
 from helpers import engine_samples, reference_fit, step_at, value_at, variance_at
 
@@ -126,7 +126,7 @@ def test_large_censored_replication_matches_one_group_fits():
         groups=tuple(dataclasses.replace(g, n=1000) for g in scn.groups),
         censoring=CensoringSpec(target=0.3),
     )
-    sample = next(engine_samples(scn, 0, 1, 11, resolve_censoring(scn)))
+    sample = next(engine_samples(scn, 0, 1, 11, calibrate_censoring(scn)))
     pooled = sample.pooled
     for g, (table, cif) in enumerate(zip(pooled.tables, pooled.cifs)):
         times, codes = sample.times[sample.group == g], sample.codes[sample.group == g]

@@ -31,7 +31,6 @@ from rmtlkit import simulate
 from rmtlkit.simulate import (
     _CALIBRATION_DRAWS,
     _CALIBRATION_SEED,
-    resolve_censoring,
 )
 
 from helpers import engine_samples, sample_by_cause, true_cif
@@ -80,7 +79,7 @@ def replicate_one(scn, rep, seed, bounds):
 def assert_block_matches_one_replication_draws(scn, start, stop, seed):
     """Draw [start, stop) as one block and compare each replication bitwise
     with its reference draw; return the number skipped."""
-    bounds = resolve_censoring(scn)
+    bounds = calibrate_censoring(scn)
     block = list(engine_samples(scn, start, stop, seed, bounds))
     assert len(block) == stop - start
     skipped = 0
@@ -417,7 +416,7 @@ class TestSampling:
 class TestCalibration:
     def test_hits_target_rate(self):
         scn = tiny_scenario(censoring=CensoringSpec(target=0.3))
-        b1, b2 = calibrate_censoring(scn, 0.3)
+        b1, b2 = calibrate_censoring(scn)
         rng = np.random.default_rng(9)
         times, codes = sample_events(scn.groups[0], rng.random((2, 200_000)))
         _, new_codes = apply_censoring(times, codes, b1, rng.random(200_000))
@@ -426,9 +425,10 @@ class TestCalibration:
 
     @pytest.mark.parametrize("name", SHIPPED_SCENARIOS)
     def test_exact_on_the_calibration_draws(self, name):
-        scn = load_shipped_scenario(name)
+        shipped = load_shipped_scenario(name)
         for target in (0.01, 0.15, 0.3, 0.45, 0.9):
-            bounds = calibrate_censoring(scn, target)
+            scn = dataclasses.replace(shipped, censoring=CensoringSpec(target=target))
+            bounds = calibrate_censoring(scn)
             for g, group in enumerate(scn.groups):
                 rng = np.random.default_rng(
                     np.random.SeedSequence(entropy=_CALIBRATION_SEED, spawn_key=(g,))
@@ -447,17 +447,14 @@ class TestCalibration:
                 assert c == pytest.approx(root, rel=1e-9)
 
     def test_zero_target_means_no_censoring(self):
-        scn = tiny_scenario()
-        assert calibrate_censoring(scn, 0.0) is None
-        assert resolve_censoring(scn) is None
+        assert calibrate_censoring(tiny_scenario(censoring=CensoringSpec(target=0.0))) is None
+        assert calibrate_censoring(tiny_scenario()) is None
 
     def test_explicit_bound_passes_through(self):
         scn = tiny_scenario(censoring=CensoringSpec(bound=3.5))
-        assert resolve_censoring(scn) == (3.5, 3.5)
+        assert calibrate_censoring(scn) == (3.5, 3.5)
 
     def test_bad_target_rejected(self):
-        with pytest.raises(DataValidationError):
-            calibrate_censoring(tiny_scenario(), 0.95)
         with pytest.raises(DataValidationError):
             CensoringSpec(target=0.95)
 
@@ -467,7 +464,7 @@ class TestCalibration:
 
     def test_deterministic(self):
         scn = tiny_scenario(censoring=CensoringSpec(target=0.25))
-        assert calibrate_censoring(scn, 0.25) == calibrate_censoring(scn, 0.25)
+        assert calibrate_censoring(scn) == calibrate_censoring(scn)
 
     def test_bounds_are_kept_per_laws_and_target(self, monkeypatch):
         calibration_draws = []
@@ -487,7 +484,8 @@ class TestCalibration:
         second = observed_power_at_n(scn, 60, ["diff"], reps=2, seed=19)
         assert len(calibration_draws) == 2
         assert second.censoring_bounds == first.censoring_bounds
-        calibrate_censoring(scn, 0.2)  # another target calibrates again
+        # another target calibrates again
+        calibrate_censoring(dataclasses.replace(scn, censoring=CensoringSpec(target=0.2)))
         assert len(calibration_draws) == 4
 
 
@@ -604,7 +602,7 @@ class TestMonteCarlo:
         monkeypatch.setattr(simulate, "_thread", threading.local())
         monkeypatch.setattr(simulate, "_CHUNK_UNIFORMS", 3 * 120)  # 3 reps a chunk
         scn = tiny_scenario(n=20, censoring=CensoringSpec(bound=3.0))
-        samples = list(engine_samples(scn, 3, 10, 5, resolve_censoring(scn)))
+        samples = list(engine_samples(scn, 3, 10, 5, calibrate_censoring(scn)))
         assert len(samples) == 7 and None not in samples
         assert len(outs) == 7 and all(out.base is not None for out in outs)
         buffers = [outs[0].base, outs[3].base, outs[6].base]
@@ -684,7 +682,7 @@ class TestMonteCarlo:
         def refused(*args):
             raise AssertionError("calibrated or drew before checking the seed")
 
-        monkeypatch.setattr(simulate, "resolve_censoring", refused)
+        monkeypatch.setattr(simulate, "calibrate_censoring", refused)
         monkeypatch.setattr(simulate, "_samples", refused)
         for bad in (-1, True, np.bool_(False), 3.0, "3"):
             with pytest.raises(DataValidationError, match="seed must be an integer"):
@@ -706,7 +704,7 @@ class TestMonteCarlo:
         def refused(*args):
             raise AssertionError("calibrated or drew before checking the counts")
 
-        monkeypatch.setattr(simulate, "resolve_censoring", refused)
+        monkeypatch.setattr(simulate, "calibrate_censoring", refused)
         monkeypatch.setattr(simulate, "_samples", refused)
         for name, bad in (("reps", True), ("reps", 2.5), ("reps", np.bool_(True)),
                           ("reps", "3"), ("workers", 1.5), ("workers", False)):
@@ -743,6 +741,19 @@ class TestMonteCarlo:
         with pytest.raises(DataValidationError):
             run_monte_carlo(tiny_scenario(), [], reps=5)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_methods_are_reported_in_the_order_asked(self, workers):
+        # groups of 4 skip some replications, and each method has degenerate
+        # ones and a rejection count of its own
+        scn = tiny_scenario(n=4, mass=0.5)
+        want = run_monte_carlo(scn, ["diff", "sdiff"], reps=60, seed=9, workers=workers)
+        got = run_monte_carlo(scn, ["sdiff", "diff"], reps=60, seed=9, workers=workers)
+        assert [m.method.value for m in got.methods] == ["sdiff", "diff"]
+        assert got.methods == want.methods[::-1]
+        assert got.degenerate_reps == want.degenerate_reps > 0
+        diff, sdiff = want.methods
+        assert diff.rejections != sdiff.rejections and diff.degenerate_reps > 0
+
     def test_rep_and_worker_validation(self):
         with pytest.raises(DataValidationError):
             run_monte_carlo(tiny_scenario(), ["diff"], reps=0)
@@ -759,7 +770,7 @@ class TestMonteCarlo:
         def refuse(*args):
             raise AssertionError("the study calibrated or drew before its checks")
 
-        monkeypatch.setattr(simulate, "resolve_censoring", refuse)
+        monkeypatch.setattr(simulate, "calibrate_censoring", refuse)
         monkeypatch.setattr(simulate, "_samples", refuse)
         with pytest.raises(DataValidationError, match=message):
             run_monte_carlo(tiny_scenario(), reps=5, **{option: value})

@@ -23,6 +23,10 @@ comparing. The cases:
 - the CLI's ``simulate`` JSON on the shipped ``a_null`` scenario, 200 reps,
   seed 5. The Monte Carlo digests above hash ``json.dumps(...,
   sort_keys=True)``, so only this case sees the report's key order.
+- the CLI's ``samplesize`` JSON for README's explicit design (delta 1,
+  both variances 4, alpha 0.05, power 0.9): the only case that sees the
+  design's float fields (``inflation``, ``drift``, ``drift_normal``), as the
+  sweep records only each tau's ``n_total``.
 """
 
 from __future__ import annotations
@@ -80,6 +84,8 @@ def cli_cases(path: Path, quoted: Path):
         "estimate.rows.json": ["estimate", "--input", str(quoted), "--format", "json"],
         "simulate.json": ["simulate", "--input", str(rmtlkit.shipped_scenario_path("a_null")),
                           "--reps", "200", "--seed", "5", "--format", "json"],
+        "samplesize.json": ["samplesize", "--delta", "1.0", "--var1", "4.0", "--var2", "4.0",
+                            "--alpha", "0.05", "--power", "0.9", "--format", "json"],
     }
     for label, argv in commands.items():
         out = io.StringIO()

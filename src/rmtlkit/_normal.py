@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from statistics import NormalDist
 
-from .errors import DataValidationError
+from .errors import _check_number
 
 _STANDARD = NormalDist()
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -45,6 +45,4 @@ def log_ndtr(x: float) -> float:
 
 def ndtri(p: float) -> float:
     """Phi^-1(p) for p in (0, 1)."""
-    if not 0.0 < p < 1.0:
-        raise DataValidationError(f"p must be in (0, 1), got {p!r}")
-    return _STANDARD.inv_cdf(p)
+    return _STANDARD.inv_cdf(_check_number(p, "p", lambda p: 0.0 < p < 1.0, "in (0, 1)"))

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 
 from ._normal import log_ndtr, ndtr, ndtri
-from .errors import DataValidationError, NumericError, SolverError
+from .errors import DataValidationError, NumericError, SolverError, _check_number
 
 # Where the theta series hands over to the reflection series. The first
 # omitted term is at most 1.7e-19 of the value on the theta side (3 terms)
@@ -34,6 +34,8 @@ def sup_abs_bm_sf(x: float) -> float:
     terms fall fast enough that the far tail keeps full relative precision.
     Either is exact to double precision.
     """
+    # checked inline, not by _check_number: the block kernel calls this once
+    # per replication row, where a helper call per row costs measurable time
     if not (math.isfinite(x) and x > 0):
         raise DataValidationError(f"x must be positive and finite, got {x!r}")
     if x < _SERIES_SWITCH:
@@ -56,8 +58,7 @@ def sup_abs_bm_quantile(p: float) -> float:
     at most 4 Phibar(x), so the sf is >= p at the lower end and <= p at the
     upper.
     """
-    if not 0.0 < p < 1.0:
-        raise DataValidationError(f"p must be in (0, 1), got {p!r}")
+    p = _check_number(p, "p", lambda p: 0.0 < p < 1.0, "in (0, 1)")
     # -ndtri(q), not ndtri(1 - q), keeps the precision of small p
     lo, hi = -ndtri(p / 2.0), -ndtri(p / 4.0)
     for _ in range(200):
@@ -109,10 +110,9 @@ def solve_crossing_drift(level: float, target: float) -> float:
     scale at which P itself is rounded, so the drift is settled to machine
     precision and does not follow rounding noise in ``level``.
     """
-    if not (math.isfinite(level) and level > 0):
-        raise DataValidationError(f"level must be positive and finite, got {level!r}")
-    if not 0.0 < target < 1.0:
-        raise DataValidationError(f"target must be in (0, 1), got {target!r}")
+    level = _check_number(level, "level", lambda u: math.isfinite(u) and u > 0,
+                          "positive and finite")
+    target = _check_number(target, "target", lambda p: 0.0 < p < 1.0, "in (0, 1)")
 
     lo = math.log(target / 2.0) / (2.0 * level)
     hi = x = level + ndtri(target)

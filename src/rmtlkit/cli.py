@@ -160,36 +160,29 @@ def _dumps(payload) -> str:
     ``indent`` puts ``json`` on its pure-Python encoder, so each finite
     float array is written here in one join of ``float.__repr__``, the text
     ``json`` writes for a finite float, and spliced into the encoding of
-    the rest. Empty, non-finite and non-float arrays are encoded as lists.
+    the rest at one indent deeper than the line its stand-in lands on.
+    Empty, non-finite and non-float arrays are encoded as lists.
     """
     arrays = []
-    parts = json.dumps(_with_stand_ins(payload, 0, arrays), indent=2).split(
-        json.dumps(_ARRAY))
+
+    def stand_in(obj):
+        if (isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim == 1
+                and obj.size and np.isfinite(obj).all()):
+            arrays.append(obj)
+            return _ARRAY
+        return np.ndarray.tolist(obj)  # a TypeError for what is not an array
+
+    parts = json.dumps(payload, indent=2, default=stand_in).split(json.dumps(_ARRAY))
     if len(parts) != len(arrays) + 1:  # a string of the payload reads as a stand-in
-        return json.dumps(_with_stand_ins(payload, 0, None), indent=2)
-    out = [parts[0]]
-    for array, part in zip(arrays, parts[1:]):
-        out += (array, part)
+        return json.dumps(payload, indent=2, default=np.ndarray.tolist)
+    out = []
+    for part, array in zip(parts, arrays):
+        line = part[part.rfind("\n") + 1:]
+        end = "\n" + " " * (len(line) - len(line.lstrip(" ")))
+        pad = end + "  "
+        out += (part, "[", pad, f",{pad}".join(map(float.__repr__, array.tolist())), end, "]")
+    out.append(parts[-1])
     return "".join(out)
-
-
-def _with_stand_ins(obj, depth: int, arrays: list | None):
-    """A copy of ``obj`` (at nesting ``depth``) with each finite float array
-    written into ``arrays`` and replaced by ``_ARRAY``, and every other
-    array by its list; with ``arrays`` None, every array by its list."""
-    if isinstance(obj, dict):
-        return {k: _with_stand_ins(v, depth + 1, arrays) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_with_stand_ins(v, depth + 1, arrays) for v in obj]
-    if not isinstance(obj, np.ndarray):
-        return obj
-    if (arrays is None or obj.dtype != np.float64 or obj.ndim != 1 or not obj.size
-            or not np.isfinite(obj).all()):
-        return obj.tolist()
-    pad = "\n" + "  " * (depth + 1)
-    arrays.append("[" + pad + f",{pad}".join(map(float.__repr__, obj.tolist()))
-                  + pad[:-2] + "]")
-    return _ARRAY
 
 
 def _fmt(x, digits=6):

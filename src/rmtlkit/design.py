@@ -16,7 +16,8 @@ from functools import lru_cache
 from ._normal import ndtri
 from .brownian import solve_crossing_drift, sup_abs_bm_quantile
 from .data_model import TwoGroupSample
-from .errors import DataValidationError, DegenerateDesignWarning, NumericError
+from .errors import (DataValidationError, DegenerateDesignWarning, NumericError,
+                     _check_number)
 from .inference import TestMethod
 from .rmtl import _check_alpha, rmtl_difference
 
@@ -33,19 +34,18 @@ class DesignInput:
     power: float = 0.8
 
     def __post_init__(self):
-        if not (math.isfinite(self.delta) and self.delta != 0.0):
+        delta = _check_number(self.delta, "delta", lambda d: True, "a real number")
+        if not (math.isfinite(delta) and delta != 0.0):
             raise DataValidationError(
                 "delta must be nonzero and finite: a zero assumed difference "
                 "needs an infinite sample"
             )
-        for name, value in (("var1", self.var1), ("var2", self.var2)):
-            if not (math.isfinite(value) and value >= 0.0):
-                raise DataValidationError(f"{name} must be >= 0, got {value!r}")
-        if not (math.isfinite(self.ratio) and self.ratio > 0.0):
-            raise DataValidationError(f"ratio must be > 0, got {self.ratio!r}")
+        for name in ("var1", "var2"):
+            _check_number(getattr(self, name), name, lambda v: math.isfinite(v) and v >= 0.0,
+                          ">= 0")
+        _check_number(self.ratio, "ratio", lambda r: math.isfinite(r) and r > 0.0, "> 0")
         _check_alpha(self.alpha)
-        if not 0.0 < self.power < 1.0:
-            raise DataValidationError(f"power must be in (0, 1), got {self.power!r}")
+        _check_number(self.power, "power", lambda p: 0.0 < p < 1.0, "in (0, 1)")
 
 
 @dataclass(frozen=True)

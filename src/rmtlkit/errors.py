@@ -1,4 +1,8 @@
-"""Exception and warning types shared across the toolkit."""
+"""Exception and warning types shared across the toolkit, and the checks
+of its numeric parameters."""
+
+import numbers
+import operator
 
 
 class RmtlError(Exception):
@@ -33,3 +37,26 @@ class SmallSampleWarning(UserWarning):
 
 class DegenerateDesignWarning(UserWarning):
     """Emitted when a sample-size computation degenerates (zero variance)."""
+
+
+def _check_number(value, name: str, ok, what: str) -> float:
+    """``value`` as a float: a real number, not a bool, for which ``ok``
+    holds. Anything else raises "<name> must be <what>, got <value>"."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and ok(value):
+        return float(value)
+    raise DataValidationError(f"{name} must be {what}, got {value!r}")
+
+
+def _check_int(value, name: str, least: int, what: str = "") -> int:
+    """``value`` as a plain int: an integer that is not a bool (a numpy
+    integer counts as its value) and is at least ``least``. Below it, the
+    message says it must be ``what``, by default ">= least"."""
+    try:
+        n = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        n = None
+    if n is None:
+        raise DataValidationError(f"{name} must be an integer, got {value!r}")
+    if n < least:
+        raise DataValidationError(f"{name} must be {what or f'>= {least}'}, got {n}")
+    return n

@@ -17,7 +17,7 @@ from ._normal import ndtr
 from .brownian import sup_abs_bm_sf
 from .cif import BlockFit
 from .data_model import TwoGroupSample
-from .errors import DataValidationError, DegenerateDataError
+from .errors import DegenerateDataError, _check_number
 from .rmtl import (
     RmtlDifference,
     _check_alpha,
@@ -65,9 +65,7 @@ class PartialDifferenceProcess:
 
 
 def _check_rho(rho: float) -> float:
-    if not 0.0 <= rho <= 1.0:
-        raise DataValidationError(f"rho must be in [0, 1], got {rho!r}")
-    return float(rho)
+    return _check_number(rho, "rho", lambda r: 0.0 <= r <= 1.0, "in [0, 1]")
 
 
 def _diff_p(z: float) -> float:

@@ -8,7 +8,6 @@ step-function integrals, never quadrature, so results are bit-stable.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import sys
 import warnings
@@ -19,7 +18,8 @@ import numpy as np
 from ._normal import ndtri
 from .cif import StepFunction
 from .data_model import EventCode, TwoGroupSample
-from .errors import DataValidationError, DegenerateDataError, ExtrapolationWarning
+from .errors import (DataValidationError, DegenerateDataError, ExtrapolationWarning,
+                     _check_number)
 
 _PACKAGE = os.path.dirname(__file__) + os.sep
 
@@ -46,9 +46,8 @@ class RmtlDifference:
 
 
 def _check_tau(fn: StepFunction, tau: float) -> float:
-    if (isinstance(tau, bool) or not isinstance(tau, numbers.Real)
-            or not math.isfinite(tau) or tau <= 0):
-        raise DataValidationError(f"tau must be a positive finite number, got {tau!r}")
+    tau = _check_number(tau, "tau", lambda t: math.isfinite(t) and t > 0,
+                        "a positive finite number")
     if tau > fn.last_observed:
         warnings.warn(
             f"tau={tau:g} exceeds the last observed time {fn.last_observed:g}; "
@@ -56,7 +55,7 @@ def _check_tau(fn: StepFunction, tau: float) -> float:
             ExtrapolationWarning,
             stacklevel=_outside_package(),
         )
-    return float(tau)
+    return tau
 
 
 def _outside_package() -> int:
@@ -107,9 +106,7 @@ def rmstc(km: StepFunction, tau: float) -> float:
 
 
 def _check_alpha(alpha: float) -> float:
-    if not 0.0 < alpha < 1.0:
-        raise DataValidationError(f"alpha must be in (0, 1), got {alpha!r}")
-    return float(alpha)
+    return _check_number(alpha, "alpha", lambda a: 0.0 < a < 1.0, "in (0, 1)")
 
 
 def rmtl_ci(est: RmtlEstimate, alpha: float = 0.05) -> tuple[float, float]:

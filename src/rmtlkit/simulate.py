@@ -23,7 +23,6 @@ import dataclasses
 import functools
 import json
 import math
-import operator
 import os
 import threading
 import warnings
@@ -36,7 +35,7 @@ import numpy as np
 
 from .cif import _block_fits
 from .data_model import EventCode, _check_columns, read_text
-from .errors import DataValidationError, SmallSampleWarning
+from .errors import DataValidationError, SmallSampleWarning, _check_int, _check_number
 from .inference import TestMethod, _block_tests, _check_rho
 from .rmtl import _block_taus, _check_alpha
 
@@ -65,12 +64,11 @@ class WeibullSegment:
     scale: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.start) and self.start >= 0):
-            raise DataValidationError(f"segment start must be >= 0, got {self.start!r}")
-        if not (math.isfinite(self.shape) and self.shape > 0):
-            raise DataValidationError(f"segment shape must be > 0, got {self.shape!r}")
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise DataValidationError(f"segment scale must be > 0, got {self.scale!r}")
+        _check_number(self.start, "segment start", lambda s: math.isfinite(s) and s >= 0,
+                      ">= 0")
+        for name in ("shape", "scale"):
+            _check_number(getattr(self, name), f"segment {name}",
+                          lambda v: math.isfinite(v) and v > 0, "> 0")
 
 
 @dataclass(frozen=True)
@@ -86,8 +84,7 @@ class PiecewiseWeibullCif:
     segments: tuple[WeibullSegment, ...]
 
     def __post_init__(self):
-        if not 0.0 < self.mass <= 1.0:
-            raise DataValidationError(f"mass must be in (0, 1], got {self.mass!r}")
+        _check_number(self.mass, "mass", lambda m: 0.0 < m <= 1.0, "in (0, 1]")
         if not self.segments:
             raise DataValidationError("at least one Weibull segment required")
         starts = [s.start for s in self.segments]
@@ -143,8 +140,7 @@ class GroupSpec:
                 "interest and competing masses must sum to 1, got "
                 f"{self.interest.mass} + {self.competing.mass}"
             )
-        if self.n < 2:
-            raise DataValidationError(f"group size must be >= 2, got {self.n}")
+        _check_int(self.n, "group size", 2)
 
 
 @dataclass(frozen=True)
@@ -157,14 +153,12 @@ class CensoringSpec:
     def __post_init__(self):
         if self.target is not None and self.bound is not None:
             raise DataValidationError("censoring: give either target or c, not both")
-        if self.target is not None and not 0.0 <= self.target <= 0.9:
-            raise DataValidationError(
-                f"censoring target must be in [0, 0.9], got {self.target!r}"
-            )
-        if self.bound is not None and not (math.isfinite(self.bound) and self.bound > 0):
-            raise DataValidationError(
-                f"censoring bound must be finite and > 0, got {self.bound!r}"
-            )
+        if self.target is not None:
+            _check_number(self.target, "censoring target", lambda t: 0.0 <= t <= 0.9,
+                          "in [0, 0.9]")
+        if self.bound is not None:
+            _check_number(self.bound, "censoring bound", lambda c: math.isfinite(c) and c > 0,
+                          "finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -487,17 +481,6 @@ def _normalize_methods(methods) -> tuple[TestMethod, ...]:
     return out
 
 
-def _as_int(value, name: str) -> int:
-    """``value`` as a plain int: an integer that is not a bool (a numpy
-    integer counts as its value)."""
-    try:
-        if not isinstance(value, bool):
-            return operator.index(value)
-    except TypeError:
-        pass
-    raise DataValidationError(f"{name} must be an integer, got {value!r}")
-
-
 def run_monte_carlo(
     scn: ScenarioSpec,
     methods=(TestMethod.DIFF, TestMethod.SDIFF),
@@ -518,16 +501,9 @@ def run_monte_carlo(
     replications run on a pool of worker processes that is kept for the
     next study in this process with the same worker count.
     """
-    reps, workers = _as_int(reps, "reps"), _as_int(workers, "workers")
-    seed = _as_int(seed, "seed")
-    if reps < 1:
-        raise DataValidationError(f"reps must be >= 1, got {reps}")
-    if workers < 1:
-        raise DataValidationError(f"workers must be >= 1, got {workers}")
-    if seed < 0:
-        raise DataValidationError(f"seed must be an integer >= 0, got {seed}")
-    _check_alpha(alpha)
-    _check_rho(rho)
+    reps, workers = _check_int(reps, "reps", 1), _check_int(workers, "workers", 1)
+    seed = _check_int(seed, "seed", 0, "an integer >= 0")
+    alpha, rho = _check_alpha(alpha), _check_rho(rho)
     methods = _normalize_methods(methods)
     bounds = calibrate_censoring(scn)
 
@@ -577,9 +553,7 @@ def observed_power_at_n(
     The total is split by ``ratio`` (n2/n1; defaults to the scenario's own
     group-size ratio) with the first group rounded up.
     """
-    n_total = _as_int(n_total, "n_total")
-    if n_total < 4:
-        raise DataValidationError(f"n_total must be >= 4, got {n_total}")
+    n_total = _check_int(n_total, "n_total", 4)
     if n_total < 20:
         warnings.warn(
             f"n_total={n_total} is too small for the normal approximation "
@@ -587,9 +561,8 @@ def observed_power_at_n(
             SmallSampleWarning,
             stacklevel=2,
         )
-    r = ratio if ratio is not None else scn.groups[1].n / scn.groups[0].n
-    if not r > 0:
-        raise DataValidationError(f"ratio must be > 0, got {r!r}")
+    r = (scn.groups[1].n / scn.groups[0].n if ratio is None
+         else _check_number(ratio, "ratio", lambda r: r > 0, "> 0"))
     n1 = math.ceil(n_total / (1.0 + r))
     n2 = n_total - n1
     if n1 < 2 or n2 < 2:

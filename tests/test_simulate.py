@@ -775,6 +775,13 @@ class TestMonteCarlo:
         with pytest.raises(DataValidationError, match=message):
             run_monte_carlo(tiny_scenario(), reps=5, **{option: value})
 
+    def test_the_report_keeps_the_checked_alpha_and_rho(self):
+        report = run_monte_carlo(tiny_scenario(), ["diff"], reps=3, alpha=np.float32(0.05),
+                                 rho=1)
+        assert (type(report.alpha), type(report.rho)) == (float, float)
+        assert (report.alpha, report.rho) == (float(np.float32(0.05)), 1.0)
+        assert json.loads(json.dumps(report.to_dict()))["alpha"] == report.alpha
+
     @pytest.mark.parametrize("name", ["a_null", "f_crossing"])
     @pytest.mark.parametrize("target", [None, 0.45])
     def test_reports_do_not_depend_on_the_chunk_size(self, monkeypatch, name, target):

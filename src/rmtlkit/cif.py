@@ -126,7 +126,8 @@ class PooledFit:
 
 class BlockFit(NamedTuple):
     """The pooled fits of a block of samples with equal groups, row r that
-    of sample r, in arrays whose leading index is the group.
+    of sample r, in arrays whose leading index is the group, as
+    ``_block_fits`` makes them in one pass over all groups.
 
     Row r's pooled grid is ``grid_times[r]`` up to its first +inf, with
     each group's CIF and Aalen variance there in ``values[k, r]`` and
@@ -159,17 +160,18 @@ def _block_fits(times, codes, sizes) -> BlockFit:
 
     ``times`` and ``codes`` are (R, N) arrays, one sample per row: its
     first ``sizes[0]`` subjects are group 0, the next ``sizes[1]`` group 1,
-    and so on. A group's risk-table rows, from ``_tabulate``, are laid out
-    left-aligned in an (R, m) array, m the most rows of any sample. The
-    rest of a row is padding that no fitted value reads, as the fit takes
-    cumulative sums and products along each row. Each group's CIF and
-    variance are then read on the pooled grid, and the fits come back in
-    the layout ``BlockFit`` describes. Tau comes from ``rmtl._block_taus``.
+    and so on. All groups of all rows go through each step once, with no
+    loop over groups: one ``_tabulate``, one (G·R, m) layout of the risk
+    tables (m the most rows of any; the rest of a row is padding that no
+    fitted value reads, as the fit runs cumulative sums and products along
+    rows) and one ``_incidence``. Each CIF and variance is then read on its
+    row's pooled grid, in the layout ``BlockFit`` describes. Tau comes from
+    ``rmtl._block_taus``.
     """
     n_rows, width = times.shape
-    n_groups = len(sizes)
     order = times.argsort(axis=-1)
-    g = np.repeat(np.arange(n_groups), sizes)[order]
+    # int8 labels: their stable sort below is a radix sort
+    g = np.repeat(np.arange(len(sizes), dtype=np.int8), sizes).take(order)
     order += np.arange(0, times.size, width)[:, None]  # flat indices
     t, c = times.take(order), codes.take(order)
     # the pooled grid: the last position of each run of tied times that
@@ -177,38 +179,31 @@ def _block_fits(times, codes, sizes) -> BlockFit:
     grid = np.ones(t.shape, dtype=bool)
     np.not_equal(t[:, 1:], t[:, :-1], out=grid[:, :-1])
     grid &= np.maximum.accumulate(np.where(c > 0, t, -1.0), axis=-1) == t
-    grid_at = grid.ravel().nonzero()[0]
-    # Each grid time reads each group's CIF and variance at the group's last
-    # knot at or before it, as from_arrays does: the last knot at or before
-    # its position in the sorted block, if that knot is in the same row.
-    grid_start = grid_at - grid_at % width
-    # the grid times, then each group's CIF, then each group's variance
-    on_grid = np.empty((1 + 2 * n_groups, len(grid_at)))
-    on_grid[0] = t.take(grid_at)
-    for k, n in enumerate(sizes):
-        # the group's sorted subjects, row after row (boolean masks are
-        # slower than these takes)
-        pick = (g == k).ravel().nonzero()[0]
-        starts, at_risk, dj, dk = _tabulate(t.take(pick), c.take(pick), n)
-        # padding has 1 at risk and no events
-        table, filled = _left_aligned(np.bincount(starts // n, minlength=n_rows),
-                                      (at_risk, dj, dk), (1.0, 0.0, 0.0))
-        inc, var = _incidence(*table)
-        # the knots (the rows with an event of interest), each at the block
-        # position of its run's first subject
-        at_knots = (dj > 0).nonzero()[0]
-        knot_at = pick.take(starts.take(at_knots))
-        # entry i + 1 of each array read is knot i's, and entry 0 (0, the
-        # value before a first knot) is read where the row has none yet
-        seen = np.bincount(knot_at, minlength=t.size).cumsum().take(grid_at)
-        at = np.where(np.concatenate(([-1], knot_at)).take(seen) >= grid_start, seen, 0)
-        cells = filled.ravel().nonzero()[0].take(at_knots)
-        on_grid[1 + k] = np.concatenate(([0.0], inc.take(cells))).take(at)
-        on_grid[1 + n_groups + k] = np.concatenate(([0.0], var.take(cells))).take(at)
-    grid_table = _left_aligned(grid.sum(axis=-1), on_grid,
-                               (np.inf,) + (0.0,) * (2 * n_groups))[0]
-    return BlockFit(grid_table[0], grid_table[1:1 + n_groups],
-                    grid_table[1 + n_groups:], np.array(sizes))
+    (grid_times,), filled = _left_aligned(grid.sum(axis=-1), (t[grid],), (np.inf,))
+    before = grid.cumsum(axis=-1) - grid  # grid positions before each, in its row
+    # every group's sorted subjects, group after group, row after row within
+    # each: sample k * R + r is group k of row r
+    pick = g.ravel().argsort(kind="stable")
+    bounds = np.concatenate(([0], np.repeat(sizes, n_rows).cumsum()))
+    sample, starts, at_risk, dj, dk = _tabulate(t.take(pick), c.take(pick), bounds)
+    # padding has 1 at risk and no events
+    table, cells = _left_aligned(np.bincount(sample, minlength=len(bounds) - 1),
+                                 (at_risk, dj, dk), (1.0, 0.0, 0.0))
+    inc, var = _incidence(*table)
+    # Each knot (a table row with an event of interest) puts its table cell
+    # + 1 in its grid cell, as its run of tied times ends at the next grid
+    # position; other table rows put 0. Filled forward along rows, this reads
+    # each grid time at the group's last knot at or before it, as from_arrays
+    # does, and at entry 0 (0, the value before a first knot) where there is
+    # none, or in padding.
+    number = cells.ravel().nonzero()[0] + 1
+    number *= dj > 0
+    at = np.zeros((len(sizes),) + grid_times.shape, dtype=np.intp)
+    at.put(sample * grid_times.shape[-1] + before.take(pick.take(starts)), number)
+    np.maximum.accumulate(at, axis=-1, out=at)
+    at *= filled
+    return BlockFit(grid_times, np.concatenate(([0.0], inc.ravel())).take(at),
+                    np.concatenate(([0.0], var.ravel())).take(at), np.array(sizes))
 
 
 def _aalen_variance(n, d, dj, s_prev, inc):

@@ -2,9 +2,9 @@
 
 The risk table is the single input consumed by every estimator: ordered
 distinct event times with at-risk and per-cause event counts, tabulated
-by ``_tabulate`` for a sample and the Monte Carlo engine alike. Each group
-of a sample is tabulated once, by its pooled fit, and every statistic of
-the sample reads that group's table or the CIFs fitted from it.
+by ``_tabulate``: for a sample once per group, by its pooled fit, whose
+tables or CIFs every statistic of the sample reads; and for every group of
+a Monte Carlo chunk of replications in one call.
 """
 
 from __future__ import annotations
@@ -194,20 +194,21 @@ def build_risk_table(times, codes) -> RiskTable:
     # the sorted ends are the extremes, and a NaN sorts last
     if not (t[0] >= 0 and t[-1] < math.inf):
         raise DataValidationError("times must be finite and nonnegative")
-    starts, at_risk, dj, dk = _tabulate(t, codes.take(order), len(t))
+    _, starts, at_risk, dj, dk = _tabulate(t, codes.take(order), np.array((0, len(t))))
     return RiskTable(times=t.take(starts), at_risk=at_risk, events_interest=dj,
                      events_competing=dk, n_total=len(t), last_observed=float(t[-1]))
 
 
-def _tabulate(t, c, n):
-    """Risk-table rows of samples of ``n`` subjects each, back to back in
-    ``t`` (times, sorted within each sample) and ``c`` (status codes): for
-    each run of tied times that holds an event (a subject censored at t is
-    at risk at t), its first subject's position, its at-risk count and its
-    events of interest and competing events."""
+def _tabulate(t, c, bounds):
+    """Risk-table rows of samples held back to back in ``t`` (times, sorted
+    within each sample) and ``c`` (status codes), sample i at positions
+    ``[bounds[i], bounds[i + 1])``: for each run of tied times that holds an
+    event (a subject censored at t is at risk at t), its sample, its first
+    subject's position, its at-risk count and its events of interest and
+    competing events, in position order."""
     first = np.ones(t.size, dtype=bool)  # the first subject of each run
     np.not_equal(t[1:], t[:-1], out=first[1:])
-    first[::n] = True  # and of each sample
+    first[bounds[:-1]] = True  # and of each sample
     starts = first.nonzero()[0]
     # censored, interest and competing counts of each run
     runs = len(starts)
@@ -215,7 +216,8 @@ def _tabulate(t, c, n):
     keep = counts[runs:].reshape(2, runs).any(axis=0).nonzero()[0]
     starts = starts.take(keep)
     dj, dk = counts.reshape(3, runs)[1:].take(keep, axis=1)
-    return starts, n - starts % n, dj, dk
+    sample = bounds.searchsorted(starts, side="right") - 1
+    return sample, starts, bounds.take(sample + 1) - starts, dj, dk
 
 
 def read_text(path) -> str:

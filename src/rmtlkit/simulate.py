@@ -64,11 +64,12 @@ class WeibullSegment:
     scale: float
 
     def __post_init__(self):
-        _check_number(self.start, "segment start", lambda s: math.isfinite(s) and s >= 0,
-                      ">= 0")
+        object.__setattr__(self, "start", _check_number(
+            self.start, "segment start", lambda s: math.isfinite(s) and s >= 0, ">= 0"))
         for name in ("shape", "scale"):
-            _check_number(getattr(self, name), f"segment {name}",
-                          lambda v: math.isfinite(v) and v > 0, "> 0")
+            object.__setattr__(self, name, _check_number(
+                getattr(self, name), f"segment {name}", lambda v: math.isfinite(v) and v > 0,
+                "> 0"))
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,8 @@ class PiecewiseWeibullCif:
     segments: tuple[WeibullSegment, ...]
 
     def __post_init__(self):
-        _check_number(self.mass, "mass", lambda m: 0.0 < m <= 1.0, "in (0, 1]")
+        object.__setattr__(self, "mass", _check_number(self.mass, "mass",
+                                                       lambda m: 0.0 < m <= 1.0, "in (0, 1]"))
         if not self.segments:
             raise DataValidationError("at least one Weibull segment required")
         starts = [s.start for s in self.segments]
@@ -140,7 +142,7 @@ class GroupSpec:
                 "interest and competing masses must sum to 1, got "
                 f"{self.interest.mass} + {self.competing.mass}"
             )
-        _check_int(self.n, "group size", 2)
+        object.__setattr__(self, "n", _check_int(self.n, "group size", 2))
 
 
 @dataclass(frozen=True)
@@ -154,11 +156,12 @@ class CensoringSpec:
         if self.target is not None and self.bound is not None:
             raise DataValidationError("censoring: give either target or c, not both")
         if self.target is not None:
-            _check_number(self.target, "censoring target", lambda t: 0.0 <= t <= 0.9,
-                          "in [0, 0.9]")
+            object.__setattr__(self, "target", _check_number(
+                self.target, "censoring target", lambda t: 0.0 <= t <= 0.9, "in [0, 0.9]"))
         if self.bound is not None:
-            _check_number(self.bound, "censoring bound", lambda c: math.isfinite(c) and c > 0,
-                          "finite and > 0")
+            object.__setattr__(self, "bound", _check_number(
+                self.bound, "censoring bound", lambda c: math.isfinite(c) and c > 0,
+                "finite and > 0"))
 
 
 @dataclass(frozen=True)

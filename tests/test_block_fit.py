@@ -162,6 +162,22 @@ class TestKernel:
         codes[:, 5:] = rng.choice([1, 2], (4, 7))
         assert_block_matches(times, codes, (5, 7))
 
+    @pytest.mark.parametrize("sizes", [(3, 9), (120, 40)])
+    @pytest.mark.parametrize("bounds", [None, (5.0, 0.02)])
+    @pytest.mark.parametrize("decimals", [None, 0])
+    def test_drawn_chunks_whole_and_by_one_row(self, sizes, bounds, decimals):
+        # every row of a drawn chunk, skipped ones too: under the bounds
+        # (5.0, 0.02) group 2 mostly has no event at all, and times rounded
+        # to integers tie across groups
+        scn = resized(load_shipped_scenario("c_nonproportional"), *sizes)
+        for times, codes, keep in _samples(scn, 0, 30, 9, bounds):
+            if bounds is not None:  # and some row has no event in group 2
+                assert (codes[:, sizes[0]:] == 0).all(axis=1).any()
+            if decimals is not None:
+                times = times.round(decimals)
+            assert_block_matches(times, codes, sizes)
+            assert_block_matches(times[-1:], codes[-1:], sizes)
+
     def test_three_groups(self):
         rng = np.random.default_rng(14)
         assert_block_matches(*tied_block(rng, 12, (5, 7, 9), [(0, 1, 2), (1,)]), (5, 7, 9))

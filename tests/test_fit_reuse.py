@@ -5,12 +5,14 @@ competing-cause CIF and Kaplan-Meier curve off those tables too. Each test
 takes its own difference, so it integrates each group once (and checks tau
 once per group). The Monte Carlo engine fits and tests a chunk of
 replications at a time, with no per-replication risk table, fit, integral
-or difference. Both fit paths tabulate through ``data_model._tabulate``,
-once per group."""
+or difference. Both fit paths tabulate through ``data_model._tabulate``:
+a sample once per group, and a chunk of replications once for all its
+groups."""
 
 import json
 import sys
 
+import numpy as np
 import pytest
 
 import rmtlkit
@@ -51,14 +53,14 @@ def risk_table_calls(monkeypatch):
 
 @pytest.fixture
 def tabulate_calls(monkeypatch):
-    """Record the sample size of each data_model._tabulate call, patched
-    wherever a module refers to it."""
+    """Record the sizes of the samples each data_model._tabulate call
+    tabulates, patched wherever a module refers to it."""
     original = data_model._tabulate
     calls = []
 
-    def counted(t, c, n):
-        calls.append(n)
-        return original(t, c, n)
+    def counted(t, c, bounds):
+        calls.append(np.diff(bounds).tolist())
+        return original(t, c, bounds)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("rmtlkit.") and vars(module).get("_tabulate") is original:
@@ -169,17 +171,19 @@ def test_one_replication_integrates_each_group_once_per_test(monkeypatch):
 
 def test_both_fit_paths_tabulate_through_one_function(tabulate_calls, risk_table_calls,
                                                       block_fit_shapes):
-    # a per-sample fit: one call per group, through build_risk_table
+    # a per-sample fit: one call of one sample per group, through
+    # build_risk_table
     sample = next(engine_samples(load_shipped_scenario("a_null"), 0, 1, 5, None))
     assert sample.pooled.n_total.tolist() == [50, 50]
-    assert tabulate_calls == [50, 50]
+    assert tabulate_calls == [[50], [50]]
     assert len(risk_table_calls) == 2
-    # one Monte Carlo chunk: one call per group, from the block fit itself
+    # one Monte Carlo chunk: one call from the block fit itself, a sample
+    # per group of each replication
     tabulate_calls.clear()
     risk_table_calls.clear()
     run_monte_carlo(load_shipped_scenario("a_null"), reps=5, seed=5)
     assert block_fit_shapes == [(5, 100)]
-    assert tabulate_calls == [50, 50]
+    assert tabulate_calls == [[50] * 10]
     assert len(risk_table_calls) == 0
 
 

@@ -26,7 +26,7 @@ from rmtlkit.rmtl import _block_taus
 from rmtlkit.simulate import _samples
 
 PACKAGE = os.path.dirname(rmtlkit.__file__) + os.sep
-CALLS = 208
+CALLS = 143
 # one 16-replication chunk of a_null drawn, sampled and checked, without
 # and with a censoring bound
 SAMPLING_CALLS = {None: 79, (2.0, 2.0): 90}

@@ -3,6 +3,7 @@ not a real number in its range (a bool, a string, None or NaN included)
 raises a DataValidationError that names the parameter."""
 
 import dataclasses
+import json
 import math
 import re
 
@@ -21,6 +22,7 @@ from rmtlkit import (
     partial_process,
     rmtl_difference,
     run_monte_carlo,
+    scenario_to_dict,
 )
 from rmtlkit._normal import ndtri
 from rmtlkit.brownian import solve_crossing_drift, sup_abs_bm_quantile
@@ -83,3 +85,20 @@ def test_a_group_size_that_is_not_an_integer_is_refused(n):
 def test_numpy_numbers_in_range_are_accepted():
     assert dataclasses.replace(GROUP, n=np.int64(50)).n == 50
     assert DesignInput(np.float32(1.0), np.float64(4.0), 4, alpha=np.float32(0.05)).var2 == 4
+
+
+def test_a_spec_keeps_the_plain_number_its_check_returns():
+    # numpy numbers are stored as plain floats and ints, so a scenario and
+    # a report built from them can be written as JSON
+    segment = WeibullSegment(np.float32(0.0), np.int64(2), np.float64(2.2))
+    specs = [(segment, ("start", "shape", "scale")),
+             (PiecewiseWeibullCif(np.float32(0.5), (segment,)), ("mass",)),
+             (CensoringSpec(target=np.float32(0.25)), ("target",)),
+             (CensoringSpec(bound=np.float32(2.0)), ("bound",))]
+    assert all(type(getattr(spec, name)) is float for spec, names in specs for name in names)
+    group = dataclasses.replace(GROUP, n=np.int64(50))
+    assert type(group.n) is int
+    scn = dataclasses.replace(SCENARIO, groups=(group, group), censoring=specs[-1][0])
+    assert json.loads(json.dumps(scenario_to_dict(scn)))["groups"][0]["n"] == 50
+    report = run_monte_carlo(scn, reps=2, seed=1).to_dict()
+    assert json.loads(json.dumps(report))["censoring_bounds"] == [2.0, 2.0]

@@ -451,6 +451,20 @@ _pool = None
 _pool_lock = threading.Lock()
 
 
+def _keep_worker_heap():
+    """Pool initializer: pin glibc's mmap and trim thresholds at the ceiling of
+    its dynamic rule (both, since setting one freezes the other), so a worker
+    keeps its heap between blocks. Does nothing where there is no ``mallopt``."""
+    import ctypes
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def _worker_pool(workers: int) -> ProcessPoolExecutor:
     """This process's pool of ``workers`` worker processes, kept for the
     next study. It is made again when the worker count changes, when it is
@@ -465,7 +479,7 @@ def _worker_pool(workers: int) -> ProcessPoolExecutor:
                 return pool
             stop()  # joins the pool's thread, so none is alive at the next fork
         _pool = None
-    pool = ProcessPoolExecutor(max_workers=workers)
+    pool = ProcessPoolExecutor(max_workers=workers, initializer=_keep_worker_heap)
     # A multiprocessing child joins its own children (these workers) at exit
     # before the concurrent.futures exit hook would end them, so the pool is
     # shut down by a finalizer that runs first: priority above the 10 of the

@@ -8,6 +8,7 @@ by another test. The scripts print one JSON object on stdout.
 import json
 import multiprocessing
 import os
+import platform
 import subprocess
 import sys
 import textwrap
@@ -37,6 +38,10 @@ needs_fork = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                                 reason="workers are not forked on this platform")
 
 
+needs_glibc = pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                                 reason="the workers' heap setting is glibc's")
+
+
 def run_script(body: str, *args: str, timeout: float = 60.0) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
@@ -54,9 +59,9 @@ def test_consecutive_studies_share_one_executor():
         made = []
 
         class Counted(simulate.ProcessPoolExecutor):
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **kwargs):
                 made.append(max_workers)
-                super().__init__(max_workers=max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
 
         simulate.ProcessPoolExecutor = Counted
         first = report(2)
@@ -76,12 +81,12 @@ def test_a_new_worker_count_replaces_the_pool_after_shutting_it_down():
         events = []
 
         class Logged(simulate.ProcessPoolExecutor):
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **kwargs):
                 # threads and worker processes alive before this pool forks
                 events.append(["make", max_workers, threading.active_count(),
                                len(multiprocessing.active_children())])
                 self.size = max_workers
-                super().__init__(max_workers=max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
 
             def shutdown(self, wait=True, **kwargs):
                 events.append(["shutdown", self.size, wait])
@@ -214,3 +219,104 @@ def test_an_interpreter_with_a_pool_exits_and_leaves_no_process():
     for pid in out:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+
+@needs_fork
+@needs_glibc
+@pytest.mark.parametrize("censoring", [0.3, None])
+def test_workers_keep_their_heap_between_studies(censoring):
+    # Each worker reads its own minor page faults: the barrier holds the
+    # first probe until the second has reached the other worker. Without
+    # the heap setting each worker faults 3000 or more pages per study,
+    # as glibc trims the heap after a block and the next block regrows
+    # it; uncensored, in a fresh process, so does a worker that pins the
+    # trim threshold alone.
+    out = run_script("""
+        import dataclasses, resource
+        target = json.loads(sys.argv[1])
+        scn = SCN if target is None else dataclasses.replace(
+            SCN, censoring=simulate.CensoringSpec(target=target))
+        barrier = multiprocessing.Barrier(2)
+
+        def probe(_):
+            barrier.wait(30)
+            return os.getpid(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+        def faults():
+            return dict(simulate._pool[2].map(probe, range(2)))
+
+        simulate.observed_power_at_n(scn, 2000, reps=150, workers=2)
+        before = faults()
+        for seed in range(1, 11):
+            simulate.observed_power_at_n(scn, 2000, reps=150, seed=seed, workers=2)
+        after = faults()
+        print(json.dumps([after[pid] - before[pid] for pid in before]))
+    """, json.dumps(censoring))
+    assert len(out) == 2
+    assert all(faults < 1000 for faults in out), out
+
+
+@needs_fork
+@needs_glibc
+def test_the_heap_setting_runs_once_in_each_worker_and_never_in_the_caller(tmp_path):
+    # the library lookup is wrapped before the pool exists, so each
+    # mallopt call logs its process, arguments and result
+    out = run_script("""
+        import ctypes
+        log, real = sys.argv[1], ctypes.CDLL
+
+        class Logged:
+            def __init__(self, name):
+                self.lib = real(name)
+
+            @property
+            def mallopt(self):
+                call = self.lib.mallopt
+
+                def logged(param, value):
+                    call.argtypes, call.restype = logged.argtypes, logged.restype
+                    result = call(param, value)
+                    with open(log, "a") as f:
+                        f.write(json.dumps([os.getpid(), param, value, result]) + "\\n")
+                    return result
+                return logged
+
+        ctypes.CDLL = Logged
+        same = [report(2) == report(1), report(2, seed=8) == report(1, seed=8)]
+        with open(log) as f:
+            calls = [json.loads(line) for line in f]
+        print(json.dumps({"same": same, "calls": calls, "caller": os.getpid(),
+                          "workers": sorted(p.pid for p in multiprocessing.active_children())}))
+    """, str(tmp_path / "calls.log"))
+    assert out["same"] == [True, True]
+    assert sorted({pid for pid, *_ in out["calls"]}) == out["workers"]
+    assert out["caller"] not in out["workers"]
+    for worker in out["workers"]:
+        assert [call[1:] for call in out["calls"] if call[0] == worker] == [
+            [-3, 32 << 20, 1], [-1, 64 << 20, 1]]
+
+
+@needs_fork
+@pytest.mark.parametrize("failure", ["no library", "no mallopt"])
+def test_without_mallopt_the_workers_give_the_same_report(failure, tmp_path):
+    out = run_script("""
+        import ctypes
+        failure, log = sys.argv[1], sys.argv[2]
+
+        def lookup(name):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()}\\n")
+            if failure == "no library":
+                raise OSError("no C library")
+            return object()
+
+        ctypes.CDLL = lookup
+        parallel = report(2)
+        with open(log) as f:
+            pids = sorted(int(line) for line in f)
+        print(json.dumps({"same": parallel == report(1), "pids": pids, "caller": os.getpid(),
+                          "workers": sorted(p.pid for p in multiprocessing.active_children())}))
+    """, failure, str(tmp_path / "lookups.log"))
+    assert out["same"]
+    assert out["pids"] == out["workers"]
+    assert out["caller"] not in out["pids"]

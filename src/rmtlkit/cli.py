@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -308,19 +309,17 @@ def cmd_test(args) -> str:
     return "\n".join(lines)
 
 
-def _designs(inp: DesignInput, methods) -> dict:
+def _designs(args, methods, delta, var1, var2) -> dict:
+    """Each method's design for the planning values at the run's ratio, alpha
+    and power: the fields of its ``SampleSizeResult`` without the method, and
+    without the drifts where they are None."""
+    inp = DesignInput(delta, var1, var2, args.ratio, args.alpha, args.power)
     out = {}
     for method in methods:
-        if method == TestMethod.DIFF:
-            res = sample_size_diff(inp)
-        else:
-            res = sample_size_sdiff(inp)
-        entry = {"n_total": res.n_total, "n1": res.n1, "n2": res.n2,
-                 "inflation": res.inflation}
-        if res.drift is not None:
-            entry["drift"] = res.drift
-            entry["drift_normal"] = res.drift_normal
-        out[method.value] = entry
+        size = sample_size_diff if method == TestMethod.DIFF else sample_size_sdiff
+        entry = dataclasses.asdict(size(inp))
+        del entry["method"]
+        out[method.value] = {k: v for k, v in entry.items() if v is not None}
     return out
 
 
@@ -345,10 +344,7 @@ def cmd_samplesize(args) -> str:
             row = {"tau": float(tau)}
             try:
                 pp = pilot_parameters(pilot_sample, float(tau))
-                inp = DesignInput(delta=pp.delta, var1=pp.var1, var2=pp.var2,
-                                  ratio=args.ratio, alpha=args.alpha,
-                                  power=args.power)
-                for name, entry in _designs(inp, methods).items():
+                for name, entry in _designs(args, methods, pp.delta, pp.var1, pp.var2).items():
                     row[name] = entry["n_total"]
             except RmtlError as exc:
                 row["error"] = str(exc)
@@ -371,16 +367,12 @@ def cmd_samplesize(args) -> str:
     if pilot_sample is not None:
         tau = args.tau if args.tau is not None else default_tau(pilot_sample)
         pp = pilot_parameters(pilot_sample, tau)
-        payload["pilot"] = {"delta": pp.delta, "var1": pp.var1, "var2": pp.var2,
-                            "tau": pp.tau}
-        inp = DesignInput(delta=pp.delta, var1=pp.var1, var2=pp.var2,
-                          ratio=args.ratio, alpha=args.alpha, power=args.power)
+        payload["pilot"] = dataclasses.asdict(pp)
+        planning = pp.delta, pp.var1, pp.var2
     else:
-        inp = DesignInput(delta=args.delta, var1=args.var1, var2=args.var2,
-                          ratio=args.ratio, alpha=args.alpha, power=args.power)
-        payload["inputs"] = {"delta": args.delta, "var1": args.var1,
-                             "var2": args.var2}
-    payload["results"] = _designs(inp, methods)
+        planning = args.delta, args.var1, args.var2
+        payload["inputs"] = {"delta": args.delta, "var1": args.var1, "var2": args.var2}
+    payload["results"] = _designs(args, methods, *planning)
 
     if args.format == "json":
         return _dumps(payload)

@@ -186,14 +186,10 @@ def build_risk_table(times, codes) -> RiskTable:
                                   f"got shapes {times.shape} and {codes.shape}")
     if len(times) == 0:
         raise DataValidationError("cannot build a risk table from no observations")
-    if not ((codes >= 0) & (codes <= 2)).all():
-        raise DataValidationError("status codes must be 0, 1 or 2")
+    _check_columns(times, codes)
     # counts are summed by bincount, so the order within tied times is free
     order = times.argsort()
     t = times.take(order)
-    # the sorted ends are the extremes, and a NaN sorts last
-    if not (t[0] >= 0 and t[-1] < math.inf):
-        raise DataValidationError("times must be finite and nonnegative")
     _, starts, at_risk, dj, dk = _tabulate(t, codes.take(order), np.array((0, len(t))))
     return RiskTable(times=t.take(starts), at_risk=at_risk, events_interest=dj,
                      events_competing=dk, n_total=len(t), last_observed=float(t[-1]))

@@ -57,6 +57,15 @@ _GROUPS = ("1", "2")  # the labels of a scenario's groups, in order
 TAU_RULE = "min over groups of the last observed event-of-interest time"
 
 
+def _check_uniforms(u) -> np.ndarray:
+    """``u`` as a float array, refused unless every draw lies in [0, 1)."""
+    u = np.asarray(u, dtype=float)
+    # min/max checks: a NaN fails the first comparison
+    if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
+        raise DataValidationError("uniform draws must lie in [0, 1)")
+    return u
+
+
 @dataclass(frozen=True)
 class WeibullSegment:
     start: float
@@ -119,10 +128,7 @@ class PiecewiseWeibullCif:
 
     def inverse_cdf(self, u):
         """Invert F exactly: t = H^-1(-log(1 - u)) on the segment holding it."""
-        u = np.asarray(u, dtype=float)
-        # min/max checks: a NaN fails the first comparison
-        if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
-            raise DataValidationError("uniform draws must lie in [0, 1)")
+        u = _check_uniforms(u)
         _, _, scales, edge, offsets, inverse_shapes = self._pieces
         h = -np.log1p(-u)
         # offsets[0] = 0 <= h, so the segment is the count of later offsets <= h
@@ -238,9 +244,7 @@ def sample_events(groups, u):
     mass, first, steps, scales, offsets, edges, powers, following = _law_table(groups)
     if mass.size not in (1, u.shape[-1]):
         raise DataValidationError(f"u has {u.shape[-1]} columns for {mass.size} subjects")
-    # min/max checks: a NaN fails the first comparison
-    if u[1].size and not (u[1].min() >= 0.0 and u[1].max() < 1.0):
-        raise DataValidationError("uniform draws must lie in [0, 1)")
+    u = _check_uniforms(u)
     is_interest = u[0] < mass
     h = -np.log1p(-u[1])
     piece = np.where(is_interest, *first)
@@ -258,6 +262,7 @@ def apply_censoring(times, codes, bound, u):
     that broadcasts to ``times``, one per subject."""
     if not np.min(bound) > 0:  # a NaN fails too
         raise DataValidationError(f"censoring bound must be > 0, got {bound!r}")
+    u = _check_uniforms(u)
     try:
         c = np.broadcast_to(bound * u, np.shape(times))
     except ValueError:
@@ -495,6 +500,8 @@ def _normalize_methods(methods) -> tuple[TestMethod, ...]:
     out = tuple(TestMethod(m) for m in methods)
     if not out:
         raise DataValidationError("at least one test method required")
+    if len(set(out)) < len(out):
+        raise DataValidationError(f"each test method at most once, got {[m.value for m in out]}")
     return out
 
 

@@ -308,6 +308,67 @@ class TestSampleSize:
         assert payload["results"]["sdiff"]["n_total"] >= \
             payload["results"]["diff"]["n_total"]
 
+    @pytest.mark.parametrize("method", ["both", "diff", "sdiff"])
+    @pytest.mark.parametrize("inputs", [
+        ["--delta", "0.3", "--var1", "4", "--var2", "5", "--ratio", "2"],
+        ["--pilot", None, "--tau", "1.5"],
+    ], ids=["explicit", "pilot"])
+    def test_design_table_rows_match_the_json(self, capsys, dataset, method, inputs):
+        argv = ["samplesize", "--method", method, "--power", "0.85"] + [
+            str(dataset[0]) if arg is None else arg for arg in inputs]
+        rc, out, _ = run(capsys, argv + ["--format", "json"])
+        assert rc == 0
+        payload = json.loads(out)
+        rc, table, _ = run(capsys, argv)
+        assert rc == 0
+        lines = table.splitlines()
+        assert lines[0] == "designed sample sizes (alpha 0.05, power 0.85, ratio " + (
+            "2)" if "--ratio" in inputs else "1)")
+        assert lines[2].split() == ["method", "n_total", "n1", "n2", "inflation", "drift",
+                                    "drift_normal"]
+        results = payload["results"]
+        for name, e in results.items():  # a design's fields in order, drifts for sdiff
+            assert list(e) == ["n_total", "n1", "n2", "inflation"] + (
+                ["drift", "drift_normal"] if name == "sdiff" else [])
+        rows = lines[3:3 + len(results)]
+        assert [row.split()[0] for row in rows] == list(results)
+        for row, e in zip(rows, results.values()):
+            assert row.split()[1:] == [
+                str(e["n_total"]), str(e["n1"]), str(e["n2"]), f"{e['inflation']:.6g}",
+                *(f"{e[k]:.6g}" if k in e else "-" for k in ("drift", "drift_normal"))]
+        if "pilot" in payload:
+            p = payload["pilot"]
+            assert list(p) == ["delta", "var1", "var2", "tau"]
+            assert lines[3 + len(results):] == [
+                "", f"pilot: delta {p['delta']:.6g}, var1 {p['var1']:.6g}, "
+                    f"var2 {p['var2']:.6g}, tau {p['tau']:.6g}"]
+        else:
+            assert len(lines) == 3 + len(results)
+
+    def test_sweep_table_prints_a_failing_taus_error(self, capsys, dataset):
+        path, _ = dataset
+        argv = ["samplesize", "--pilot", str(path), "--sweep", "1:1001:1000", "--strict-tau"]
+        rc, out, _ = run(capsys, argv + ["--format", "json"])
+        assert rc == 0
+        first, last = json.loads(out)["sweep"]
+        rc, table, err = run(capsys, argv)
+        assert (rc, err) == (0, "")
+        assert table.splitlines()[3:] == [
+            f"{1:>10}  {first['diff']:>10}  {first['sdiff']:>10}",
+            f"{1001:>10}  {last['error']}"]
+
+    @pytest.mark.parametrize("sweep, message", [
+        ("1:2", "sweep must be start:stop:step"),
+        ("1:2:3:4", "sweep must be start:stop:step"),
+        ("1:x:0.5", "unparseable sweep range '1:x:0.5'"),
+    ])
+    def test_malformed_sweep_is_usage_error(self, capsys, dataset, sweep, message):
+        path, _ = dataset
+        with pytest.raises(SystemExit) as exc:
+            main(["samplesize", "--pilot", str(path), "--sweep", sweep])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_non_utf8_pilot_is_a_data_error(self, capsys, tmp_path):
         path = tmp_path / "latin1.csv"
         path.write_bytes("time,status,group\n1,1,café\n2,1,b\n".encode("latin-1"))

@@ -97,6 +97,19 @@ class TestRiskTable:
             with pytest.raises(DataValidationError, match="finite and nonnegative"):
                 build_risk_table(times, [1, 1])
 
+    def test_integer_codes_out_of_range_rejected(self):
+        with pytest.raises(DataValidationError, match="^status codes must be 0, 1 or 2$"):
+            build_risk_table([1.0], [3])
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_risk_table([-1.0, 2.0], [3, 1]),
+        lambda: TwoGroupSample([-1.0, 2.0], [3, 1], [0, 1], ("a", "b")),
+    ], ids=["build_risk_table", "TwoGroupSample"])
+    def test_a_bad_time_is_named_before_a_bad_code(self, build):
+        # one check of a sample's values, times first
+        with pytest.raises(DataValidationError, match="^times must be finite and nonnegative$"):
+            build()
+
 
 @pytest.mark.parametrize("bad", [1.7, 0.5, float("nan"), float("inf"), "x", "1.7", None])
 @pytest.mark.parametrize("build", [
@@ -145,6 +158,10 @@ def test_codes_held_as_whole_floats_or_numeric_strings_accepted(codes):
 
 
 class TestTwoGroupSample:
+    def test_no_subjects_rejected(self):
+        with pytest.raises(DataValidationError, match="^both groups must be nonempty$"):
+            TwoGroupSample([], [], [], ("a", "b"))
+
     def test_first_seen_order(self):
         recs = make_records([(1.0, 1)], "b") + make_records([(2.0, 1)], "a")
         sample = TwoGroupSample.from_records(recs)
@@ -256,6 +273,11 @@ class TestFromRecords:
 
 
 class TestParseDataset:
+    @pytest.mark.parametrize("text", ["", "\ufeff", "\n"])
+    def test_no_text_is_empty_input(self, text):
+        with pytest.raises(DataValidationError, match="^empty input$"):
+            parse_dataset(text)
+
     def test_csv_roundtrip(self):
         text = "time,status,group\n1,1,a\n2,2,a\n3,0,b\n4,1,b\n"
         sample = parse_dataset(text)

@@ -183,6 +183,13 @@ class TestConfidenceInterval:
         half = 1.6448536269514722 * math.sqrt(est.variance / est.n)
         assert hi == pytest.approx(min(est.value + half, 3.0), abs=1e-12)
 
+    def test_a_group_of_one_has_no_interval(self):
+        est = estimate_of([(1.0, 1, "g")], 1.0)
+        assert est.n == 1
+        with pytest.raises(DataValidationError,
+                           match="^confidence interval needs group size n >= 2$"):
+            rmtl_ci(est)
+
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 2.0, float("nan")])
     def test_alpha_validated(self, alpha):
         est = estimate_of(three_subject_records(), 3.0)

@@ -254,6 +254,22 @@ class TestEventLaw:
         with pytest.raises(DataValidationError):
             PiecewiseWeibullCif(mass=1.5, segments=(WeibullSegment(0.0, 1.0, 1.0),))
 
+    def test_a_law_needs_a_segment(self):
+        with pytest.raises(DataValidationError,
+                           match="^at least one Weibull segment required$"):
+            PiecewiseWeibullCif(mass=0.5, segments=())
+
+    def test_a_groups_masses_must_sum_to_one(self):
+        with pytest.raises(DataValidationError, match=r"^interest and competing masses "
+                                                      r"must sum to 1, got 0.7 \+ 0.2$"):
+            GroupSpec(interest=exponential_cif(mass=0.7), competing=exponential_cif(mass=0.2),
+                      n=10)
+
+    def test_a_scenario_has_two_groups(self):
+        g = tiny_scenario().groups[0]
+        with pytest.raises(DataValidationError, match="^a scenario needs exactly two groups$"):
+            ScenarioSpec(groups=(g, g, g))
+
 
 def three_segment_law():
     # shapes below and above 1, so the hazard both falls and rises
@@ -369,6 +385,24 @@ class TestSampling:
         u[1, 1, 7] = bad
         with pytest.raises(DataValidationError, match=r"\[0, 1\)"):
             sample_events((g, g), u)
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, float("nan"), -0.5])
+    def test_cause_uniforms_outside_the_unit_interval_raise(self, bad):
+        # a cause uniform of 1 or more, or NaN, would draw a competing event
+        g = tiny_scenario().groups[0]
+        u = np.random.default_rng(14).random((2, 2, 60))
+        u[0, 0, 3] = bad
+        with pytest.raises(DataValidationError, match=r"^uniform draws must lie in \[0, 1\)$"):
+            sample_events((g, g), u)
+
+    @pytest.mark.parametrize("bad", [-0.5, 1.0, float("nan"), float("inf")])
+    def test_censoring_uniforms_outside_the_unit_interval_raise(self, bad):
+        # -0.5 would give a negative observed time, and NaN an uncensored subject
+        times, codes = np.ones(3), np.ones(3, dtype=int)
+        for u in (bad, np.array([0.5, bad, 0.25])):
+            with pytest.raises(DataValidationError,
+                               match=r"^uniform draws must lie in \[0, 1\)$"):
+                apply_censoring(times, codes, 2.0, u)
 
     def test_censoring_bound_per_subject(self):
         rng = np.random.default_rng(15)
@@ -741,6 +775,17 @@ class TestMonteCarlo:
         with pytest.raises(DataValidationError):
             run_monte_carlo(tiny_scenario(), [], reps=5)
 
+    @pytest.mark.parametrize("methods", [["diff", "diff"],
+                                         ["sdiff", "diff", simulate.TestMethod.SDIFF]])
+    def test_a_repeated_method_is_refused(self, monkeypatch, methods):
+        # its summaries would be one key of the report's dict
+        def refuse(*args):
+            raise AssertionError("the study drew before its checks")
+
+        monkeypatch.setattr(simulate, "_samples", refuse)
+        with pytest.raises(DataValidationError, match="^each test method at most once, got "):
+            run_monte_carlo(tiny_scenario(), methods, reps=5)
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_methods_are_reported_in_the_order_asked(self, workers):
         # groups of 4 skip some replications, and each method has degenerate
@@ -848,6 +893,11 @@ class TestObservedPower:
     def test_tiny_total_rejected(self):
         with pytest.raises(DataValidationError):
             observed_power_at_n(tiny_scenario(), 3, ["diff"], reps=3)
+
+    def test_a_split_leaving_a_group_below_two_rejected(self):
+        with pytest.raises(DataValidationError, match=r"^split n1=1, n2=19 leaves a group "
+                                                      r"below the minimum size 2$"):
+            observed_power_at_n(tiny_scenario(), 20, ["diff"], reps=3, ratio=20)
 
     def test_original_scenario_untouched(self):
         scn = tiny_scenario(n=30)

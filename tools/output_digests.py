@@ -26,7 +26,10 @@ comparing. The cases:
 - the CLI's ``samplesize`` JSON for README's explicit design (delta 1,
   both variances 4, alpha 0.05, power 0.9): the only case that sees the
   design's float fields (``inflation``, ``drift``, ``drift_normal``), as the
-  sweep records only each tau's ``n_total``.
+  sweep records only each tau's ``n_total``;
+- the same design in table form, and ``samplesize --pilot`` JSON on the
+  10^5-row CSV with both methods: a single design's table, and a pilot's
+  ``pilot`` block next to its designs.
 """
 
 from __future__ import annotations
@@ -86,6 +89,10 @@ def cli_cases(path: Path, quoted: Path):
                           "--reps", "200", "--seed", "5", "--format", "json"],
         "samplesize.json": ["samplesize", "--delta", "1.0", "--var1", "4.0", "--var2", "4.0",
                             "--alpha", "0.05", "--power", "0.9", "--format", "json"],
+        "samplesize.table": ["samplesize", "--delta", "1.0", "--var1", "4.0", "--var2", "4.0",
+                             "--alpha", "0.05", "--power", "0.9", "--format", "table"],
+        "samplesize.pilot.json": ["samplesize", "--pilot", str(path), "--method", "both",
+                                  "--format", "json"],
     }
     for label, argv in commands.items():
         out = io.StringIO()

@@ -177,13 +177,13 @@ def _block_tests(fit: BlockFit, tau, methods, rho: float):
     """The selected tests at ``tau[r]`` on every row r of a two-group block
     fit, as arrays over the rows.
 
-    Returns, for each method, (statistic, p-value, degenerate), the first
-    two NaN where degenerate. Row r gets what ``diff_test`` and
-    ``sdiff_test`` give sample r at ``tau[r]``, up to the order in which
-    sums are taken, and is degenerate where they raise: Diff at a zero
-    standard error, sDiff with no grid time below tau or a zero
-    normalizer. Each ``tau[r]`` must be at or before one of row r's grid
-    times, as ``rmtl._block_taus`` is.
+    Returns, for each method, (statistic, p-value), both NaN where the test
+    is degenerate. Row r gets what ``diff_test`` and ``sdiff_test`` give
+    sample r at ``tau[r]``, up to the order in which sums are taken, and is
+    degenerate where they raise: Diff at a zero standard error, sDiff with
+    no grid time below tau or a zero normalizer. Each ``tau[r]`` must be
+    positive and at or before one of row r's grid times, as a nonzero
+    ``rmtl._block_taus`` is.
     """
     # Clipped at tau, every row's grid times end at tau (a grid time is at
     # or after it), and those from tau on, padding included, start
@@ -199,7 +199,7 @@ def _block_tests(fit: BlockFit, tau, methods, rho: float):
         se = np.sqrt(var[0] + var[1])
         ok = se > 0.0
         z = np.divide(area[1] - area[0], se, out=np.full_like(se, np.nan), where=ok)
-        results[TestMethod.DIFF] = (z, _p_values(_diff_p, z, ok), ~ok)
+        results[TestMethod.DIFF] = z, _p_values(_diff_p, z, ok)
     if TestMethod.SDIFF in methods:
         widths = ends - starts
         process = ((values[1] - values[0]) * widths).cumsum(axis=-1)
@@ -209,7 +209,7 @@ def _block_tests(fit: BlockFit, tau, methods, rho: float):
         ok = sigma > 0.0
         statistic = np.divide(np.abs(process).max(axis=-1, initial=0.0), sigma,
                               out=np.full_like(sigma, np.nan), where=ok)
-        results[TestMethod.SDIFF] = (statistic, _p_values(_sdiff_p, statistic, ok), ~ok)
+        results[TestMethod.SDIFF] = statistic, _p_values(_sdiff_p, statistic, ok)
     return results
 
 

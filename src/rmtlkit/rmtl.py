@@ -170,23 +170,15 @@ def default_tau(sample: TwoGroupSample) -> float:
             )
         last.append(float(cif.times[-1]))
     if min(last) == 0.0:
-        raise _tau_at_zero(sample.groups[last.index(0.0)])
+        raise DegenerateDataError(f"group {sample.groups[last.index(0.0)]!r} has its last "
+                                  "event of interest at time 0; tau rule undefined")
     return min(last)
 
 
-def _block_taus(times, codes, sizes, groups) -> np.ndarray:
+def _block_taus(times, codes, sizes) -> np.ndarray:
     """``default_tau`` of every row of (R, N) two-group draws whose first
-    ``sizes[0]`` subjects are group 0. Each row needs an event of interest
-    in each group; a row whose tau is 0 raises as ``default_tau`` does."""
+    ``sizes[0]`` subjects are group 0, and 0 on a row where it raises: a
+    group with no event of interest, or with its last one at time 0."""
     # np.where(interest, times, 0) for nonnegative times, without its slow branch
     interest = times * (codes == int(EventCode.INTEREST))
-    last = np.maximum.reduceat(interest, [0, sizes[0]], axis=1)
-    tau = last.min(axis=1)
-    if not tau.all():
-        raise _tau_at_zero(groups[int((last[(tau == 0).argmax()] == 0).argmax())])
-    return tau
-
-
-def _tau_at_zero(label: str) -> DegenerateDataError:
-    return DegenerateDataError(f"group {label!r} has its last event of interest at time 0; "
-                               "tau rule undefined")
+    return np.maximum.reduceat(interest, [0, sizes[0]], axis=1).min(axis=1)

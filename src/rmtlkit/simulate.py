@@ -53,7 +53,6 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01_F9DD, 0x4973_F715
 _PCG64_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
 _LOW_HALVES = 0x0000_FFFF_0000_FFFF_0000_FFFF_0000_FFFF  # low 16 bits of each word
 
-_GROUPS = ("1", "2")  # the labels of a scenario's groups, in order
 TAU_RULE = "min over groups of the last observed event-of-interest time"
 
 
@@ -383,9 +382,8 @@ _thread = threading.local()
 
 def _samples(scn, start, stop, seed, bounds):
     """Yield the replications in [start, stop) a chunk at a time, as
-    (times, codes, keep): (R, N) arrays holding one replication per row,
-    group 1's subjects first, and whether each has an observed event of
-    interest in both groups.
+    (times, codes): (R, N) arrays holding one replication per row, group
+    1's subjects first.
 
     Replication r draws all its uniforms in one call on its own stream
     (seed, r): per group in turn, n for the causes, n for the times and,
@@ -420,31 +418,28 @@ def _samples(scn, start, stop, seed, bounds):
         times, codes = sample_events(scn.groups, planes[:2])
         if bounds is not None:
             times, codes = apply_censoring(times, codes, bound, planes[2])
-        interest = codes == int(EventCode.INTEREST)
-        keep = np.logical_or.reduceat(interest, [0, sizes[0]], axis=1).all(axis=1)
         _check_columns(times, codes)
-        yield times, codes, keep
+        yield times, codes
 
 
-def _run_block(scn, methods, start, stop, seed, alpha, rho, bounds):
-    """Counts over [start, stop): the skipped replications, then each
-    method's rejections, valid and degenerate replications, in ``methods``
-    order. Each chunk's kept replications are fitted and tested in one pass."""
+def _run_block(scn, methods, start, stop, seed, rho, bounds):
+    """The replications in [start, stop), in order: whether each was kept,
+    its tau (``rmtl._block_taus``) being positive, and each method's
+    p-value, in ``methods`` order, NaN where the replication was skipped or
+    the test degenerate. Each chunk's kept replications are fitted and
+    tested in one pass."""
     sizes = [group.n for group in scn.groups]
-    counts = np.zeros(1 + 3 * len(methods), dtype=np.int64)
-    for times, codes, keep in _samples(scn, start, stop, seed, bounds):
-        kept = np.count_nonzero(keep)
-        counts[0] += len(keep) - kept
-        if kept == 0:
-            continue
-        t, c = times[keep], codes[keep]
-        results = _block_tests(_block_fits(t, c, sizes), _block_taus(t, c, sizes, _GROUPS),
-                               methods, rho)
-        for k, method in enumerate(methods):
-            _, p, degenerate = results[method]
-            failed = np.count_nonzero(degenerate)
-            counts[3 * k + 1:3 * k + 4] += np.count_nonzero(p < alpha), kept - failed, failed
-    return counts
+    chunks = []
+    for times, codes in _samples(scn, start, stop, seed, bounds):
+        tau = _block_taus(times, codes, sizes)
+        keep = tau > 0
+        p = np.full((len(tau), len(methods)), np.nan)
+        if keep.any():
+            t, c = times[keep], codes[keep]
+            results = _block_tests(_block_fits(t, c, sizes), tau[keep], methods, rho)
+            p[keep] = np.column_stack([results[method][1] for method in methods])
+        chunks.append((keep, p))
+    return tuple(np.concatenate(parts) for parts in zip(*chunks))
 
 
 # The pool kept between studies: (id of the process that made it, worker
@@ -497,12 +492,18 @@ def _worker_pool(workers: int) -> ProcessPoolExecutor:
 def _normalize_methods(methods) -> tuple[TestMethod, ...]:
     if isinstance(methods, (str, TestMethod)):
         methods = [methods]
-    out = tuple(TestMethod(m) for m in methods)
+    out = []
+    for m in methods:
+        try:
+            out.append(TestMethod(m))
+        except ValueError:
+            raise DataValidationError(f"unknown test method {m!r}; accepted: "
+                                      + ", ".join(repr(t.value) for t in TestMethod)) from None
     if not out:
         raise DataValidationError("at least one test method required")
     if len(set(out)) < len(out):
         raise DataValidationError(f"each test method at most once, got {[m.value for m in out]}")
-    return out
+    return tuple(out)
 
 
 def run_monte_carlo(
@@ -520,10 +521,13 @@ def run_monte_carlo(
     making the report deterministic for any worker count. ``seed`` is an
     integer >= 0 (a numpy integer counts as its value). tau is chosen
     per replication as the minimum over groups of the last observed event
-    of interest; replications where a group has none are excluded from the
-    rate denominator and reported separately. With ``workers > 1`` the
-    replications run on a pool of worker processes that is kept for the
-    next study in this process with the same worker count.
+    of interest. A replication where a group has none, or its last one at
+    time 0, is skipped: counted in ``degenerate_reps`` and in no rate.
+    Blocks of replications return their p-values, and this process counts
+    each method's rejections (p < ``alpha``), valid and degenerate (no
+    p-value) tests over the kept replications. With ``workers > 1`` the
+    blocks run on a pool of worker processes that is kept for the next
+    study in this process with the same worker count.
     """
     reps, workers = _check_int(reps, "reps", 1), _check_int(workers, "workers", 1)
     seed = _check_int(seed, "seed", 0, "an integer >= 0")
@@ -531,20 +535,22 @@ def run_monte_carlo(
     methods = _normalize_methods(methods)
     bounds = calibrate_censoring(scn)
 
-    run = functools.partial(_run_block, scn, methods, seed=seed, alpha=alpha, rho=rho,
-                            bounds=bounds)
+    run = functools.partial(_run_block, scn, methods, seed=seed, rho=rho, bounds=bounds)
     if workers == 1:
-        counts = run(0, reps)
+        blocks = [run(0, reps)]
     else:
         edges = np.linspace(0, reps, min(4 * workers, reps) + 1, dtype=int).tolist()
         with _pool_lock:
             blocks = _worker_pool(workers).map(run, edges[:-1], edges[1:])
-        # map cancels the blocks not yet started when a block raises or the
-        # wait is interrupted, so the next study does not wait behind them
-        counts = sum(blocks)
+    # map's results are read here, in order: it cancels the blocks not yet
+    # started when a block raises or the wait is interrupted, so the next
+    # study does not wait behind them
+    kept, p = (np.concatenate(parts) for parts in zip(*blocks))
 
     summaries = []
-    for method, (rej, valid, degen) in zip(methods, counts[1:].reshape(-1, 3).tolist()):
+    for method, column in zip(methods, p[kept].T):
+        degen = int(np.count_nonzero(np.isnan(column)))
+        rej, valid = int(np.count_nonzero(column < alpha)), len(column) - degen
         rate = rej / valid if valid else float("nan")
         mc_se = math.sqrt(rate * (1.0 - rate) / valid) if valid else float("nan")
         summaries.append(MethodSummary(method, rej, valid, degen, rate, mc_se))
@@ -552,7 +558,7 @@ def run_monte_carlo(
         scenario_label=scn.label,
         methods=tuple(summaries),
         reps=reps,
-        degenerate_reps=int(counts[0]),
+        degenerate_reps=int(np.count_nonzero(~kept)),
         seed=seed,
         alpha=alpha,
         rho=rho,

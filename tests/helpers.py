@@ -8,11 +8,14 @@ from rmtlkit import EventCode, TwoGroupSample
 def engine_samples(scn, start, stop, seed, bounds):
     """The Monte Carlo engine's draws of replications [start, stop), one item
     per replication: its sample built by the public constructor, or None
-    where a group has no observed event of interest (the engine skips it)."""
+    where the engine skips it, as its tau rule is undefined."""
+    from rmtlkit.rmtl import _block_taus
     from rmtlkit.simulate import _samples
 
-    group = np.repeat([0, 1], [g.n for g in scn.groups])
-    for times, codes, keep in _samples(scn, start, stop, seed, bounds):
+    sizes = [g.n for g in scn.groups]
+    group = np.repeat([0, 1], sizes)
+    for times, codes in _samples(scn, start, stop, seed, bounds):
+        keep = _block_taus(times, codes, sizes) > 0
         for t, c, kept in zip(times, codes, keep):
             yield TwoGroupSample(t, c, group, ("1", "2")) if kept else None
 

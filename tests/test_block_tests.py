@@ -1,10 +1,11 @@
 """The Monte Carlo engine's block kernel against the per-sample API: tau
 from ``_block_taus`` and Diff and sDiff on every row of a block fit,
 compared with ``default_tau``, ``diff_test`` and ``sdiff_test`` on that
-row's sample. tau and every rejection and degenerate flag agree exactly;
-the statistics and p-values agree to rounding, as the kernel sums along
-padded rows in another order. Diff's z is compared in absolute terms:
-near 0 it is cancellation noise of about 1e-15."""
+row's sample. tau, every rejection and every degenerate test (a NaN
+p-value) agree exactly; the statistics and p-values agree to rounding,
+as the kernel sums along padded rows in another order. Diff's z is
+compared in absolute terms: near 0 it is cancellation noise of about
+1e-15."""
 
 import dataclasses
 import math
@@ -43,7 +44,7 @@ def assert_kernel_matches(times, codes, sizes) -> dict:
     """The kernel on an (R, N) block against the per-sample API row by
     row; return each method's count of degenerate rows."""
     group = np.repeat([0, 1], sizes)
-    tau = _block_taus(times, codes, sizes, GROUPS)
+    tau = _block_taus(times, codes, sizes)
     results = _block_tests(_block_fits(times, codes, sizes), tau, METHODS, RHO)
     assert tau.shape == (len(times),) and set(results) == set(METHODS)
     degenerate = dict.fromkeys(METHODS, 0)
@@ -52,7 +53,8 @@ def assert_kernel_matches(times, codes, sizes) -> dict:
         want_tau = default_tau(sample)
         assert tau[r] == want_tau, r
         for method in METHODS:
-            statistic, p, flag = (a[r] for a in results[method])
+            statistic, p = (a[r] for a in results[method])
+            flag = math.isnan(p)
             try:
                 want = per_sample(sample, method, want_tau)
             except DegenerateDataError:
@@ -73,8 +75,11 @@ def assert_kernel_matches(times, codes, sizes) -> dict:
 def engine_block(scn, reps, seed, transform=None):
     """The kept rows of the engine's draws of the first ``reps``
     replications, as one block."""
-    kept = [(t[keep], c[keep])
-            for t, c, keep in _samples(scn, 0, reps, seed, calibrate_censoring(scn))]
+    sizes = [g.n for g in scn.groups]
+    kept = []
+    for t, c in _samples(scn, 0, reps, seed, calibrate_censoring(scn)):
+        keep = _block_taus(t, c, sizes) > 0
+        kept.append((t[keep], c[keep]))
     times, codes = (np.concatenate(x) for x in zip(*kept))
     return (times if transform is None else transform(times)), codes
 
@@ -140,9 +145,9 @@ def test_constructed_degenerate_rows():
     assert assert_kernel_matches(times, codes, (3, 3)) == {
         Method.DIFF: 2, Method.SDIFF: 2}
     results = _block_tests(_block_fits(times, codes, (3, 3)),
-                           _block_taus(times, codes, (3, 3), GROUPS), METHODS, RHO)
+                           _block_taus(times, codes, (3, 3)), METHODS, RHO)
     for method in METHODS:
-        statistic, p, _ = (a[2] for a in results[method])
+        statistic, p = (a[2] for a in results[method])
         assert abs(statistic) < 1e-15 and p == 1.0
     # a block of one row whose only event time is tau: one knot per group
     # and one grid time, so no interval at all
@@ -157,25 +162,29 @@ def test_a_one_row_chunk():
     assert_kernel_matches(times, codes, (50, 50))
 
 
-def test_tau_at_zero_raises_as_default_tau_does():
-    # in the second row, group `label` has its only event of interest at 0
+def test_tau_is_zero_where_default_tau_raises():
+    # in the second row, group `label` has its only event of interest at 0;
+    # in the third, it has none
     for label, row in (("1", [0.0, 2.0, 3.0, 1.0, 2.0, 3.0]),
                        ("2", [1.0, 2.0, 3.0, 0.0, 2.0, 3.0])):
-        times = np.array([[1.0, 2.0, 3.0, 1.0, 2.0, 3.0], row])
+        times = np.array([[1.0, 2.0, 3.0, 1.0, 2.0, 3.0], row, row])
         codes = np.array([[1, 1, 0, 1, 0, 1],
+                          [1, 2, 0, 1, 2, 0],
                           [1, 2, 0, 1, 2, 0]])
-        sample = TwoGroupSample(times[1], codes[1], np.repeat([0, 1], 3), GROUPS)
-        with pytest.raises(DegenerateDataError) as want:
-            default_tau(sample)
-        with pytest.raises(DegenerateDataError) as got:
-            _block_taus(times, codes, (3, 3), GROUPS)
-        assert str(got.value) == str(want.value)
-        assert f"group {label!r}" in str(got.value)
+        codes[2, times[2] == 0.0] = 2
+        group = np.repeat([0, 1], 3)
+        for r, message in ((1, "has its last event of interest at time 0; tau rule undefined"),
+                           (2, "has no events of interest; tau rule undefined")):
+            sample = TwoGroupSample(times[r], codes[r], group, GROUPS)
+            with pytest.raises(DegenerateDataError) as want:
+                default_tau(sample)
+            assert str(want.value) == f"group {label!r} {message}"
+        assert _block_taus(times, codes, (3, 3)).tolist() == [2.0, 0.0, 0.0]
 
 
 def test_only_the_selected_methods_run():
     times, codes = engine_block(load_shipped_scenario("a_null"), 10, 29)
     for method in METHODS:
         results = _block_tests(_block_fits(times, codes, (50, 50)),
-                               _block_taus(times, codes, (50, 50), GROUPS), (method,), RHO)
+                               _block_taus(times, codes, (50, 50)), (method,), RHO)
         assert set(results) == {method}

@@ -769,6 +769,23 @@ class TestMonteCarlo:
         m = rep.methods[0]
         assert m.valid_reps + m.degenerate_reps + rep.degenerate_reps == 50
 
+    def test_a_group_whose_only_event_of_interest_is_at_zero_is_skipped(self, monkeypatch):
+        # the second replication's group 2 has its only event of interest at
+        # t = 0, where the tau rule is undefined: it is skipped and counted,
+        # and the first is tested as it is alone
+        times = np.array([[1.0, 2.0, 3.0, 1.0, 2.0, 3.0],
+                          [1.0, 2.0, 3.0, 0.0, 2.0, 3.0]])
+        codes = np.array([[1, 1, 0, 1, 0, 1],
+                          [1, 2, 0, 1, 2, 0]])
+        scn = tiny_scenario(n=3)
+        monkeypatch.setattr(simulate, "_samples", lambda *args: iter([(times[:1], codes[:1])]))
+        want = run_monte_carlo(scn, reps=1, seed=1)
+        monkeypatch.setattr(simulate, "_samples", lambda *args: iter([(times, codes)]))
+        got = run_monte_carlo(scn, reps=2, seed=1)
+        assert (want.degenerate_reps, got.degenerate_reps) == (0, 1)
+        assert got.methods == want.methods
+        assert [m.valid_reps + m.degenerate_reps for m in got.methods] == [1, 1]
+
     def test_method_normalization(self):
         rep = run_monte_carlo(tiny_scenario(), "diff", reps=5, seed=15)
         assert [m.method.value for m in rep.methods] == ["diff"]
@@ -785,6 +802,18 @@ class TestMonteCarlo:
         monkeypatch.setattr(simulate, "_samples", refuse)
         with pytest.raises(DataValidationError, match="^each test method at most once, got "):
             run_monte_carlo(tiny_scenario(), methods, reps=5)
+
+    @pytest.mark.parametrize("methods, bad", [(["foo"], "'foo'"), ("both", "'both'"),
+                                              ([1], "1"), (["diff", "SDIFF"], "'SDIFF'")])
+    def test_an_unknown_method_is_named_before_any_draw(self, monkeypatch, methods, bad):
+        def refuse(*args):
+            raise AssertionError("the study calibrated or drew before its checks")
+
+        monkeypatch.setattr(simulate, "calibrate_censoring", refuse)
+        monkeypatch.setattr(simulate, "_samples", refuse)
+        message = f"unknown test method {bad}; accepted: 'diff', 'sdiff'"
+        with pytest.raises(DataValidationError, match=f"^{message}$"):
+            run_monte_carlo(load_shipped_scenario("a_null"), methods, reps=5)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_methods_are_reported_in_the_order_asked(self, workers):

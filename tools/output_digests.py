@@ -11,6 +11,10 @@ comparing. The cases:
 - ``run_monte_carlo`` reports (JSON of ``to_dict``) on the six shipped
   scenarios, as shipped and at 45% calibrated censoring, 300 reps, seed 5,
   with 1 and 2 workers;
+- ``run_monte_carlo`` on ``a_null`` resized to groups of 4 at 30% calibrated
+  censoring, 300 reps, seed 5, with 1 and 2 workers: the only Monte Carlo
+  cases with skipped replications and degenerate tests, so the only ones
+  that see how those are counted;
 - ``observed_power_at_n`` at n_total 2000 with 30% calibrated censoring on
   ``a_null`` and ``f_crossing``, 100 reps, seed 5, 2 workers;
 - the CLI's ``estimate`` JSON and table, ``test`` JSON and
@@ -70,6 +74,13 @@ def monte_carlo_cases():
             for workers in (1, 2):
                 report = rmtlkit.run_monte_carlo(scn, reps=300, seed=5, workers=workers)
                 yield f"mc/{name}/{label}/w{workers}", report_digest(report)
+    null = rmtlkit.load_shipped_scenario("a_null")
+    small = dataclasses.replace(
+        null, groups=tuple(dataclasses.replace(g, n=4) for g in null.groups),
+        censoring=rmtlkit.CensoringSpec(target=0.3))
+    for workers in (1, 2):
+        report = rmtlkit.run_monte_carlo(small, reps=300, seed=5, workers=workers)
+        yield f"mc/a_null/n4/cens30/w{workers}", report_digest(report)
     for name in ("a_null", "f_crossing"):
         scn = dataclasses.replace(rmtlkit.load_shipped_scenario(name),
                                   censoring=rmtlkit.CensoringSpec(target=0.3))

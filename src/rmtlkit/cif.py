@@ -43,11 +43,11 @@ def _survival(n, d):
 
 
 def _incidence(n, dj, dk):
-    """CIF of one cause and its Aalen variance at every risk-table row, from
-    at-risk counts n and the events dj of that cause and dk of the other.
-    Rows run along the last axis; each leading index is a separate fit."""
-    d = dj + dk
-    surv = _survival(n, d)
+    """CIF of one cause at every risk-table row, and the all-cause survival
+    just before each row (the Aalen variance's other input), from at-risk
+    counts n and the events dj of that cause and dk of the other. Rows run
+    along the last axis; each leading index is a separate fit."""
+    surv = _survival(n, dj + dk)
     # survival just before each row
     s_prev = np.concatenate((np.ones(surv.shape[:-1] + (1,)), surv), axis=-1)[..., :-1]
     # Single-cause data: the estimator collapses algebraically to the
@@ -57,7 +57,7 @@ def _incidence(n, dj, dk):
     inc = (dj / n * s_prev).cumsum(axis=-1)
     if single.any():
         inc = np.where(single, 1.0 - surv, inc)
-    return inc, _aalen_variance(n, d, dj, s_prev, inc)
+    return inc, s_prev
 
 
 def km_overall(rt: RiskTable) -> StepFunction:
@@ -74,13 +74,20 @@ def cif_estimate(rt: RiskTable, cause: EventCode) -> StepFunction:
     cause has events; the estimate (and its variance) is constant between
     those knots, so right-continuous evaluation elsewhere is exact.
     """
+    return _cif(rt, cause, True)
+
+
+def _cif(rt: RiskTable, cause: EventCode, variances: bool) -> StepFunction:
+    """``cif_estimate``; without ``variances``, its values alone (variances None)."""
     if cause not in (EventCode.INTEREST, EventCode.COMPETING):
         raise DataValidationError("cause must be Interest or Competing")
     dj, dk = ((rt.events_interest, rt.events_competing) if cause == EventCode.INTEREST
               else (rt.events_competing, rt.events_interest))
-    inc, var = _incidence(rt.at_risk.astype(float), dj.astype(float), dk.astype(float))
+    n, dj, dk = rt.at_risk.astype(float), dj.astype(float), dk.astype(float)
+    inc, s_prev = _incidence(n, dj, dk)
     mask = dj > 0
-    return StepFunction(times=rt.times[mask], values=inc[mask], variances=var[mask],
+    var = _aalen_variance(n, dj, dk, s_prev, inc)[mask] if variances else None
+    return StepFunction(times=rt.times[mask], values=inc[mask], variances=var,
                         value_before_first=0.0, last_observed=rt.last_observed)
 
 
@@ -164,9 +171,9 @@ def _block_fits(times, codes, sizes) -> BlockFit:
     loop over groups: one ``_tabulate``, one (G·R, m) layout of the risk
     tables (m the most rows of any; the rest of a row is padding that no
     fitted value reads, as the fit runs cumulative sums and products along
-    rows) and one ``_incidence``. Each CIF and variance is then read on its
-    row's pooled grid, in the layout ``BlockFit`` describes. Tau comes from
-    ``rmtl._block_taus``.
+    rows), one ``_incidence`` and one ``_aalen_variance``. Each CIF and
+    variance is then read on its row's pooled grid, in the layout
+    ``BlockFit`` describes. Tau comes from ``rmtl._block_taus``.
     """
     n_rows, width = times.shape
     order = times.argsort(axis=-1)
@@ -189,7 +196,8 @@ def _block_fits(times, codes, sizes) -> BlockFit:
     # padding has 1 at risk and no events
     table, cells = _left_aligned(np.bincount(sample, minlength=len(bounds) - 1),
                                  (at_risk, dj, dk), (1.0, 0.0, 0.0))
-    inc, var = _incidence(*table)
+    inc, s_prev = _incidence(*table)
+    var = _aalen_variance(*table, s_prev, inc)
     # Each knot (a table row with an event of interest) puts its table cell
     # + 1 in its grid cell, as its run of tied times ends at the next grid
     # position; other table rows put 0. Filled forward along rows, this reads
@@ -206,8 +214,9 @@ def _block_fits(times, codes, sizes) -> BlockFit:
                     np.concatenate(([0.0], var.ravel())).take(at), np.array(sizes))
 
 
-def _aalen_variance(n, d, dj, s_prev, inc):
-    """Aalen's variance of the CIF at every risk-table row.
+def _aalen_variance(n, dj, dk, s_prev, inc):
+    """Aalen's variance of the CIF ``inc`` of one cause at every risk-table
+    row, from the counts and survival ``_incidence`` fitted it from.
 
     Written with cumulative sums so the triangular double sums cost O(K):
     sum_k (I_i - I_k)^2 a_k expands to I_i^2 A_i - 2 I_i (aI)_i + (aI^2)_i.
@@ -221,14 +230,14 @@ def _aalen_variance(n, d, dj, s_prev, inc):
     den = np.empty((3,) + n.shape)
     t = np.empty(n.shape)
     num = terms[:3]
-    num[0] = d
+    np.add(dj, dk, out=num[0])  # d
     np.subtract(n, dj, out=t)
     np.multiply(t, dj, out=t)  # (n - dj) dj
     np.square(s_prev, out=num[1])
     np.multiply(t, num[1], out=num[1])
     np.multiply(t, s_prev, out=num[2])
     np.subtract(n, 1.0, out=t)
-    np.subtract(n, d, out=den[2])
+    np.subtract(n, num[0], out=den[2])
     np.multiply(t, den[2], out=den[0])  # (n - 1)(n - d)
     np.multiply(n, den[2], out=den[2])
     np.multiply(den[2], t, out=den[2])  # n (n - d) (n - 1)

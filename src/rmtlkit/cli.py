@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 
 from ._normal import ndtri
-from .cif import cif_estimate, km_overall
+from .cif import _cif, km_overall
 from .data_model import EventCode, parse_dataset, read_text
 from .design import DesignInput, pilot_parameters, sample_size_diff, sample_size_sdiff
 from .errors import DataValidationError, ExtrapolationWarning, NumericError, RmtlError
@@ -209,7 +209,7 @@ def cmd_estimate(args) -> str:
                 "rmtl": est.value,
                 "variance": est.variance,
                 "ci": [lo, hi],
-                "rmtl_competing": rmtl(cif_estimate(table, EventCode.COMPETING), tau),
+                "rmtl_competing": rmtl(_cif(table, EventCode.COMPETING, False), tau),
                 "rmstc": rmstc(km_overall(table), tau),
                 "cif": {"times": cif.times, "values": cif.values,
                         "variances": cif.variances},

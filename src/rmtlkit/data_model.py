@@ -231,7 +231,7 @@ def read_text(path) -> str:
 
 _REQUIRED_COLUMNS = ("time", "status", "group")
 _STATUS_CODES = {"0": 0, "1": 1, "2": 2}
-_BLOCK_CHARS = 1 << 16  # bytes of a plain file read at a time
+_BLOCK_CHARS = 1 << 18  # bytes of a plain file read at a time (README says why)
 _POW10 = np.array([10 ** k for k in range(16)], dtype=float)  # each exact
 
 

@@ -11,6 +11,7 @@ groups."""
 
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -18,12 +19,15 @@ import pytest
 import rmtlkit
 from rmtlkit import (
     EventCode,
+    ExtrapolationWarning,
     PooledFit,
     RiskTable,
+    cif_estimate,
     default_tau,
     diff_test,
     load_shipped_scenario,
     partial_process,
+    rmtl,
     rmtl_difference,
     run_monte_carlo,
     sdiff_test,
@@ -32,7 +36,7 @@ from rmtlkit import data_model
 from rmtlkit.cli import main
 from rmtlkit.simulate import _CHUNK_UNIFORMS
 
-from helpers import engine_samples, sample_with_events
+from helpers import engine_samples, random_sample, sample_with_events
 
 
 @pytest.fixture
@@ -207,9 +211,11 @@ def test_sweep_fits_the_pilot_once(risk_table_calls, pooled_fits, capsys, tmp_pa
 
 def test_estimate_reads_the_pooled_tables(risk_table_calls, pooled_fits, monkeypatch,
                                           capsys, tmp_path):
+    # the competing-cause CIF through cif's values-only route: its variance
+    # is never read
     cli_module = sys.modules["rmtlkit.cli"]
     handed = []
-    for name in ("cif_estimate", "km_overall"):
+    for name in ("_cif", "km_overall"):
         original = getattr(cli_module, name)
 
         def recorded(table, *args, _name=name, _original=original):
@@ -223,6 +229,30 @@ def test_estimate_reads_the_pooled_tables(risk_table_calls, pooled_fits, monkeyp
     assert len(json.loads(capsys.readouterr().out)["groups"]) == 2
     [fit] = pooled_fits
     assert [(name, args) for name, _, args in handed] == [
-        ("cif_estimate", (EventCode.COMPETING,)), ("km_overall", ())] * 2
+        ("_cif", (EventCode.COMPETING, False)), ("km_overall", ())] * 2
     assert all(table is fit.tables[k // 2] for k, (_, table, _) in enumerate(handed))
     assert len(risk_table_calls) == 2
+
+
+@pytest.mark.parametrize("draws, tau", [
+    ({"tie_grid": 4}, None),  # tied and censored
+    ({"p_competing": 0.0}, None),  # no competing events
+    ({"p_interest": 0.0, "p_competing": 0.6}, 1.5),  # no events of interest
+    ({"tie_grid": 4}, "past"),  # tau past every group's last time
+])
+def test_estimate_rmtl_competing_is_that_of_cif_estimate(draws, tau, capsys, tmp_path):
+    sample = random_sample(np.random.default_rng(811), 40, 40, **draws)
+    if tau == "past":
+        tau = float(sample.times.max()) + 1.0
+    path = tmp_path / "data.csv"
+    write_csv(sample, path)
+    argv = ["estimate", "--input", str(path), "--format", "json"]
+    assert main(argv + ([] if tau is None else ["--tau", repr(tau)])) == 0
+    payload = json.loads(capsys.readouterr().out)
+    tables = rmtlkit.parse_dataset(path.read_text(encoding="utf-8")).pooled.tables
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExtrapolationWarning)
+        expected = [rmtl(cif_estimate(table, EventCode.COMPETING), payload["tau"])
+                    for table in tables]
+    got = [group["rmtl_competing"] for group in payload["groups"]]
+    assert np.array(got).tobytes() == np.array(expected).tobytes()

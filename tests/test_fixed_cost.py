@@ -11,21 +11,28 @@ built-in functions and methods made from one. ufuncs and operators are not
 calls to the hook. ``CALLS`` and ``SAMPLING_CALLS`` are the counts with
 Python 3.11 and numpy 2.4; another numpy may move them a little, as numpy
 functions move between Python and C.
+
+The CLI's fixed cost on a large CSV is counted in its kernels' calls: the
+blocks the bulk parser reads, and the Aalen variances ``estimate`` fits.
 """
 
+import importlib.util
 import os
 import sys
+from pathlib import Path
 
 import pytest
 
 import rmtlkit
-from rmtlkit import TestMethod as Method, load_shipped_scenario
+from rmtlkit import TestMethod as Method, cif, data_model, load_shipped_scenario
 from rmtlkit.cif import _block_fits
+from rmtlkit.cli import main
 from rmtlkit.inference import _block_tests
 from rmtlkit.rmtl import _block_taus
 from rmtlkit.simulate import _samples
 
 PACKAGE = os.path.dirname(rmtlkit.__file__) + os.sep
+BENCH_INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs.py"
 CALLS = 141
 # one 16-replication chunk of a_null drawn, sampled and checked, without
 # and with a censoring bound
@@ -72,3 +79,40 @@ def test_a_chunk_is_drawn_in_few_calls(bounds):
     count = calls_from_the_package(lambda: next(_samples(scn, 0, 16, 5, bounds)))
     # the lower bound: at least a call per replication's stream
     assert 16 < count <= 1.1 * SAMPLING_CALLS[bounds], count
+
+
+@pytest.fixture(scope="module")
+def large_csv(tmp_path_factory):
+    """The benchmark's seed-5 CSV of 10^5 rows, about 1.7 MB."""
+    spec = importlib.util.spec_from_file_location("bench_inputs", BENCH_INPUTS)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    inputs.write_csv(path, 5, 100_000)
+    return path
+
+
+def calls_of(monkeypatch, module, name) -> list:
+    """A list that grows by one on each call of ``module.name``."""
+    original, calls = getattr(module, name), []
+
+    def counted(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_large_file_is_parsed_in_few_blocks(large_csv, monkeypatch):
+    calls = calls_of(monkeypatch, data_model, "_times")  # once per block
+    assert len(data_model.parse_dataset(data_model.read_text(large_csv)).times) == 100_000
+    assert 1 <= len(calls) <= 7, len(calls)
+
+
+def test_estimate_fits_no_unused_variance(large_csv, monkeypatch, capsys):
+    calls = calls_of(monkeypatch, cif, "_aalen_variance")
+    assert main(["estimate", "--input", str(large_csv), "--format", "json"]) == 0
+    capsys.readouterr()
+    # the interest CIFs' variances, one per group; the competing CIFs need none
+    assert len(calls) == 2

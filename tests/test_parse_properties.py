@@ -2,6 +2,7 @@
 and analyses (or fails as degenerate, naming the cause), or is rejected
 with an error naming the offending row."""
 
+import csv
 import re
 import warnings
 from unittest import mock
@@ -189,7 +190,8 @@ def test_a_plain_file_never_reaches_the_row_reader(monkeypatch):
         raise AssertionError("a plain file went to the row reader")
 
     # several blocks, each time read whole
-    text = to_csv([(f"{k * 0.37:.3f}", str(k % 3), "ab"[k % 2]) for k in range(30_000)])
+    rows = data_model._BLOCK_CHARS // 4
+    text = to_csv([(f"{k * 0.37:.9f}", str(k % 3), "ab"[k % 2]) for k in range(rows)])
     assert len(text) > 4 * data_model._BLOCK_CHARS
     expected = outcome(data_model._parse_rows, text, "b")
     monkeypatch.setattr(data_model, "_parse_rows", refuse)
@@ -217,23 +219,54 @@ def test_fields_shifted_across_lines_are_read_per_line():
     assert outcome(parse_dataset, text, None) == outcome(data_model._parse_rows, text, None)
 
 
+def late_block_text():
+    """A plain text of more than two blocks, and its number of rows. Long
+    times keep the rows few: the row reader, which words each error, reads
+    them all."""
+    repeats = data_model._BLOCK_CHARS // 24
+    rows = [("1.0000000000001", "1", "a"), ("2.5000000000001", "0", "b"),
+            ("3.0000000000001", "2", "a")]
+    return to_csv(rows * repeats), 3 * repeats
+
+
+# {0} is the row after the text's last, {1} the one after that
 @pytest.mark.parametrize("line,message", [
-    ("nan,1,a", "row 24001: time must be finite and nonnegative, got nan"),
-    ("-0.5,1,a", "row 24001: time must be finite and nonnegative, got -0.5"),
-    ("1e999,1,a", "row 24001: time must be finite and nonnegative, got inf"),
-    ("x,1,a", "row 24001: unparseable time 'x'"),
-    ("1,3,a", "row 24001: unknown status code '3'"),
-    ("1,1,", "row 24001: empty group label"),
-    ("1,1", "row 24001: empty group label"),
+    ("nan,1,a", "row {0}: time must be finite and nonnegative, got nan"),
+    ("-0.5,1,a", "row {0}: time must be finite and nonnegative, got -0.5"),
+    ("1e999,1,a", "row {0}: time must be finite and nonnegative, got inf"),
+    ("x,1,a", "row {0}: unparseable time 'x'"),
+    ("1,3,a", "row {0}: unknown status code '3'"),
+    ("1,1,", "row {0}: empty group label"),
+    ("1,1", "row {0}: empty group label"),
     ("1,1,c", "exactly two groups required, found 3: ['a', 'b', 'c']"),
     # as many fields as lines of three, but not three on each line
-    ("1,1,a,9\n2,1", "row 24002: empty group label"),
+    ("1,1,a,9\n2,1", "row {1}: empty group label"),
 ])
 def test_a_bad_line_in_a_late_block_names_its_row(line, message):
-    text = to_csv([("1", "1", "a"), ("2.5", "0", "b"), ("3", "2", "a")] * 8000)
+    text, rows = late_block_text()
     assert len(text) > 2 * data_model._BLOCK_CHARS
+    message = message.format(rows + 1, rows + 2)
     with pytest.raises(DataValidationError, match=f"^{re.escape(message)}$"):
         parse_dataset(text + line + "\n4,1,b\n")
+
+
+@pytest.mark.parametrize("block_chars", [data_model._BLOCK_CHARS, 1 << 16])
+def test_a_field_over_the_csv_limit_in_a_late_block_names_its_row(block_chars):
+    # the bulk reader checks the field lengths of a block at least as long
+    # as the csv module's limit, and leaves a longer field to the row reader
+    text, rows = late_block_text()
+    text = text.replace(",b\n", ",a\n")  # one label: the long one is the second
+    limit = csv.field_size_limit()
+    assert limit == 131_072 and len(text) > 2 * data_model._BLOCK_CHARS
+    over, at = (text + "4,1," + "b" * size + "\n5,1,a\n" for size in (limit + 1, limit))
+    expected = outcome(data_model._parse_rows, at, None)
+    assert expected[1] == ("a", "b" * limit)
+    with mock.patch.object(data_model, "_BLOCK_CHARS", block_chars):
+        assert data_model._parse_plain(over, None) is None
+        with pytest.raises(DataValidationError, match=(
+                f"^row {rows + 1}: field larger than field limit \\(131072\\)$")):
+            parse_dataset(over)
+        assert outcome(parse_dataset, at, None) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +349,7 @@ def test_short_decimals_are_read_exactly(monkeypatch):
 
 def test_full_precision_times_stay_in_bulk(monkeypatch):
     # 17-digit repr exports miss the exact path and are read by float
-    values = np.random.default_rng(5).exponential(3.0, 30_000)
+    values = np.random.default_rng(5).exponential(3.0, data_model._BLOCK_CHARS // 4)
     text = to_csv([(repr(v), str(k % 3), "ab"[k % 2]) for k, v in enumerate(values.tolist())])
     assert len(text) > 4 * data_model._BLOCK_CHARS
     expected = outcome(data_model._parse_rows, text, None)

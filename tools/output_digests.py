@@ -24,6 +24,9 @@ comparing. The cases:
   field quoted (``"time",status,group``). A quote sends the file through
   the csv module's row reader rather than the bulk parser, so this digest
   equals ``cli/estimate.json``'s exactly when both readers agree;
+- the CLI's ``estimate`` JSON on the same rows with each time moved up one
+  float (``nextafter``) and written by ``repr``, 16-17 digits: every block of
+  this file misses the exact decimal path and is read by ``float``;
 - the CLI's ``simulate`` JSON on the shipped ``a_null`` scenario, 200 reps,
   seed 5. The Monte Carlo digests above hash ``json.dumps(...,
   sort_keys=True)``, so only this case sees the report's key order.
@@ -50,8 +53,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
+import numpy as np  # noqa: E402
 import rmtlkit  # noqa: E402
-from inputs import write_csv  # noqa: E402
+from inputs import CSV_GROUPS, csv_rows, write_csv  # noqa: E402
 from rmtlkit.cli import main as cli_main  # noqa: E402
 
 CSV_SEED, CSV_ROWS = 5, 100_000
@@ -88,7 +92,15 @@ def monte_carlo_cases():
         yield f"power/{name}/n2000/cens30/w2", report_digest(report)
 
 
-def cli_cases(path: Path, quoted: Path):
+def write_repr17(path: Path):
+    times, status, group = csv_rows(CSV_SEED, CSV_ROWS)
+    path.write_text("time,status,group\n" + "".join(
+        f"{t!r},{s},{CSV_GROUPS[g]}\n" for t, s, g in
+        zip(np.nextafter(times, np.inf).tolist(), status.tolist(), group.tolist())),
+        encoding="utf-8")
+
+
+def cli_cases(path: Path, quoted: Path, repr17: Path):
     commands = {
         "estimate.json": ["estimate", "--input", str(path), "--format", "json"],
         "estimate.table": ["estimate", "--input", str(path), "--format", "table"],
@@ -96,6 +108,7 @@ def cli_cases(path: Path, quoted: Path):
         "sweep.json": ["samplesize", "--pilot", str(path), "--sweep", "0.25:3.0:0.25",
                        "--format", "json"],
         "estimate.rows.json": ["estimate", "--input", str(quoted), "--format", "json"],
+        "estimate.repr17.json": ["estimate", "--input", str(repr17), "--format", "json"],
         "simulate.json": ["simulate", "--input", str(rmtlkit.shipped_scenario_path("a_null")),
                           "--reps", "200", "--seed", "5", "--format", "json"],
         "samplesize.json": ["samplesize", "--delta", "1.0", "--var1", "4.0", "--var2", "4.0",
@@ -123,7 +136,9 @@ def main() -> int:
         quoted = Path(tmp) / "quoted.csv"
         quoted.write_text('"time"' + path.read_text(encoding="utf-8").removeprefix("time"),
                           encoding="utf-8")
-        for case, sha in cli_cases(path, quoted):
+        repr17 = Path(tmp) / "repr17.csv"
+        write_repr17(repr17)
+        for case, sha in cli_cases(path, quoted, repr17):
             print(case, sha, flush=True)
     return 0
 
